@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/run.py --workload lockstep_n20 --seed 0 --seconds 32 --trace 0
+    python3 bench/run.py --workload flow_paired_n3 --seed 0 --seconds 55 --trace 0
 
 Each repetition runs selfpredict.scenarios.run_scenario in a fresh process
 (child.py) with BLAS and OpenMP pinned to one thread, the checkout's src/ on
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=32.0)
+    ap.add_argument("--seconds", type=float, default=55.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 

@@ -123,13 +123,13 @@ def test_layer_metrics_cover_the_declared_per_layer_names():
                        "scenarios.pool_efficiency", "bench.trace_overhead_frac",
                        "bench.focus_share"}
     assert set(tracing.layer_metrics({}, {})) == names - computed_in_run
-    assert [w["name"] for w in declared["workloads"]] == list(WORKLOADS)
+    assert {w["name"] for w in declared["workloads"]} <= set(WORKLOADS)
 
 
 def test_exits_nonzero_without_sources(tmp_path):
     shutil.copytree(BENCH, tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(BENCH.parent / "BENCHMARK.json", tmp_path)
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "lockstep_n20",
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "flow_paired_n3",
                            "--seed", "0", "--seconds", "1", "--trace", "0"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0

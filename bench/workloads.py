@@ -56,6 +56,8 @@ def _check_flow_paired_n3(summary: dict) -> list:
 
 # focus: the (span, field) pairs whose share of the traced wall time shows
 # that the workload stresses what it is meant to (bench.focus_share).
+# BENCHMARK.json lists the workloads that are measured for every change;
+# the others stay runnable by name (see GLOSSARY.md).
 WORKLOADS = {
     "lockstep_n20": {
         "scenario": "fig2_collapse",
