@@ -41,7 +41,7 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from .markov import TransitionMatrix, n_step_matrix, validate_distribution
-from .metrics import MetricBundle, reference_normalizer
+from .metrics import MetricBundle, _check_rep, _matrix, reference_normalizer
 
 COV_CUTOFF = 1e-12
 RESCALE_LIMIT = 2.0 ** 256
@@ -110,24 +110,6 @@ class TrajectoryRecord:
 
     step_or_time: float
     bundle: MetricBundle
-
-
-def _matrix(p) -> np.ndarray:
-    if isinstance(p, TransitionMatrix):
-        return p.entries
-    a = np.asarray(p, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _check_rep(phi, n: int, name: str = "phi") -> np.ndarray:
-    v = np.asarray(phi, dtype=float)
-    if v.ndim != 2 or v.shape[0] != n:
-        raise ShapeMismatchError(f"{name} must be ({n}, k), got shape {v.shape}")
-    if not 1 <= v.shape[1] <= n:
-        raise InvalidInputError(f"{name} must have between 1 and {n} columns")
-    return v
 
 
 def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
@@ -416,16 +398,17 @@ def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
 def _record_batch(records, step, phi, slog, c0, p_stack, norms):
     # A diverged run reports inf for the scale-carrying metrics; overflow
     # in the intermediate products is the expected route there.
-    m, n, k = phi.shape
+    m = phi.shape[0]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         pp = p_stack @ phi
         pred = phi.transpose(0, 2, 1) @ pp
         f = _scaled(np.sum(pred * pred, axis=(1, 2)), 4.0 * slog)
         c = phi.transpose(0, 2, 1) @ phi
         drift = np.abs(_scaled(c, 2.0 * slog[:, None, None]) - c0).max(axis=(1, 2))
-        eye_scale = np.exp2(-2.0 * slog)
-        proj = eye_scale[:, None, None] * np.eye(n) - phi @ phi.transpose(0, 2, 1)
-        resid = _scaled(np.linalg.norm(proj @ pp @ pred.transpose(0, 2, 1), axis=(1, 2)),
+        # (2^(-2 slog) I - phi phi^T) P phi pred^T without the (n, n) projector;
+        # phi^T P phi is pred itself.
+        tangent = np.exp2(-2.0 * slog)[:, None, None] * pp - phi @ pred
+        resid = _scaled(np.linalg.norm(tangent @ pred.transpose(0, 2, 1), axis=(1, 2)),
                         5.0 * slog)
     for i in range(m):
         records[i].append(TrajectoryRecord(step, MetricBundle(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ShapeMismatchError
-from .markov import TransitionMatrix, spectral
+from .markov import TransitionMatrix
 
 # Column norms below this are treated as fully collapsed.
 ZERO_NORM_FLOOR = 1e-300
@@ -24,10 +24,10 @@ def _matrix(p) -> np.ndarray:
 
 def _check_rep(phi, n: int, name: str = "phi") -> np.ndarray:
     v = np.asarray(phi, dtype=float)
-    if v.ndim != 2:
-        raise ShapeMismatchError(f"{name} must be two-dimensional, got shape {v.shape}")
-    if v.shape[0] != n:
-        raise ShapeMismatchError(f"{name} has {v.shape[0]} rows, chain has {n} states")
+    if v.ndim != 2 or v.shape[0] != n:
+        raise ShapeMismatchError(f"{name} must be ({n}, k), got shape {v.shape}")
+    if not 1 <= v.shape[1] <= n:
+        raise InvalidInputError(f"{name} must have between 1 and {n} columns")
     return v
 
 
@@ -66,15 +66,22 @@ class Normalizers:
 
 
 def normalizers(tm: TransitionMatrix, k: int) -> Normalizers:
+    """Both ceilings at k columns, from eigenvalues or singular values alone.
+
+    No vectors are computed.  A symmetric chain takes one eigvalsh: its
+    singular values are the magnitudes of its eigenvalues, so both ceilings
+    are the sum of the k largest squared magnitudes.  Any other chain takes
+    its singular values only.  The values, and hence the sums, are those of
+    spectral(tm, kind).values[:k] up to rounding.
+    """
     if not 1 <= k <= tm.n:
         raise InvalidInputError(f"k must lie in [1, {tm.n}], got {k}")
-    s = spectral(tm, "svd").values[:k]
-    svd_norm = float(np.sum(s * s))
-    eigen_norm = None
     if tm.is_symmetric:
-        w = spectral(tm, "eigen").values[:k]
-        eigen_norm = float(np.sum(w * w))
-    return Normalizers(eigen_norm, svd_norm)
+        w = np.sort(np.abs(np.linalg.eigvalsh(tm.entries)))[::-1][:k]
+        norm = float(np.sum(w * w))
+        return Normalizers(norm, norm)
+    s = np.linalg.svd(tm.entries, compute_uv=False)[:k]
+    return Normalizers(None, float(np.sum(s * s)))
 
 
 def reference_normalizer(tm: TransitionMatrix, k: int) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -388,10 +389,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
         for key in variants:
             for lo in range(0, cfg.n_runs, CHUNK_SIZE):
                 tasks.append((key, lo, min(lo + CHUNK_SIZE, cfg.n_runs)))
-        if cfg.workers <= 1 or len(tasks) == 1:
+        # The pool starts all of its processes up front, so it never gets more
+        # than there are tasks or CPUs; chunking alone fixes the artifacts.
+        workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+        if workers == 1:
             results = [_run_chunk(cfg, *task) for task in tasks]
         else:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_chunk, cfg, *task) for task in tasks]
                 results = [f.result() for f in futures]
         per_variant = {key: [] for key in variants}

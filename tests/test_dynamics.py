@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import central_fd, rel_err
+from selfpredict import dynamics
 from selfpredict import (
     DegenerateCovarianceError,
     DynamicsConfig,
@@ -299,6 +300,57 @@ class TestBlowUpGuard:
         for a, b in zip(rec_a, rec_b):
             assert b.bundle.max_abs_cosine == pytest.approx(a.bundle.max_abs_cosine,
                                                             rel=1e-6, abs=1e-9)
+
+
+def projector_residual(phi, slog, p_stack):
+    """Record residual through the explicit (m, n, n) tangent projector."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        pp = p_stack @ phi
+        pred = phi.transpose(0, 2, 1) @ pp
+        n = phi.shape[1]
+        proj = np.exp2(-2.0 * slog)[:, None, None] * np.eye(n) - phi @ phi.transpose(0, 2, 1)
+        inner = np.linalg.norm(proj @ pp @ pred.transpose(0, 2, 1), axis=(1, 2))
+        return np.where(inner == 0.0, 0.0, inner * np.exp2(5.0 * slog))
+
+
+class TestRecordResidual:
+    def test_step_zero_is_flow_residual(self):
+        n, m = 7, 4
+        tms = [gen_symmetric(n, s) for s in range(m)]
+        phi0 = np.stack([orthonormal_init(n, 3, s + 10) for s in range(m)])
+        cfg = DynamicsConfig(eta=1e-2, iters=1)
+        records, _ = run_discrete_batch(phi0, tms, uniform_distribution(n), cfg)
+        for i in range(m):
+            expected = flow_residual(phi0[i], tms[i])
+            assert records[i][0].bundle.residual == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_projector_formula_after_rescale(self, monkeypatch):
+        n, m = 6, 3
+        tms = [gen_symmetric(n, s) for s in range(m)]
+        p_stack = np.stack([t.entries for t in tms])
+        phi0 = np.stack([orthonormal_init(n, 2, s + 1) for s in range(m)])
+        calls = []
+        record_batch = dynamics._record_batch
+
+        def spy(records, step, phi, slog, *rest):
+            calls.append((phi.copy(), slog.copy(), rest))
+            record_batch(records, step, phi, slog, *rest)
+
+        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        cfg = DynamicsConfig(eta=10.0, iters=600, record_every=50)
+        records, _ = run_discrete_batch(phi0, tms, uniform_distribution(n), cfg)
+        assert any(np.any(slog > 0) for _, slog, _ in calls)
+        for j, (phi, slog, rest) in enumerate(calls):
+            got = np.array([records[i][j].bundle.residual for i in range(m)])
+            np.testing.assert_allclose(got, projector_residual(phi, slog, p_stack), rtol=1e-10)
+            # The same representations carried at a 2**64 smaller scale, which
+            # reaches the 2**(-2 slog) term with finite values.  That scale can
+            # also keep finite what overflowed above, so compare finite values.
+            shifted = [[] for _ in range(m)]
+            record_batch(shifted, 0.0, phi * 2.0 ** -64, slog + 64.0, *rest)
+            again = np.array([r[0].bundle.residual for r in shifted])
+            fin = np.isfinite(got)
+            np.testing.assert_allclose(again[fin], got[fin], rtol=1e-10)
 
 
 class TestFlow:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from selfpredict import (
     InvalidInputError,
     ShapeMismatchError,
+    TransitionMatrix,
     collapse_metrics,
     fixed_example_2x2,
     fixed_example_3x3,
@@ -90,6 +91,28 @@ class TestNormalizers:
     def test_k_out_of_range(self):
         with pytest.raises(InvalidInputError):
             normalizers(fixed_example_2x2(), 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**31), symmetric=st.booleans())
+    def test_matches_spectral_values(self, n, seed, symmetric):
+        tm = gen_symmetric(n, seed) if symmetric else gen_doubly_stochastic(n, seed)
+        s = spectral(tm, "svd").values
+        w = spectral(tm, "eigen").values if tm.is_symmetric else None
+        for k in range(1, n + 1):
+            norms = normalizers(tm, k)
+            assert norms.svd_norm == pytest.approx(np.sum(s[:k] ** 2), rel=1e-12)
+            if w is None:
+                assert norms.eigen_norm is None
+            else:
+                assert norms.eigen_norm == pytest.approx(np.sum(w[:k] ** 2), rel=1e-12)
+                assert norms.svd_norm == norms.eigen_norm
+
+    def test_magnitude_tie(self):
+        swap = TransitionMatrix.from_entries([[0.0, 1.0], [1.0, 0.0]])
+        assert list(spectral(swap, "eigen").values) == [1.0, -1.0]
+        for k in (1, 2):
+            norms = normalizers(swap, k)
+            assert norms.eigen_norm == norms.svd_norm == pytest.approx(float(k), rel=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(2, 9), seed=st.integers(0, 2**31))

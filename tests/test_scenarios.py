@@ -2,10 +2,12 @@ import filecmp
 import json
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
 from selfpredict import InvalidInputError, UnknownScenarioError
+from selfpredict import scenarios
 from selfpredict.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 CSV_HEADER = "run_id,step_or_time,f,f_ratio,f_tilde,covariance_drift,max_abs_cosine,residual"
@@ -108,6 +110,46 @@ class TestDeterminism:
             arts.append(run_scenario(cfg))
         for pa, pb in zip(artifact_files(arts[0]), artifact_files(arts[1])):
             assert filecmp.cmp(pa, pb, shallow=False), (pa, pb)
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Pool sizes requested from an inline stand-in for the process pool."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, expected", [(8, [3]), (2, [2]), (1, []), (None, [])])
+    def test_pool_capped_by_tasks_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
+                                           cpus, expected):
+        monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
+        # four runs per variant make one task for each of the three variants
+        run_scenario(tiny("fig2_collapse", tmp_path, eta=0.01, iters=10,
+                          record_every=10, workers=1000))
+        assert pool_sizes == expected
+
+    def test_single_task_runs_serially(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 8)
+        run_scenario(tiny("appendix_target_beta", tmp_path, n_runs=2, iters=10,
+                          record_every=10, beta=0.5, workers=1000))
+        assert pool_sizes == []
 
 
 class TestValidation:
