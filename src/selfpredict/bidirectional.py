@@ -10,7 +10,8 @@ where the single dynamics provably cannot.
 Everything here assumes a doubly stochastic chain under the uniform state
 distribution; that is what makes the reversed process a chain with the same
 stationary weights.  Routines raise NotDoublyStochasticError or
-InvalidInputError when the assumption fails.
+InvalidInputError when the assumption fails.  integrate_bidir_batch steps a
+stack of pairs through the same stacked integrator as the single flow.
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import (
-    InvalidInputError,
-    NotDoublyStochasticError,
-    ShapeMismatchError,
-    StepSizeUnderflowError,
-)
+from .errors import InvalidInputError, NotDoublyStochasticError, ShapeMismatchError
 from .markov import TransitionMatrix, n_step_matrix, validate_distribution
-from .metrics import MetricBundle, normalizers
-from .dynamics import DynamicsConfig, TrajectoryRecord, covariance_solve, _max_abs_cosine
+from .metrics import _max_abs_cosine, _norm, normalizers
+from .dynamics import (DynamicsConfig, _check_horizon, _rep_stack, _trajectories,
+                       covariance_solve)
+from .rk45 import solve_ivp
 
 ORTHONORMAL_TOL = 1e-8
 UNIFORM_TOL = 1e-12
@@ -95,6 +92,14 @@ def bidir_optimal_predictors(state: BidirState, tm: TransitionMatrix, d):
     return fwd, fwd.T.copy()
 
 
+def _pair_flow(a, left, right):
+    """Both legs of the paired flow (see bidir_ode_rhs) for (..., n, k) stacks."""
+    pr, pl = a @ right, a.swapaxes(-1, -2) @ left
+    fwd = left.swapaxes(-1, -2) @ pr
+    bwd = fwd.swapaxes(-1, -2)
+    return (pr - left @ fwd) @ bwd, (pl - right @ bwd) @ fwd
+
+
 def bidir_ode_rhs(state: BidirState, tm: TransitionMatrix) -> BidirState:
     """Continuous-time flow of the pair under their optimal predictors.
 
@@ -104,78 +109,66 @@ def bidir_ode_rhs(state: BidirState, tm: TransitionMatrix) -> BidirState:
     """
     _require_doubly_stochastic(tm)
     st = _check_state(state, tm.n)
-    a = tm.entries
-    pr = a @ st.right
-    fwd = st.left.T @ pr
-    d_left = (pr - st.left @ (st.left.T @ pr)) @ fwd.T
-    pl = a.T @ st.left
-    d_right = (pl - st.right @ (st.right.T @ pl)) @ fwd
-    return BidirState(d_left, d_right)
+    return BidirState(*_pair_flow(tm.entries, st.left, st.right))
 
 
-def _bundle(step_or_time, st: BidirState, a, c0_left, c0_right, svd_norm, resid):
-    pred = st.left.T @ a @ st.left
-    f = float(np.sum(pred * pred))
-    cross = st.left.T @ a @ st.right
-    f_tilde = float(np.sum(cross * cross))
-    cl = st.left.T @ st.left
-    cr = st.right.T @ st.right
-    drift = max(float(np.abs(cl - c0_left).max()), float(np.abs(cr - c0_right).max()))
-    cos = max(_max_abs_cosine(cl), _max_abs_cosine(cr))
-    return TrajectoryRecord(float(step_or_time), MetricBundle(
-        f=f, f_ratio=f_tilde / svd_norm, f_tilde=f_tilde,
-        covariance_drift=drift, max_abs_cosine=cos, residual=resid))
+def _pair_metrics(a, left, right, c0_left, c0_right):
+    """f, f_tilde, drift, cosine and flow residual of (..., n, k) stacks of pairs."""
+    lt, rt = left.swapaxes(-1, -2), right.swapaxes(-1, -2)
+    pred, cross = lt @ a @ left, lt @ a @ right
+    cl, cr = lt @ left, rt @ right
+    d_left, d_right = _pair_flow(a, left, right)
+    return (np.sum(pred * pred, axis=(-2, -1)), np.sum(cross * cross, axis=(-2, -1)),
+            np.maximum(np.abs(cl - c0_left).max(axis=(-2, -1)),
+                       np.abs(cr - c0_right).max(axis=(-2, -1))),
+            np.maximum(_max_abs_cosine(cl), _max_abs_cosine(cr)),
+            np.hypot(_norm(d_left, axis=(-2, -1)), _norm(d_right, axis=(-2, -1))))
 
 
-def _flow_residual(st: BidirState, tm: TransitionMatrix) -> float:
-    rhs = bidir_ode_rhs(st, tm)
-    return float(np.sqrt(np.sum(rhs.left ** 2) + np.sum(rhs.right ** 2)))
+def integrate_bidir_batch(state0: BidirState, tms, t_end: float = 100.0, n_records: int = 100,
+                          rel_tol: float = 1e-9, abs_tol: float = 1e-9, run_offset: int = 0):
+    """integrate_ode_batch for the pair: state0 and the returned final state
+    hold (m, n, k) stacks, and every chain in tms must be doubly stochastic."""
+    left, tms = _rep_stack(state0.left, tms)
+    right, _ = _rep_stack(state0.right, tms)
+    if left.shape != right.shape:
+        raise ShapeMismatchError(f"left and right stacks differ: {left.shape} and {right.shape}")
+    for tm in tms:
+        _require_doubly_stochastic(tm)
+    _check_horizon(t_end, n_records)
+    m, n, k = left.shape
+    a = np.stack([t.entries for t in tms])
+    svd_norms = np.array([normalizers(t, k).svd_norm for t in tms])
+
+    def rhs(y):
+        pair = y.reshape(m, 2 * n, k)
+        return np.concatenate(_pair_flow(a, pair[:, :n], pair[:, n:]), axis=1).reshape(m, -1)
+
+    t_eval = np.linspace(0.0, t_end, n_records + 1)
+    sol = solve_ivp(rhs, t_end, np.concatenate([left, right], axis=1).reshape(m, -1),
+                    t_eval, rel_tol, abs_tol, run_offset)
+    pair = sol.y.reshape(m, -1, 2 * n, k)
+    lv, rv = pair[:, :, :n], pair[:, :, n:]
+    c0 = [(v.swapaxes(-1, -2) @ v)[:, None] for v in (left, right)]
+    f, f_tilde, drift, cos, resid = _pair_metrics(a[:, None], lv, rv, *c0)
+    records = _trajectories(t_eval.tolist(), f, f_tilde / svd_norms[:, None], drift, cos,
+                            resid, f_tilde)
+    return records, BidirState(lv[:, -1], rv[:, -1])
 
 
 def integrate_bidir(state0: BidirState, tm: TransitionMatrix, t_end: float = 100.0,
                     n_records: int = 100, rel_tol: float = 1e-9, abs_tol: float = 1e-9):
     """Integrate the paired flow; returns (records, final BidirState).
 
-    Records carry f for the left representation alone, f_tilde for the
-    pair, and f_ratio as f_tilde over the singular value ceiling, the
-    quantity this dynamics is supposed to drive to one.
+    Records carry f for the left representation alone, f_tilde for the pair,
+    and f_ratio = f_tilde over the singular value ceiling, which this flow
+    drives to one.  Wraps integrate_bidir_batch.
     """
     _require_doubly_stochastic(tm)
     st = _check_state(state0, tm.n)
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise InvalidInputError("t_end must be positive and finite")
-    if n_records < 1:
-        raise InvalidInputError("n_records must be at least 1")
-    a = tm.entries
-    n, k = st.left.shape
-    svd_norm = normalizers(tm, k).svd_norm
-    c0_left = st.left.T @ st.left
-    c0_right = st.right.T @ st.right
-    half = n * k
-
-    def rhs(_t, y):
-        lv = y[:half].reshape(n, k)
-        rv = y[half:].reshape(n, k)
-        pr = a @ rv
-        fwd = lv.T @ pr
-        dl = (pr - lv @ (lv.T @ pr)) @ fwd.T
-        pl = a.T @ lv
-        dr = (pl - rv @ (rv.T @ pl)) @ fwd
-        return np.concatenate([dl.ravel(), dr.ravel()])
-
-    y0 = np.concatenate([st.left.ravel(), st.right.ravel()])
-    t_eval = np.linspace(0.0, t_end, n_records + 1)
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45",
-                    rtol=rel_tol, atol=abs_tol, t_eval=t_eval)
-    if not sol.success:
-        raise StepSizeUnderflowError(f"integration failed: {sol.message}")
-    records = []
-    for i, t in enumerate(sol.t):
-        cur = BidirState(sol.y[:half, i].reshape(n, k), sol.y[half:, i].reshape(n, k))
-        records.append(_bundle(t, cur, a, c0_left, c0_right, svd_norm,
-                               _flow_residual(cur, tm)))
-    final = BidirState(sol.y[:half, -1].reshape(n, k), sol.y[half:, -1].reshape(n, k))
-    return records, final
+    records, final = integrate_bidir_batch(BidirState(st.left[None], st.right[None]), tm,
+                                           t_end, n_records, rel_tol, abs_tol)
+    return records[0], BidirState(final.left[0], final.right[0])
 
 
 def run_discrete_bidir(state0: BidirState, tm: TransitionMatrix, d, config: DynamicsConfig):
@@ -202,8 +195,7 @@ def run_discrete_bidir(state0: BidirState, tm: TransitionMatrix, d, config: Dyna
     right = st.right.copy()
     c0_left = left.T @ left
     c0_right = right.T @ right
-    records = [_bundle(0.0, BidirState(left, right), a, c0_left, c0_right, svd_norm,
-                       _flow_residual(BidirState(left, right), tm_run))]
+    steps, snapshots = [0.0], [(left.copy(), right.copy())]
     scale = 2.0 * config.eta / n
     for step in range(1, config.iters + 1):
         pr = a @ right
@@ -215,7 +207,9 @@ def run_discrete_bidir(state0: BidirState, tm: TransitionMatrix, d, config: Dyna
         left += d_left
         right += d_right
         if step % config.record_every == 0 or step == config.iters:
-            cur = BidirState(left, right)
-            records.append(_bundle(float(step), cur, a, c0_left, c0_right, svd_norm,
-                                   _flow_residual(cur, tm_run)))
-    return records, BidirState(left, right)
+            steps.append(float(step))
+            snapshots.append((left.copy(), right.copy()))
+    lefts, rights = (np.stack(s)[None] for s in zip(*snapshots))
+    f, f_tilde, drift, cos, resid = _pair_metrics(a, lefts, rights, c0_left, c0_right)
+    records = _trajectories(steps, f, f_tilde / svd_norm, drift, cos, resid, f_tilde)
+    return records[0], BidirState(left, right)

@@ -15,7 +15,10 @@ Conventions shared by every routine in this module:
 * the reported objective f is always the uniform-weight trace objective
   from metrics.trace_objective, regardless of the training weights;
 * records are taken at step 0, every record_every steps, and at the final
-  step.
+  step; the continuous flow records on a uniform time grid instead.
+
+integrate_ode_batch steps a stack of runs through the stacked Dormand-Prince
+5(4) in rk45; a run's records do not depend on the runs beside it.
 
 Blow-up handling: with the losses here the semi-gradient update with an
 optimal predictor is degree-1 homogeneous in phi, so divergent runs are
@@ -30,18 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize
 
-from .errors import (
-    DegenerateCovarianceError,
-    InnerSolveFailureError,
-    InvalidInputError,
-    ShapeMismatchError,
-    StepSizeUnderflowError,
-)
+from .errors import (DegenerateCovarianceError, InnerSolveFailureError, InvalidInputError,
+                     ShapeMismatchError)
 from .markov import TransitionMatrix, n_step_matrix, validate_distribution
-from .metrics import MetricBundle, _check_rep, _matrix, reference_normalizer
+from .metrics import MetricBundle, _check_rep, _matrix, _max_abs_cosine, _norm, reference_normalizer
+from .rk45 import solve_ivp
 
 COV_CUTOFF = 1e-12
 RESCALE_LIMIT = 2.0 ** 256
@@ -273,6 +270,7 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8
     far up the valley.  Raises InnerSolveFailureError if no start reaches
     tol.
     """
+    from scipy.optimize import minimize
     a = _matrix(p)
     n = a.shape[0]
     v = _check_rep(phi, n)
@@ -310,6 +308,13 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8
         f"stationarity {best[0]:.3e} did not reach tol={tol} for loss_kind={loss_kind!r}")
 
 
+def _flow(a, left, right):
+    """(I - L L^T) a R (L^T a R)^T for (..., n, k) stacks L, R; ode_rhs ties L = R."""
+    pr = a @ right
+    fwd = left.swapaxes(-1, -2) @ pr
+    return (pr - left @ fwd) @ fwd.swapaxes(-1, -2)
+
+
 def ode_rhs(phi, p) -> np.ndarray:
     """Continuous-time flow of phi under the optimal predictor at uniform weights.
 
@@ -319,73 +324,55 @@ def ode_rhs(phi, p) -> np.ndarray:
     """
     a = _matrix(p)
     v = _check_rep(phi, a.shape[0])
-    pp = a @ v
-    pred = v.T @ pp
-    return (pp - v @ (v.T @ pp)) @ pred.T
+    return _flow(a, v, v)
 
 
 def flow_residual(phi, p) -> float:
     """Frobenius norm of ode_rhs; zero exactly at critical points of the flow."""
-    return float(np.linalg.norm(ode_rhs(phi, p)))
+    return float(_norm(ode_rhs(phi, p)))
 
 
-def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = 100.0, n_records: int = 100,
-                  rel_tol: float = 1e-9, abs_tol: float = 1e-9):
-    """Integrate the representation flow and sample records on a uniform grid.
-
-    Returns (records, phi_final) with n_records + 1 records covering
-    [0, t_end].  Adaptive Runge-Kutta under the hood; a failed integration
-    raises StepSizeUnderflowError.
-    """
-    if not isinstance(tm, TransitionMatrix):
-        raise InvalidInputError("integrate_ode needs a TransitionMatrix")
+def _check_horizon(t_end: float, n_records: int) -> None:
     if not (np.isfinite(t_end) and t_end > 0):
         raise InvalidInputError("t_end must be positive and finite")
     if n_records < 1:
         raise InvalidInputError("n_records must be at least 1")
-    a = tm.entries
-    n = a.shape[0]
-    v0 = _check_rep(phi0, n).copy()
-    k = v0.shape[1]
-    norm = reference_normalizer(tm, k)
-    c0 = v0.T @ v0
 
-    def rhs(_t, y):
-        v = y.reshape(n, k)
-        pp = a @ v
-        pred = v.T @ pp
-        return ((pp - v @ (v.T @ pp)) @ pred.T).ravel()
+
+def integrate_ode_batch(phi0_stack, tms, t_end: float = 100.0, n_records: int = 100,
+                        rel_tol: float = 1e-9, abs_tol: float = 1e-9, run_offset: int = 0):
+    """Integrate the flow for a stack of runs (phi0_stack, tms as in run_discrete_batch).
+
+    Returns m lists of n_records + 1 records on a uniform grid over [0, t_end]
+    and the (m, n, k) states at t_end; run_offset labels errors.
+    """
+    phi, tms = _rep_stack(phi0_stack, tms)
+    _check_horizon(t_end, n_records)
+    m, n, k = phi.shape
+    p_stack = np.stack([t.entries for t in tms])
+    norms = np.array([reference_normalizer(t, k) for t in tms])
+
+    def rhs(y):
+        v = y.reshape(m, n, k)
+        return _flow(p_stack, v, v).reshape(m, -1)
 
     t_eval = np.linspace(0.0, t_end, n_records + 1)
-    sol = solve_ivp(rhs, (0.0, t_end), v0.ravel(), method="RK45",
-                    rtol=rel_tol, atol=abs_tol, t_eval=t_eval)
-    if not sol.success:
-        raise StepSizeUnderflowError(f"integration failed: {sol.message}")
-    records = []
-    for i, t in enumerate(sol.t):
-        v = sol.y[:, i].reshape(n, k)
-        pred = v.T @ (a @ v)
-        f = float(np.sum(pred * pred))
-        c = v.T @ v
-        drift = float(np.abs(c - c0).max())
-        records.append(TrajectoryRecord(float(t), MetricBundle(
-            f=f, f_ratio=f / norm, f_tilde=None,
-            covariance_drift=drift,
-            max_abs_cosine=_max_abs_cosine(c),
-            residual=flow_residual(v, a))))
-    return records, sol.y[:, -1].reshape(n, k)
+    sol = solve_ivp(rhs, t_end, phi.reshape(m, -1), t_eval, rel_tol, abs_tol, run_offset)
+    v = sol.y.reshape(m, -1, n, k)
+    c0 = phi.swapaxes(-1, -2) @ phi
+    f, drift, cos, resid = _metrics(v, np.zeros(v.shape[:2]), c0[:, None], p_stack[:, None])
+    records = _trajectories(t_eval.tolist(), f, f / norms[:, None], drift, cos, resid)
+    return records, v[:, -1]
 
 
-def _max_abs_cosine(c: np.ndarray) -> float:
-    """Worst off-diagonal cosine from a covariance matrix; collapse reports 1."""
-    k = c.shape[0]
-    if k == 1:
-        return 0.0
-    norms = np.sqrt(np.diag(c).clip(min=0.0))
-    if np.any(norms < 1e-300):
-        return 1.0
-    cos = c / (norms[:, None] * norms[None, :])
-    return float(np.abs(cos[~np.eye(k, dtype=bool)]).max())
+def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = 100.0, n_records: int = 100,
+                  rel_tol: float = 1e-9, abs_tol: float = 1e-9):
+    """Single-run wrapper around integrate_ode_batch; returns (records, phi_final)."""
+    if not isinstance(tm, TransitionMatrix):
+        raise InvalidInputError("integrate_ode needs a TransitionMatrix")
+    records, final = integrate_ode_batch(_check_rep(phi0, tm.n)[None], tm, t_end, n_records,
+                                         rel_tol, abs_tol)
+    return records[0], final[0]
 
 
 def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
@@ -395,27 +382,38 @@ def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return np.where(vals == 0.0, 0.0, out)
 
 
-def _record_batch(records, step, phi, slog, c0, p_stack, norms):
-    # A diverged run reports inf for the scale-carrying metrics; overflow
-    # in the intermediate products is the expected route there.
-    m = phi.shape[0]
+def _metrics(phi, slog, c0, p_stack):
+    """f, covariance drift, cosine and flow residual of a (..., n, k) stack.
+
+    phi carries a factor 2**-slog that the metrics fold back in; a diverged
+    run reports inf, overflow in the intermediate products being the route.
+    """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         pp = p_stack @ phi
-        pred = phi.transpose(0, 2, 1) @ pp
-        f = _scaled(np.sum(pred * pred, axis=(1, 2)), 4.0 * slog)
-        c = phi.transpose(0, 2, 1) @ phi
-        drift = np.abs(_scaled(c, 2.0 * slog[:, None, None]) - c0).max(axis=(1, 2))
+        pred = phi.swapaxes(-1, -2) @ pp
+        f = _scaled(np.sum(pred * pred, axis=(-2, -1)), 4.0 * slog)
+        c = phi.swapaxes(-1, -2) @ phi
+        drift = np.abs(_scaled(c, 2.0 * slog[..., None, None]) - c0).max(axis=(-2, -1))
         # (2^(-2 slog) I - phi phi^T) P phi pred^T without the (n, n) projector;
         # phi^T P phi is pred itself.
-        tangent = np.exp2(-2.0 * slog)[:, None, None] * pp - phi @ pred
-        resid = _scaled(np.linalg.norm(tangent @ pred.transpose(0, 2, 1), axis=(1, 2)),
-                        5.0 * slog)
-    for i in range(m):
-        records[i].append(TrajectoryRecord(step, MetricBundle(
-            f=float(f[i]), f_ratio=float(f[i] / norms[i]), f_tilde=None,
-            covariance_drift=float(drift[i]),
-            max_abs_cosine=_max_abs_cosine(c[i]),
-            residual=float(resid[i]))))
+        tangent = np.exp2(-2.0 * slog)[..., None, None] * pp - phi @ pred
+        resid = _scaled(_norm(tangent @ pred.swapaxes(-1, -2), axis=(-2, -1)), 5.0 * slog)
+    return f, drift, _max_abs_cosine(c), resid
+
+
+def _trajectories(times, f, f_ratio, drift, cos, resid, f_tilde=None) -> list:
+    """One TrajectoryRecord list per run from (m, len(times)) metric columns."""
+    ft = f_tilde.tolist() if f_tilde is not None else [[None] * len(times)] * len(f)
+    return [[TrajectoryRecord(t, MetricBundle(*row)) for t, *row in zip(times, *cols)]
+            for cols in zip(f.tolist(), f_ratio.tolist(), ft, drift.tolist(),
+                            cos.tolist(), resid.tolist())]
+
+
+def _record_batch(records, step, phi, slog, c0, p_stack, norms):
+    f, drift, cos, resid = _metrics(phi, slog, c0, p_stack)
+    cols = (c[:, None] for c in (f, f / norms, drift, cos, resid))
+    for run, new in zip(records, _trajectories([step], *cols)):
+        run.extend(new)
 
 
 def _batch_predictor(phi, dphi, dpt, run_offset: int) -> np.ndarray:
@@ -433,6 +431,26 @@ def _batch_predictor(phi, dphi, dpt, run_offset: int) -> np.ndarray:
     return (v * inv[:, None, :]) @ (v.transpose(0, 2, 1) @ rhs)
 
 
+def _rep_stack(phi0_stack, tms, n_step: int = 1):
+    """Checked (m, n, k) float copy of a stack and its m chains (n_step-fold)."""
+    phi = np.array(phi0_stack, dtype=float)
+    if phi.ndim != 3:
+        raise InvalidInputError(f"phi0_stack must be (m, n, k), got shape {phi.shape}")
+    m, n, k = phi.shape
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    tms = [tms] * m if isinstance(tms, TransitionMatrix) else list(tms)
+    if len(tms) != m:
+        raise ShapeMismatchError(f"got {len(tms)} chains for {m} runs")
+    if not all(isinstance(t, TransitionMatrix) for t in tms):
+        raise InvalidInputError("tms must contain TransitionMatrix instances")
+    if n_step > 1:
+        tms = [n_step_matrix(t, n_step) for t in tms]
+    if any(t.n != n for t in tms):
+        raise ShapeMismatchError("every chain must match the representation row count")
+    return phi, tms
+
+
 def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
                        noise_rngs=None, run_offset: int = 0):
     """Train a stack of runs in lockstep and collect per-run records.
@@ -444,24 +462,8 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     record lists and phi_final is the (m, n, k) stack after the last step,
     with any blow-up rescaling folded back in (divergent runs report inf).
     """
-    phi = np.array(phi0_stack, dtype=float)
-    if phi.ndim != 3:
-        raise InvalidInputError(f"phi0_stack must be (m, n, k), got shape {phi.shape}")
+    phi, tms = _rep_stack(phi0_stack, tms, config.n_step)
     m, n, k = phi.shape
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if isinstance(tms, TransitionMatrix):
-        tms = [tms] * m
-    else:
-        tms = list(tms)
-    if len(tms) != m:
-        raise ShapeMismatchError(f"got {len(tms)} chains for {m} runs")
-    if not all(isinstance(t, TransitionMatrix) for t in tms):
-        raise InvalidInputError("tms must contain TransitionMatrix instances")
-    if config.n_step > 1:
-        tms = [n_step_matrix(t, config.n_step) for t in tms]
-    if any(t.n != n for t in tms):
-        raise ShapeMismatchError("every chain must match the representation row count")
     d = validate_distribution(d, n)
 
     noisy = config.predictor_mode == "noisy"

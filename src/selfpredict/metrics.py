@@ -115,16 +115,30 @@ def collapse_metrics(phi, phi_init) -> CollapseMetrics:
         raise ShapeMismatchError(
             f"phi and phi_init must share a 2d shape, got {v.shape} and {v0.shape}")
     c = v.T @ v
-    drift = float(np.abs(c - v0.T @ v0).max())
-    k = v.shape[1]
+    return CollapseMetrics(float(np.abs(c - v0.T @ v0).max()), float(_max_abs_cosine(c)))
+
+
+def _max_abs_cosine(c: np.ndarray) -> np.ndarray:
+    """Worst off-diagonal cosine per (..., k, k) covariance; see collapse_metrics."""
+    k = c.shape[-1]
     if k == 1:
-        return CollapseMetrics(drift, 0.0)
-    col_norms = np.sqrt(np.diag(c))
-    if np.any(col_norms < ZERO_NORM_FLOOR):
-        return CollapseMetrics(drift, 1.0)
-    cos = c / (col_norms[:, None] * col_norms[None, :])
-    off = np.abs(cos[~np.eye(k, dtype=bool)])
-    return CollapseMetrics(drift, float(off.max()))
+        return np.zeros(c.shape[:-2])
+    norms = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1).clip(min=0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = c / (norms[..., :, None] * norms[..., None, :])
+    off = np.abs(cos[..., ~np.eye(k, dtype=bool)]).max(axis=-1)
+    return np.where(np.any(norms < ZERO_NORM_FLOOR, axis=-1), 1.0, off)
+
+
+def _norm(x: np.ndarray, axis=None):
+    """np.linalg.norm(x, axis=axis), redone on x / max|x| where only the squares overflow."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = np.linalg.norm(x, axis=axis)
+        if np.any(np.isinf(out)):
+            top = np.abs(x).max(axis=axis, keepdims=True)
+            rescued = np.linalg.norm(x / top, axis=axis) * top.reshape(np.shape(out))
+            out = np.where(np.isinf(out) & np.isfinite(rescued), rescued, out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bidirectional import BidirState, integrate_bidir
-from .dynamics import (
-    DynamicsConfig,
-    flow_residual,
-    integrate_ode,
-    orthonormal_init,
-    run_discrete_batch,
-)
+# Unused integrate_ode/integrate_bidir stay importable for bench/tracing.py.
+from .bidirectional import BidirState, integrate_bidir, integrate_bidir_batch  # noqa: F401
+from .dynamics import (DynamicsConfig, flow_residual, integrate_ode,  # noqa: F401
+                       integrate_ode_batch, orthonormal_init, run_discrete_batch)
 from .errors import InvalidInputError, UnknownScenarioError
 from .markov import (
     fixed_example_2x2,
@@ -227,10 +223,9 @@ def _run_chunk(cfg: ScenarioConfig, variant_key: str, lo: int, hi: int) -> list:
     idxs = list(range(lo, hi))
     d = uniform_distribution(n)
 
+    tms = [_make_chain(params["chain"], n, ms, i) for i in idxs]
+    left = np.stack([orthonormal_init(n, k, stream_seed(ms, i, STREAM_INIT_LEFT)) for i in idxs])
     if mode == "discrete":
-        tms = [_make_chain(params["chain"], n, ms, i) for i in idxs]
-        phi0 = np.stack([orthonormal_init(n, k, stream_seed(ms, i, STREAM_INIT_LEFT))
-                         for i in idxs])
         dcfg = DynamicsConfig(
             eta=params["eta"], iters=params["iters"], record_every=params["record_every"],
             gradient_mode=params["gradient_mode"], predictor_mode=params["predictor_mode"],
@@ -238,36 +233,21 @@ def _run_chunk(cfg: ScenarioConfig, variant_key: str, lo: int, hi: int) -> list:
         rngs = None
         if params["predictor_mode"] == "noisy":
             rngs = [stream_rng(ms, i, STREAM_NOISE) for i in idxs]
-        records, _ = run_discrete_batch(phi0, tms, d, dcfg, rngs, run_offset=lo)
+        records, _ = run_discrete_batch(left, tms, d, dcfg, rngs, run_offset=lo)
         return [_tuples(rs) for rs in records]
 
+    if cfg.n_step > 1:
+        tms = [n_step_matrix(tm, cfg.n_step) for tm in tms]
+    horizon = dict(t_end=params["t_end"], n_records=params["n_records"], run_offset=lo)
     if mode == "ode":
-        out = []
-        for i in idxs:
-            tm = _make_chain(params["chain"], n, ms, i)
-            if cfg.n_step > 1:
-                tm = n_step_matrix(tm, cfg.n_step)
-            phi0 = orthonormal_init(n, k, stream_seed(ms, i, STREAM_INIT_LEFT))
-            records, _ = integrate_ode(phi0, tm, t_end=params["t_end"],
-                                       n_records=params["n_records"])
-            out.append(_tuples(records))
-        return out
-
-    if mode == "bidir_ode":
-        out = []
-        for i in idxs:
-            tm = _make_chain(params["chain"], n, ms, i)
-            if cfg.n_step > 1:
-                tm = n_step_matrix(tm, cfg.n_step)
-            state0 = BidirState(
-                orthonormal_init(n, k, stream_seed(ms, i, STREAM_INIT_LEFT)),
-                orthonormal_init(n, k, stream_seed(ms, i, STREAM_INIT_RIGHT)))
-            records, _ = integrate_bidir(state0, tm, t_end=params["t_end"],
-                                         n_records=params["n_records"])
-            out.append(_tuples(records))
-        return out
-
-    raise InvalidInputError(f"unknown variant mode {mode!r}")
+        records, _ = integrate_ode_batch(left, tms, **horizon)
+    elif mode == "bidir_ode":
+        right = np.stack([orthonormal_init(n, k, stream_seed(ms, i, STREAM_INIT_RIGHT))
+                          for i in idxs])
+        records, _ = integrate_bidir_batch(BidirState(left, right), tms, **horizon)
+    else:
+        raise InvalidInputError(f"unknown variant mode {mode!r}")
+    return [_tuples(rs) for rs in records]
 
 
 def _critical_points(cfg: ScenarioConfig):

@@ -303,14 +303,22 @@ class TestBlowUpGuard:
 
 
 def projector_residual(phi, slog, p_stack):
-    """Record residual through the explicit (m, n, n) tangent projector."""
+    """Record residual through the explicit (m, n, n) tangent projector.
+
+    The Frobenius norm divides by the largest entry first, so it stays
+    finite wherever the residual itself is representable; an overflowed
+    entry makes it inf.
+    """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         pp = p_stack @ phi
         pred = phi.transpose(0, 2, 1) @ pp
         n = phi.shape[1]
         proj = np.exp2(-2.0 * slog)[:, None, None] * np.eye(n) - phi @ phi.transpose(0, 2, 1)
-        inner = np.linalg.norm(proj @ pp @ pred.transpose(0, 2, 1), axis=(1, 2))
-        return np.where(inner == 0.0, 0.0, inner * np.exp2(5.0 * slog))
+        tangent = proj @ pp @ pred.transpose(0, 2, 1)
+        top = np.abs(tangent).max(axis=(1, 2))
+        inner = np.where(np.isinf(top), np.inf,
+                         top * np.linalg.norm(tangent / top[:, None, None], axis=(1, 2)))
+        return np.where(top == 0.0, 0.0, inner * np.exp2(5.0 * slog))
 
 
 class TestRecordResidual:
@@ -344,13 +352,11 @@ class TestRecordResidual:
             got = np.array([records[i][j].bundle.residual for i in range(m)])
             np.testing.assert_allclose(got, projector_residual(phi, slog, p_stack), rtol=1e-10)
             # The same representations carried at a 2**64 smaller scale, which
-            # reaches the 2**(-2 slog) term with finite values.  That scale can
-            # also keep finite what overflowed above, so compare finite values.
+            # reaches the 2**(-2 slog) term with finite values.
             shifted = [[] for _ in range(m)]
             record_batch(shifted, 0.0, phi * 2.0 ** -64, slog + 64.0, *rest)
             again = np.array([r[0].bundle.residual for r in shifted])
-            fin = np.isfinite(got)
-            np.testing.assert_allclose(again[fin], got[fin], rtol=1e-10)
+            np.testing.assert_allclose(again, got, rtol=1e-10)
 
 
 class TestFlow:
@@ -383,6 +389,18 @@ class TestFlow:
                     a * u1 + b * u2, a * u1 - b * u2,
                     -a * u1 + b * u2, -a * u1 - b * u2):
             assert flow_residual(phi, tm) <= 1e-12
+
+    def test_residual_stays_finite_where_only_its_squares_overflow(self):
+        tm, phi, _, _ = random_instance(4, n=6, k=2)
+        rhs = ode_rhs(1e40 * phi, tm)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(rhs))
+        top = np.abs(rhs).max()
+        expected = top * np.linalg.norm(rhs / top)
+        assert np.isfinite(expected)
+        assert flow_residual(1e40 * phi, tm) == pytest.approx(expected, rel=1e-14)
+        # Below the overflow the plain norm is kept bit for bit.
+        assert flow_residual(phi, tm) == float(np.linalg.norm(ode_rhs(phi, tm)))
 
     def test_random_probes_are_not_critical(self):
         tm = fixed_example_2x2()

@@ -18,6 +18,7 @@ from selfpredict import (
     svd_trace_objective,
     trace_objective,
 )
+from selfpredict.metrics import _max_abs_cosine
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +160,17 @@ class TestCollapseMetrics:
         scaled = phi * np.array([scale, 1.0, 1.0 / scale])
         again = collapse_metrics(scaled, scaled).max_abs_cosine
         assert again == pytest.approx(base, rel=1e-9, abs=1e-12)
+
+    def test_stacked_cosine_matches_each_covariance(self):
+        # A (2, 3) stack of 3x3 covariances, one with a zero column: every
+        # entry equals the cosine of that covariance taken alone, bit for bit.
+        phis = np.random.default_rng(5).standard_normal((2, 3, 8, 3))
+        phis[1, 2, :, 1] = 0.0
+        covs = phis.swapaxes(-1, -2) @ phis
+        stacked = _max_abs_cosine(covs)
+        assert stacked.shape == (2, 3)
+        assert stacked[1, 2] == 1.0
+        for i in range(2):
+            for j in range(3):
+                assert stacked[i, j] == _max_abs_cosine(covs[i, j])
+                assert stacked[i, j] == collapse_metrics(phis[i, j], phis[i, j]).max_abs_cosine
