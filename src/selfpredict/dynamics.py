@@ -18,29 +18,33 @@ Conventions shared by every routine in this module:
   step; the continuous flow records on a uniform time grid instead.
 
 integrate_ode_batch steps a stack of runs through the stacked Dormand-Prince
-5(4) in rk45; a run's records do not depend on the runs beside it.
+5(4) in rk45; a run's records do not depend on the runs beside it.  Predictors
+come from covariance_solve_batch: certified Cholesky, else eigh pseudoinverse.
 
 Blow-up handling: with the losses here the semi-gradient update with an
 optimal predictor is degree-1 homogeneous in phi, so divergent runs are
 rescaled by an exact power of two whenever entries pass 2**256 and the
 accumulated exponent is folded back into reported metrics.  Cosines are
-unaffected and reported objectives overflow to inf honestly.  The guard is
-skipped for noisy predictors, whose noise term breaks homogeneity.
+unaffected and reported objectives overflow to inf honestly.  Noisy predictors
+break homogeneity and skip the guard; a noisy run that overflows ends in
+NonFiniteStateError from the predictor solve.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateCovarianceError, InnerSolveFailureError, InvalidInputError,
-                     ShapeMismatchError)
+                     NonFiniteStateError, ShapeMismatchError)
 from .markov import TransitionMatrix, n_step_matrix, validate_distribution
 from .metrics import MetricBundle, _check_rep, _matrix, _max_abs_cosine, _norm, reference_normalizer
 from .rk45 import solve_ivp
 
 COV_CUTOFF = 1e-12
+CERTIFY_MARGIN = 1e3
 RESCALE_LIMIT = 2.0 ** 256
 RESCALE_EXP = 256.0
 
@@ -124,21 +128,45 @@ def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
     return q * signs
 
 
-def covariance_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve cov @ x = rhs for a symmetric PSD cov via a spectral pseudoinverse.
+def covariance_solve_batch(cov, rhs, run_offset: int = 0, step=None) -> np.ndarray:
+    """Solve cov @ x = rhs for an (m, k, k) stack of symmetric PSD covariances.
 
-    Eigenvalues at or below 1e-12 of the largest are treated as zero.  If
-    the largest is exactly zero there is no scale to cut against and
-    DegenerateCovarianceError is raised.
+    The answer is the eigh pseudoinverse's, which zeroes eigenvalues at or below
+    1e-12 of the largest.  Runs whose Cholesky factor L puts every eigenvalue
+    CERTIFY_MARGIN above that (lambda_min >= 1/||L^-1||_F^2, lambda_max <= trace)
+    are solved through L, the rest through eigh, which raises NonFiniteStateError
+    or DegenerateCovarianceError naming run run_offset + index (and step).
     """
+    x, ok = np.empty_like(rhs), np.zeros(len(cov), dtype=bool)
+    with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
+        linv = np.linalg.inv(np.linalg.cholesky(cov))
+        x = linv.swapaxes(-1, -2) @ (linv @ rhs)
+        bound = np.einsum("mii->m", cov) * np.einsum("mij,mij->m", linv, linv)
+        ok = (bound * (CERTIFY_MARGIN * COV_CUTOFF) < 1.0) & np.isfinite(x.sum(axis=(-2, -1)))
+    if ok.all():
+        return x
+    bad = np.flatnonzero(~ok)
+    cov, rhs = cov[bad], rhs[bad]
+    at = "" if step is None else f" at step {step}"
+    finite = np.isfinite(cov).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=(-2, -1))
+    if not finite.all():
+        raise NonFiniteStateError(
+            f"non-finite predictor solve in run {run_offset + bad[~finite][0]}{at}")
     w, v = np.linalg.eigh(cov)
-    top = np.abs(w).max()
-    if top == 0.0:
-        raise DegenerateCovarianceError("covariance is identically zero")
-    keep = np.abs(w) > COV_CUTOFF * top
+    top = np.abs(w).max(axis=1)
+    if np.any(top == 0.0):
+        raise DegenerateCovarianceError(
+            f"covariance is identically zero in run {run_offset + bad[top == 0.0][0]}{at}")
+    keep = np.abs(w) > COV_CUTOFF * top[:, None]
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
-    return (v * inv) @ (v.T @ rhs)
+    x[bad] = (v * inv[:, None, :]) @ (v.swapaxes(-1, -2) @ rhs)
+    return x
+
+
+def covariance_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """covariance_solve_batch for one (k, k) covariance and its (k, j) rhs."""
+    return covariance_solve_batch(*(np.asarray(a, dtype=float)[None] for a in (cov, rhs)))[0]
 
 
 def optimal_predictor(phi, p, d, phi_target=None) -> np.ndarray:
@@ -255,6 +283,7 @@ def full_gradient_step(phi, pred, p, d, eta: float) -> np.ndarray:
 
 
 GTOL_LADDER = (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13)
+SOLVE_RIDGE = 1e-13  # its gradient 2e-13 |pred| stays far below tol wherever the solves end
 
 
 def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8,
@@ -267,8 +296,10 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8
     warm starts that sit in a flat basin.  The epsilon-regularized cosine
     loss has a scale direction along which curvature decays like 1/s**2,
     which is what the tolerance ladder is for: a single loose solve stops
-    far up the valley.  Raises InnerSolveFailureError if no start reaches
-    tol.
+    far up the valley.  The descent adds SOLVE_RIDGE |pred|^2, which moves
+    that minimizer to a finite scale, so the result does not hang on the last
+    bits of the warm start (the checks leave the ridge out).  Raises
+    InnerSolveFailureError if no start reaches tol.
     """
     from scipy.optimize import minimize
     a = _matrix(p)
@@ -281,7 +312,7 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8
 
     def value_and_grad(x):
         val, gz = _pair_loss_grad(v @ x.reshape(k, k), t, w, loss_kind, epsilon)
-        return val, (v.T @ gz).ravel()
+        return val + SOLVE_RIDGE * (x @ x), (v.T @ gz).ravel() + 2.0 * SOLVE_RIDGE * x
 
     warm = optimal_predictor(v, a, d, t)
     starts = [warm.ravel(), (0.5 * np.eye(k)).ravel(), (-0.5 * np.eye(k)).ravel()]
@@ -416,21 +447,6 @@ def _record_batch(records, step, phi, slog, c0, p_stack, norms):
         run.extend(new)
 
 
-def _batch_predictor(phi, dphi, dpt, run_offset: int) -> np.ndarray:
-    """Pseudoinverse normal-equation solve for a whole stack of runs."""
-    cov = phi.transpose(0, 2, 1) @ dphi
-    rhs = phi.transpose(0, 2, 1) @ dpt
-    w, v = np.linalg.eigh(cov)
-    top = np.abs(w).max(axis=1)
-    if np.any(top == 0.0):
-        bad = int(np.nonzero(top == 0.0)[0][0])
-        raise DegenerateCovarianceError(f"covariance is identically zero in run {run_offset + bad}")
-    keep = np.abs(w) > COV_CUTOFF * top[:, None]
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    return (v * inv[:, None, :]) @ (v.transpose(0, 2, 1) @ rhs)
-
-
 def _rep_stack(phi0_stack, tms, n_step: int = 1):
     """Checked (m, n, k) float copy of a stack and its m chains (n_step-fold)."""
     phi = np.array(phi0_stack, dtype=float)
@@ -467,78 +483,74 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     d = validate_distribution(d, n)
 
     noisy = config.predictor_mode == "noisy"
-    if noisy:
-        if noise_rngs is None or len(noise_rngs) != m:
-            raise InvalidInputError("predictor_mode='noisy' needs one noise rng per run")
+    if noisy and (noise_rngs is None or len(noise_rngs) != m):
+        raise InvalidInputError("predictor_mode='noisy' needs one noise rng per run")
     inner = config.predictor_mode == "inner_solved"
 
-    p_stack = np.stack([t.entries for t in tms])
+    # BLAS forms P @ t fastest with P the transposed view of a C-ordered P^T stack
+    p_stack = np.stack([t.entries.T for t in tms]).transpose(0, 2, 1)
     norms = np.array([reference_normalizer(t, k) for t in tms])
-    colw = np.einsum("mji,j->mi", p_stack, d)
-    dcol = d[None, :, None]
+    dw = np.broadcast_to(d[:, None], phi.shape).copy()
+    pt, dphi, dpt, dpp, g = (np.empty_like(phi) for _ in range(5))
+    full = config.gradient_mode == "full"
+    colw = np.repeat(np.einsum("mji,j->mi", p_stack, d)[:, :, None], k, axis=2) if full else None
 
     beta = config.target_beta
     tgt = phi.copy() if beta is not None else None
     slog = np.zeros(m)
-    guard = not noisy
-    c0 = phi.transpose(0, 2, 1) @ phi
+    phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
+    c0 = phi_t @ phi
     records: list[list[TrajectoryRecord]] = [[] for _ in range(m)]
     _record_batch(records, 0.0, phi, slog, c0, p_stack, norms)
 
-    for step in range(1, config.iters + 1):
-        t_mat = tgt if beta is not None else phi
-        pt = p_stack @ t_mat
-        dphi = dcol * phi
-        dpt = dcol * pt
-        if config.loss_kind == "squared":
+    # A noisy run has no guard; its overflow reaches the solve, which raises.
+    with np.errstate(**(dict(over="ignore", invalid="ignore") if noisy else {})):
+        for step in range(1, config.iters + 1):
+            t_mat = tgt if beta is not None else phi
+            np.matmul(p_stack, t_mat, out=pt)
+            np.multiply(dw, phi, out=dphi)
+            np.multiply(dw, pt, out=dpt)
             if inner:
                 pred = np.stack([
-                    solve_predictor(phi[i], p_stack[i], d, "squared",
-                                    config.epsilon, phi_target=t_mat[i])
-                    for i in range(m)])
+                    solve_predictor(phi[i], p_stack[i], d, config.loss_kind,
+                                    config.epsilon, phi_target=t_mat[i]) for i in range(m)])
             else:
-                pred = _batch_predictor(phi, dphi, dpt, run_offset)
-                if noisy and config.sigma > 0:
-                    for i in range(m):
-                        pred[i] += config.sigma * noise_rngs[i].standard_normal((k, k))
-                elif noisy:
-                    for i in range(m):
-                        noise_rngs[i].standard_normal((k, k))
-            g = 2.0 * (dpt - dphi @ pred) @ pred.transpose(0, 2, 1)
-            if config.gradient_mode == "full":
-                g += 2.0 * (p_stack.transpose(0, 2, 1) @ (dphi @ pred)
-                            - colw[:, :, None] * phi)
-            delta = config.eta * g
-        else:
-            delta = np.empty_like(phi)
-            for i in range(m):
-                if inner:
-                    pred_i = solve_predictor(phi[i], p_stack[i], d, config.loss_kind,
-                                             config.epsilon, phi_target=t_mat[i])
-                else:
-                    pred_i = covariance_solve(phi[i].T @ dphi[i], phi[i].T @ dpt[i])
-                    if noisy and config.sigma > 0:
-                        pred_i = pred_i + config.sigma * noise_rngs[i].standard_normal((k, k))
-                    elif noisy:
-                        noise_rngs[i].standard_normal((k, k))
-                _, gz = _pair_loss_grad(phi[i] @ pred_i, t_mat[i], dcol[0] * p_stack[i],
-                                        config.loss_kind, config.epsilon)
-                delta[i] = -config.eta * (gz @ pred_i.T)
-        if beta is not None:
-            tgt += (config.eta * beta) * (phi - tgt)
-        phi += delta
-        if guard:
-            mx = np.abs(phi).max(axis=(1, 2))
-            if tgt is not None:
-                mx = np.maximum(mx, np.abs(tgt).max(axis=(1, 2)))
-            big = mx > RESCALE_LIMIT
-            if np.any(big):
-                phi[big] *= 2.0 ** -RESCALE_EXP
+                pred = covariance_solve_batch(phi_t @ dphi, phi_t @ dpt, run_offset, step)
+                for i in range(m if noisy else 0):
+                    pred[i] += config.sigma * noise_rngs[i].standard_normal((k, k))
+            if config.loss_kind == "squared":
+                # g = 2 eta ((D P t - D phi pred) pred^T [+ P^T D phi pred - colw phi])
+                np.matmul(dphi, pred, out=dpp)
+                np.subtract(dpt, dpp, out=dpt)
+                np.matmul(dpt, pred.transpose(0, 2, 1).copy(), out=g)
+                if full:
+                    np.matmul(p_stack.transpose(0, 2, 1), dpp, out=dpt)
+                    np.multiply(colw, phi, out=dphi)
+                    dpt -= dphi
+                    g += dpt
+                g *= 2.0 * config.eta
+            else:
+                for i in range(m):
+                    _, gz = _pair_loss_grad(phi[i] @ pred[i], t_mat[i], d[:, None] * p_stack[i],
+                                            config.loss_kind, config.epsilon)
+                    g[i] = -config.eta * (gz @ pred[i].T)
+            if beta is not None:
+                np.subtract(phi, tgt, out=dpt)
+                dpt *= config.eta * beta
+                tgt += dpt
+            phi += g
+            if not noisy:
+                mx = np.abs(phi, out=g).max(axis=(1, 2))
                 if tgt is not None:
-                    tgt[big] *= 2.0 ** -RESCALE_EXP
-                slog[big] += RESCALE_EXP
-        if step % config.record_every == 0 or step == config.iters:
-            _record_batch(records, float(step), phi, slog, c0, p_stack, norms)
+                    mx = np.maximum(mx, np.abs(tgt, out=g).max(axis=(1, 2)))
+                big = mx > RESCALE_LIMIT
+                if np.any(big):
+                    phi[big] *= 2.0 ** -RESCALE_EXP
+                    if tgt is not None:
+                        tgt[big] *= 2.0 ** -RESCALE_EXP
+                    slog[big] += RESCALE_EXP
+            if step % config.record_every == 0 or step == config.iters:
+                _record_batch(records, float(step), phi, slog, c0, p_stack, norms)
 
     phi_final = _scaled(phi, slog[:, None, None])
     return records, phi_final

@@ -31,6 +31,10 @@ class DegenerateCovarianceError(SelfPredictError, RuntimeError):
     """The representation covariance vanished, so no predictor is defined."""
 
 
+class NonFiniteStateError(SelfPredictError, RuntimeError):
+    """A predictor solve met a non-finite representation or target."""
+
+
 class InnerSolveFailureError(SelfPredictError, RuntimeError):
     """The predictor minimization could not reach the requested stationarity."""
 

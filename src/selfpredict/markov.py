@@ -17,6 +17,7 @@ Spectral conventions used everywhere in the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,14 @@ class TransitionMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Descending singular values, once per chain (eigvalsh magnitudes if symmetric)."""
+        s = (np.sort(np.abs(np.linalg.eigvalsh(self.entries)))[::-1] if self.is_symmetric
+             else np.linalg.svd(self.entries, compute_uv=False))
+        s.setflags(write=False)
+        return s
 
     @classmethod
     def from_entries(cls, entries) -> "TransitionMatrix":

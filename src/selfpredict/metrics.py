@@ -66,22 +66,16 @@ class Normalizers:
 
 
 def normalizers(tm: TransitionMatrix, k: int) -> Normalizers:
-    """Both ceilings at k columns, from eigenvalues or singular values alone.
+    """Both ceilings at k columns from tm.singular_values (values only, cached per chain).
 
-    No vectors are computed.  A symmetric chain takes one eigvalsh: its
-    singular values are the magnitudes of its eigenvalues, so both ceilings
-    are the sum of the k largest squared magnitudes.  Any other chain takes
-    its singular values only.  The values, and hence the sums, are those of
-    spectral(tm, kind).values[:k] up to rounding.
+    A symmetric chain's singular values are its eigenvalue magnitudes, so its two
+    ceilings coincide; both match spectral(tm, kind).values[:k] up to rounding.
     """
     if not 1 <= k <= tm.n:
         raise InvalidInputError(f"k must lie in [1, {tm.n}], got {k}")
-    if tm.is_symmetric:
-        w = np.sort(np.abs(np.linalg.eigvalsh(tm.entries)))[::-1][:k]
-        norm = float(np.sum(w * w))
-        return Normalizers(norm, norm)
-    s = np.linalg.svd(tm.entries, compute_uv=False)[:k]
-    return Normalizers(None, float(np.sum(s * s)))
+    s = tm.singular_values[:k]
+    norm = float(np.sum(s * s))
+    return Normalizers(norm if tm.is_symmetric else None, norm)
 
 
 def reference_normalizer(tm: TransitionMatrix, k: int) -> float:

@@ -6,9 +6,10 @@ variant plus a summary.json under out_dir/<scenario>/.
 
 Determinism contract: every trial derives all of its randomness from
 (master_seed, run_index, stream) through the seeding module, trials are
-dispatched in fixed chunks of CHUNK_SIZE runs, and output is assembled in
-submission order.  Byte-identical artifacts therefore do not depend on the
-worker count.
+dispatched in fixed chunks of CHUNK_SIZE runs (one task runs a chunk for
+every variant, building its chains and initial states once), and output is
+assembled in submission order.  Byte-identical artifacts therefore do not
+depend on the worker count.
 
 CSV schema (one header line, then one row per record):
 
@@ -213,41 +214,43 @@ def _tuples(records) -> list:
             for r in records]
 
 
-def _run_chunk(cfg: ScenarioConfig, variant_key: str, lo: int, hi: int) -> list:
-    """Run trials lo..hi-1 of one variant; the unit of parallel dispatch."""
-    params = _resolve(cfg)[variant_key]
-    mode = params["mode"]
-    n = 3 if params.get("chain") == "fixed3" else cfg.n_states
-    k = cfg.k
-    ms = cfg.master_seed
-    idxs = list(range(lo, hi))
-    d = uniform_distribution(n)
+def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
+    """Per-run record tuples of trials lo..hi-1 for each variant, in variant order.
 
-    tms = [_make_chain(params["chain"], n, ms, i) for i in idxs]
-    left = np.stack([orthonormal_init(n, k, stream_seed(ms, i, STREAM_INIT_LEFT)) for i in idxs])
-    if mode == "discrete":
-        dcfg = DynamicsConfig(
-            eta=params["eta"], iters=params["iters"], record_every=params["record_every"],
-            gradient_mode=params["gradient_mode"], predictor_mode=params["predictor_mode"],
-            sigma=params["sigma"], target_beta=params["target_beta"], n_step=cfg.n_step)
-        rngs = None
-        if params["predictor_mode"] == "noisy":
-            rngs = [stream_rng(ms, i, STREAM_NOISE) for i in idxs]
-        records, _ = run_discrete_batch(left, tms, d, dcfg, rngs, run_offset=lo)
-        return [_tuples(rs) for rs in records]
-
+    The unit of parallel dispatch.  Every variant shares the chunk's chains
+    and initial states; noise generators are fresh per variant.
+    """
+    ms, k, idxs = cfg.master_seed, cfg.k, range(lo, hi)
+    variants = list(_resolve(cfg).values())
+    n = 3 if variants[0]["chain"] == "fixed3" else cfg.n_states  # shared by every variant
+    chains = {kind: [_make_chain(kind, n, ms, i) for i in idxs]
+              for kind in dict.fromkeys(p["chain"] for p in variants)}
     if cfg.n_step > 1:
-        tms = [n_step_matrix(tm, cfg.n_step) for tm in tms]
-    horizon = dict(t_end=params["t_end"], n_records=params["n_records"], run_offset=lo)
-    if mode == "ode":
-        records, _ = integrate_ode_batch(left, tms, **horizon)
-    elif mode == "bidir_ode":
-        right = np.stack([orthonormal_init(n, k, stream_seed(ms, i, STREAM_INIT_RIGHT))
-                          for i in idxs])
-        records, _ = integrate_bidir_batch(BidirState(left, right), tms, **horizon)
-    else:
-        raise InvalidInputError(f"unknown variant mode {mode!r}")
-    return [_tuples(rs) for rs in records]
+        chains = {kind: [n_step_matrix(tm, cfg.n_step) for tm in tms]
+                  for kind, tms in chains.items()}
+
+    def init(stream):
+        return np.stack([orthonormal_init(n, k, stream_seed(ms, i, stream)) for i in idxs])
+
+    left, out = init(STREAM_INIT_LEFT), []
+    for params in variants:
+        mode, tms = params["mode"], chains[params["chain"]]
+        horizon = dict(t_end=params.get("t_end"), n_records=params.get("n_records"), run_offset=lo)
+        if mode == "discrete":
+            dcfg = DynamicsConfig(**{f: v for f, v in params.items() if f not in ("mode", "chain")})
+            noisy = dcfg.predictor_mode == "noisy"
+            rngs = [stream_rng(ms, i, STREAM_NOISE) for i in idxs] if noisy else None
+            records, _ = run_discrete_batch(left, tms, uniform_distribution(n), dcfg, rngs,
+                                            run_offset=lo)
+        elif mode == "ode":
+            records, _ = integrate_ode_batch(left, tms, **horizon)
+        elif mode == "bidir_ode":
+            state0 = BidirState(left, init(STREAM_INIT_RIGHT))
+            records, _ = integrate_bidir_batch(state0, tms, **horizon)
+        else:
+            raise InvalidInputError(f"unknown variant mode {mode!r}")
+        out.append([_tuples(rs) for rs in records])
+    return out
 
 
 def _critical_points(cfg: ScenarioConfig):
@@ -365,10 +368,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
     if cfg.scenario == "example1_critical_points":
         per_variant["points"], extras = _critical_points(cfg)
     else:
-        tasks = []
-        for key in variants:
-            for lo in range(0, cfg.n_runs, CHUNK_SIZE):
-                tasks.append((key, lo, min(lo + CHUNK_SIZE, cfg.n_runs)))
+        tasks = [(lo, min(lo + CHUNK_SIZE, cfg.n_runs)) for lo in range(0, cfg.n_runs, CHUNK_SIZE)]
         # The pool starts all of its processes up front, so it never gets more
         # than there are tasks or CPUs; chunking alone fixes the artifacts.
         workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
@@ -378,9 +378,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_chunk, cfg, *task) for task in tasks]
                 results = [f.result() for f in futures]
-        per_variant = {key: [] for key in variants}
-        for task, chunk in zip(tasks, results):
-            per_variant[task[0]].extend(chunk)
+        per_variant = {key: [run for chunk in results for run in chunk[j]]
+                       for j, key in enumerate(variants)}
 
     out_root = Path(cfg.out_dir) / cfg.scenario
     out_root.mkdir(parents=True, exist_ok=True)

@@ -9,10 +9,12 @@ from selfpredict import (
     DynamicsConfig,
     InnerSolveFailureError,
     InvalidInputError,
+    NonFiniteStateError,
     covariance_solve,
     fixed_example_2x2,
     flow_residual,
     full_gradient_step,
+    gen_doubly_stochastic,
     gen_symmetric,
     integrate_ode,
     noisy_predictor,
@@ -107,6 +109,128 @@ class TestCovarianceSolve:
     def test_zero_covariance_raises(self):
         with pytest.raises(DegenerateCovarianceError):
             covariance_solve(np.zeros((2, 2)), np.ones((2, 1)))
+
+
+def eigh_pinv_solve(cov, rhs):
+    """The spectral pseudoinverse solve the batched solve must reproduce."""
+    w, v = np.linalg.eigh(cov)
+    keep = np.abs(w) > dynamics.COV_CUTOFF * np.abs(w).max(axis=-1, keepdims=True)
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / w[keep]
+    return (v * inv[..., None, :]) @ (v.swapaxes(-1, -2) @ rhs)
+
+
+def psd_entry(rng, kind, k, scale):
+    """One k x k covariance: well conditioned, rank deficient, or near the cutoff."""
+    if kind in ("duplicate_column", "zero_column"):
+        x = rng.standard_normal((k + 3, k))
+        x[:, -1] = x[:, 0] if kind == "duplicate_column" else 0.0
+        return scale * (x.T @ x) / (k + 3)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    if kind == "well_conditioned":
+        w = 10.0 ** rng.uniform(0.0, 2.0, k)
+    else:  # one eigenvalue 1e-14..1e-10 of the largest: under or just over the cutoff
+        w = np.ones(k)
+        w[0] = 10.0 ** rng.uniform(-14.0, -10.0)
+    cov = (q * (scale * w)) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
+class TestCovarianceSolveBatch:
+    KINDS = ("well_conditioned", "duplicate_column", "zero_column", "near_cutoff")
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
+           kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+           scale_exp=st.integers(-100, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eigh_pseudoinverse(self, seed, k, kinds, scale_exp):
+        rng = np.random.default_rng(seed)
+        cov = np.stack([psd_entry(rng, kind, k, 10.0 ** scale_exp) for kind in kinds])
+        rhs = rng.standard_normal((len(kinds), k, k))
+        got = dynamics.covariance_solve_batch(cov, rhs)
+        want = eigh_pinv_solve(cov, rhs)
+        for kind, g, w in zip(kinds, got, want):
+            if kind == "well_conditioned":
+                # the certified Cholesky path (or eigh, if a neighbour broke the factorization)
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+            else:
+                # the bound cannot certify these, so they take eigh itself
+                assert np.array_equal(g, w)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), log_cond=st.floats(0.0, 16.0))
+    @settings(max_examples=200, deadline=None)
+    def test_certified_runs_truncate_nothing(self, seed, k, log_cond):
+        # whatever the conditioning, a run that did not go through eigh is one
+        # where eigh would keep every eigenvalue, by the 1e3 margin
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        w = 10.0 ** -rng.uniform(0.0, log_cond, k)
+        cov = (q * w) @ q.T
+        cov = 0.5 * (cov + cov.T)[None]
+        rhs = rng.standard_normal((1, k, 1))
+        if not np.array_equal(dynamics.covariance_solve_batch(cov, rhs), eigh_pinv_solve(cov, rhs)):
+            ev = np.linalg.eigvalsh(cov[0])
+            assert ev.min() > 0.5 * dynamics.CERTIFY_MARGIN * dynamics.COV_CUTOFF * ev.max()
+
+    def test_single_solve_is_a_stack_of_one(self):
+        rng = np.random.default_rng(4)
+        cov = np.stack([psd_entry(rng, "well_conditioned", 3, 1.0) for _ in range(4)])
+        rhs = rng.standard_normal((4, 3, 2))
+        batch = dynamics.covariance_solve_batch(cov, rhs)
+        for c, r, b in zip(cov, rhs, batch):
+            assert np.allclose(covariance_solve(c, r), b, rtol=1e-13, atol=0.0)
+
+    def test_non_finite_input_names_run_and_step(self):
+        cov = np.stack([np.eye(2)] * 4)
+        cov[2, 1, 0] = np.nan  # eigh and Cholesky read the lower triangle
+        with pytest.raises(NonFiniteStateError, match="run 7 at step 3"):
+            dynamics.covariance_solve_batch(cov, np.ones((4, 2, 2)), run_offset=5, step=3)
+        rhs = np.ones((4, 2, 2))
+        rhs[1] = np.inf
+        with pytest.raises(NonFiniteStateError, match="run 1"):
+            dynamics.covariance_solve_batch(np.stack([np.eye(2)] * 4), rhs)
+
+    def test_zero_covariance_names_run(self):
+        cov = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
+        with pytest.raises(DegenerateCovarianceError, match="run 11"):
+            dynamics.covariance_solve_batch(cov, np.ones((3, 2, 1)), run_offset=10)
+
+
+class TestKernelStepOracle:
+    """One lockstep step against the single-run step functions and optimal_predictor."""
+
+    @pytest.mark.parametrize("mode", ["semi", "full", "slow_target", "noisy_sigma0"])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_one_step_matches_oracle(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        m, n, k, eta = 3, 6, 2, 0.05
+        # non-symmetric chains and a non-uniform d exercise P^T and the column weights
+        tms = [gen_doubly_stochastic(n, seed + i) for i in range(m)]
+        d = rng.dirichlet(np.ones(n))
+        phi0 = np.stack([orthonormal_init(n, k, seed + 10 + i) for i in range(m)])
+        cfg = DynamicsConfig(eta=eta, iters=1, record_every=1,
+                             gradient_mode="full" if mode == "full" else "semi",
+                             predictor_mode="noisy" if mode == "noisy_sigma0" else "optimal",
+                             target_beta=0.5 if mode == "slow_target" else None)
+        rngs = [np.random.default_rng(i) for i in range(m)] if mode == "noisy_sigma0" else None
+        _, final = run_discrete_batch(phi0, tms, d, cfg, rngs)
+        for i in range(m):
+            pred = optimal_predictor(phi0[i], tms[i], d)
+            if mode == "full":
+                want = full_gradient_step(phi0[i], pred, tms[i], d, eta)
+            else:
+                want = semi_gradient_step(phi0[i], pred, tms[i], d, eta, phi_target=phi0[i])
+            assert np.abs(final[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestNonFiniteState:
+    def test_hostile_noisy_run_raises(self):
+        tm, phi, _, d = random_instance(0, n=20)
+        cfg = DynamicsConfig(eta=50.0, iters=3000, record_every=100,
+                             predictor_mode="noisy", sigma=1.0)
+        with pytest.raises(NonFiniteStateError, match="run 0 at step"):
+            run_discrete(phi, tm, d, cfg, noise_rng=np.random.default_rng(0))
 
 
 class TestExactIdentities:

@@ -2,6 +2,7 @@ import filecmp
 import json
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import Future
 
 import pytest
@@ -140,8 +141,8 @@ class TestWorkerCap:
     def test_pool_capped_by_tasks_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
                                            cpus, expected):
         monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
-        # four runs per variant make one task for each of the three variants
-        run_scenario(tiny("fig2_collapse", tmp_path, eta=0.01, iters=10,
+        # 75 runs make three 25-run chunks, one task each for every variant
+        run_scenario(tiny("fig2_collapse", tmp_path, n_runs=75, eta=0.01, iters=10,
                           record_every=10, workers=1000))
         assert pool_sizes == expected
 
@@ -150,6 +151,28 @@ class TestWorkerCap:
         run_scenario(tiny("appendix_target_beta", tmp_path, n_runs=2, iters=10,
                           record_every=10, beta=0.5, workers=1000))
         assert pool_sizes == []
+
+
+class TestChunkSharing:
+    def test_chains_and_inits_built_once_per_run(self, tmp_path, monkeypatch):
+        built = Counter()
+        for name in ("gen_symmetric", "orthonormal_init"):
+            def counted(*args, _fn=getattr(scenarios, name), _name=name, **kwargs):
+                built[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(scenarios, name, counted)
+        # 30 runs are two chunks; each builds its runs' chains and inits once for all 5 cells
+        art = run_scenario(tiny("appendix_target_beta", tmp_path, n_runs=30, iters=5,
+                                record_every=5))
+        assert len(art.csv_paths) == 5
+        assert built == {"gen_symmetric": 30, "orthonormal_init": 30}
+
+    def test_ceiling_is_computed_once_per_chain(self):
+        from selfpredict import gen_symmetric, reference_normalizer
+        tm = gen_symmetric(6, 0)
+        assert reference_normalizer(tm, 2) == reference_normalizer(tm, 2)
+        assert tm.singular_values is tm.singular_values
+        assert not tm.singular_values.flags.writeable
 
 
 class TestValidation:
@@ -240,6 +263,17 @@ class TestCli:
             capsys)
         assert code == 2
         assert json.loads(err)["error"] == "InvalidInputError"
+
+    def test_non_finite_noisy_run_exits_1(self, tmp_path, capsys):
+        # eta=50, sigma=1 overflows the unguarded noisy run; it used to write NaN rows
+        code, out, err = self.run_cli(
+            ["--scenario", "appendix_noisy_predictor", "--eta", "50", "--sigma", "1",
+             "--runs", "2", "--iters", "3000", "--out", str(tmp_path)], capsys)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "NonFiniteStateError"
+        assert "run 0 at step" in payload["message"]
+        assert out == ""
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
