@@ -21,6 +21,10 @@ integrate_ode_batch steps a stack of runs through the stacked Dormand-Prince
 5(4) in rk45; a run's records do not depend on the runs beside it.  Predictors
 come from covariance_solve_batch: certified Cholesky, else eigh pseudoinverse.
 
+Under uniform d, the squared loss and a closed-form predictor, run_discrete_batch
+steps psi = U^T phi against the eigenvalues of a chain P = U diag(lam) U^T equal to
+its transpose bitwise (O(nk), not O(n^2 k)); only rounding differs from dense P.
+
 Blow-up handling: with the losses here the semi-gradient update with an
 optimal predictor is degree-1 homogeneous in phi, so divergent runs are
 rescaled by an exact power of two whenever entries pass 2**256 and the
@@ -47,6 +51,7 @@ COV_CUTOFF = 1e-12
 CERTIFY_MARGIN = 1e3
 RESCALE_LIMIT = 2.0 ** 256
 RESCALE_EXP = 256.0
+NOISE_BLOCK = 64  # steps of predictor noise drawn per generator call
 
 GRADIENT_MODES = ("semi", "full")
 PREDICTOR_MODES = ("optimal", "noisy", "inner_solved")
@@ -413,14 +418,15 @@ def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return np.where(vals == 0.0, 0.0, out)
 
 
-def _metrics(phi, slog, c0, p_stack):
+def _metrics(phi, slog, c0, op, apply=np.matmul):
     """f, covariance drift, cosine and flow residual of a (..., n, k) stack.
 
+    The chain acts as apply(op, phi) (P under matmul, eigenvalues under multiply).
     phi carries a factor 2**-slog that the metrics fold back in; a diverged
     run reports inf, overflow in the intermediate products being the route.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        pp = p_stack @ phi
+        pp = apply(op, phi)
         pred = phi.swapaxes(-1, -2) @ pp
         f = _scaled(np.sum(pred * pred, axis=(-2, -1)), 4.0 * slog)
         c = phi.swapaxes(-1, -2) @ phi
@@ -440,8 +446,8 @@ def _trajectories(times, f, f_ratio, drift, cos, resid, f_tilde=None) -> list:
                             cos.tolist(), resid.tolist())]
 
 
-def _record_batch(records, step, phi, slog, c0, p_stack, norms):
-    f, drift, cos, resid = _metrics(phi, slog, c0, p_stack)
+def _record_batch(records, step, phi, slog, c0, op, norms, apply):
+    f, drift, cos, resid = _metrics(phi, slog, c0, op, apply)
     cols = (c[:, None] for c in (f, f / norms, drift, cos, resid))
     for run, new in zip(records, _trajectories([step], *cols)):
         run.extend(new)
@@ -467,6 +473,19 @@ def _rep_stack(phi0_stack, tms, n_step: int = 1):
     return phi, tms
 
 
+def _eigenbasis(tms, d, config: DynamicsConfig):
+    """Eigenvalues (m, n, 1) and cached eigenvectors of the chains, or None.
+
+    None, keeping the dense P products, unless d is uniform, the loss squared,
+    the predictor closed-form and every chain equal to its transpose bitwise.
+    """
+    if (config.loss_kind != "squared" or config.predictor_mode == "inner_solved"
+            or np.any(d != d[0]) or not all(np.array_equal(t.entries, t.entries.T) for t in tms)):
+        return None
+    lam, vecs = zip(*(t.eigh for t in tms))
+    return np.stack(lam)[:, :, None], vecs
+
+
 def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
                        noise_rngs=None, run_offset: int = 0):
     """Train a stack of runs in lockstep and collect per-run records.
@@ -487,13 +506,19 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
         raise InvalidInputError("predictor_mode='noisy' needs one noise rng per run")
     inner = config.predictor_mode == "inner_solved"
 
-    # BLAS forms P @ t fastest with P the transposed view of a C-ordered P^T stack
-    p_stack = np.stack([t.entries.T for t in tms]).transpose(0, 2, 1)
+    basis = _eigenbasis(tms, d, config)
+    if basis is None:  # BLAS forms P @ t fastest with P a view of a C-ordered P^T stack
+        op = np.stack([t.entries.T for t in tms]).transpose(0, 2, 1)
+        apply, op_t = np.matmul, op.transpose(0, 2, 1)
+    else:
+        (op, vecs), apply = basis, np.multiply
+        op_t, phi = op, np.stack([u.T @ v for u, v in zip(vecs, phi)])
     norms = np.array([reference_normalizer(t, k) for t in tms])
     dw = np.broadcast_to(d[:, None], phi.shape).copy()
     pt, dphi, dpt, dpp, g = (np.empty_like(phi) for _ in range(5))
     full = config.gradient_mode == "full"
-    colw = np.repeat(np.einsum("mji,j->mi", p_stack, d)[:, :, None], k, axis=2) if full else None
+    colw = (np.repeat(np.einsum("mji,j->mi", op, d)[:, :, None], k, axis=2)
+            if full and basis is None else dw)  # P^T d, in the eigenbasis the constant d
 
     beta = config.target_beta
     tgt = phi.copy() if beta is not None else None
@@ -501,37 +526,40 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
     c0 = phi_t @ phi
     records: list[list[TrajectoryRecord]] = [[] for _ in range(m)]
-    _record_batch(records, 0.0, phi, slog, c0, p_stack, norms)
+    _record_batch(records, 0.0, phi, slog, c0, op, norms, apply)
 
     # A noisy run has no guard; its overflow reaches the solve, which raises.
     with np.errstate(**(dict(over="ignore", invalid="ignore") if noisy else {})):
         for step in range(1, config.iters + 1):
             t_mat = tgt if beta is not None else phi
-            np.matmul(p_stack, t_mat, out=pt)
+            apply(op, t_mat, out=pt)
             np.multiply(dw, phi, out=dphi)
             np.multiply(dw, pt, out=dpt)
             if inner:
                 pred = np.stack([
-                    solve_predictor(phi[i], p_stack[i], d, config.loss_kind,
+                    solve_predictor(phi[i], op[i], d, config.loss_kind,
                                     config.epsilon, phi_target=t_mat[i]) for i in range(m)])
             else:
                 pred = covariance_solve_batch(phi_t @ dphi, phi_t @ dpt, run_offset, step)
-                for i in range(m if noisy else 0):
-                    pred[i] += config.sigma * noise_rngs[i].standard_normal((k, k))
+                if noisy:  # a generator's stream is the same however many steps a call draws
+                    if (step - 1) % NOISE_BLOCK == 0:
+                        b = min(NOISE_BLOCK, config.iters - step + 1)
+                        noise = np.stack([r.standard_normal((b, k, k)) for r in noise_rngs])
+                    pred += config.sigma * noise[:, (step - 1) % NOISE_BLOCK]
             if config.loss_kind == "squared":
                 # g = 2 eta ((D P t - D phi pred) pred^T [+ P^T D phi pred - colw phi])
                 np.matmul(dphi, pred, out=dpp)
                 np.subtract(dpt, dpp, out=dpt)
                 np.matmul(dpt, pred.transpose(0, 2, 1).copy(), out=g)
                 if full:
-                    np.matmul(p_stack.transpose(0, 2, 1), dpp, out=dpt)
+                    apply(op_t, dpp, out=dpt)
                     np.multiply(colw, phi, out=dphi)
                     dpt -= dphi
                     g += dpt
                 g *= 2.0 * config.eta
             else:
                 for i in range(m):
-                    _, gz = _pair_loss_grad(phi[i] @ pred[i], t_mat[i], d[:, None] * p_stack[i],
+                    _, gz = _pair_loss_grad(phi[i] @ pred[i], t_mat[i], d[:, None] * op[i],
                                             config.loss_kind, config.epsilon)
                     g[i] = -config.eta * (gz @ pred[i].T)
             if beta is not None:
@@ -550,8 +578,10 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
                         tgt[big] *= 2.0 ** -RESCALE_EXP
                     slog[big] += RESCALE_EXP
             if step % config.record_every == 0 or step == config.iters:
-                _record_batch(records, float(step), phi, slog, c0, p_stack, norms)
+                _record_batch(records, float(step), phi, slog, c0, op, norms, apply)
 
+    if basis is not None:
+        phi = np.stack([u @ v for u, v in zip(vecs, phi)])
     phi_final = _scaled(phi, slog[:, None, None])
     return records, phi_final
 

@@ -45,9 +45,19 @@ class TransitionMatrix:
         return self.entries.shape[0]
 
     @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only np.linalg.eigh (values, vectors) of a symmetric chain, once per chain."""
+        if not self.is_symmetric:
+            raise NotSymmetricError("eigen decomposition here is defined for symmetric chains only")
+        wv = np.linalg.eigh(self.entries)
+        for a in wv:
+            a.setflags(write=False)
+        return tuple(wv)
+
+    @cached_property
     def singular_values(self) -> np.ndarray:
-        """Descending singular values, once per chain (eigvalsh magnitudes if symmetric)."""
-        s = (np.sort(np.abs(np.linalg.eigvalsh(self.entries)))[::-1] if self.is_symmetric
+        """Descending singular values, once per chain (eigh magnitudes if symmetric)."""
+        s = (np.sort(np.abs(self.eigh[0]))[::-1] if self.is_symmetric
              else np.linalg.svd(self.entries, compute_uv=False))
         s.setflags(write=False)
         return s
@@ -210,18 +220,15 @@ def spectral(tm: TransitionMatrix, kind: str = "eigen") -> SpectralSummary:
     otherwise) and returns a real orthonormal eigenbasis.  kind="svd" works
     for any chain.  Both apply the module-level ordering and sign rules.
     """
-    a = tm.entries
     if kind == "eigen":
-        if not tm.is_symmetric:
-            raise NotSymmetricError("eigen decomposition here is defined for symmetric chains only")
-        w, v = np.linalg.eigh(a)
+        w, v = tm.eigh  # fancy indexing below copies the cached arrays
         order = _canonical_order(w)
         w = w[order]
         v = v[:, order].copy()
         _fix_signs(v)
         return SpectralSummary("eigen", w, v, v)
     if kind == "svd":
-        u, s, vt = np.linalg.svd(a)
+        u, s, vt = np.linalg.svd(tm.entries)
         order = _canonical_order(s)
         s = s[order]
         u = u[:, order].copy()

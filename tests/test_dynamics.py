@@ -10,6 +10,7 @@ from selfpredict import (
     InnerSolveFailureError,
     InvalidInputError,
     NonFiniteStateError,
+    TransitionMatrix,
     covariance_solve,
     fixed_example_2x2,
     flow_residual,
@@ -464,23 +465,158 @@ class TestRecordResidual:
         calls = []
         record_batch = dynamics._record_batch
 
-        def spy(records, step, phi, slog, *rest):
-            calls.append((phi.copy(), slog.copy(), rest))
-            record_batch(records, step, phi, slog, *rest)
+        def spy(records, step, psi, slog, *rest):
+            # These chains train in their eigenbasis, psi = U^T phi; map back to phi.
+            phi = np.stack([t.eigh[1] @ v for t, v in zip(tms, psi)])
+            calls.append((phi, psi.copy(), slog.copy(), rest))
+            record_batch(records, step, psi, slog, *rest)
 
         monkeypatch.setattr(dynamics, "_record_batch", spy)
         cfg = DynamicsConfig(eta=10.0, iters=600, record_every=50)
         records, _ = run_discrete_batch(phi0, tms, uniform_distribution(n), cfg)
-        assert any(np.any(slog > 0) for _, slog, _ in calls)
-        for j, (phi, slog, rest) in enumerate(calls):
+        assert any(np.any(slog > 0) for _, _, slog, _ in calls)
+        for j, (phi, psi, slog, rest) in enumerate(calls):
             got = np.array([records[i][j].bundle.residual for i in range(m)])
             np.testing.assert_allclose(got, projector_residual(phi, slog, p_stack), rtol=1e-10)
             # The same representations carried at a 2**64 smaller scale, which
             # reaches the 2**(-2 slog) term with finite values.
             shifted = [[] for _ in range(m)]
-            record_batch(shifted, 0.0, phi * 2.0 ** -64, slog + 64.0, *rest)
+            record_batch(shifted, 0.0, psi * 2.0 ** -64, slog + 64.0, *rest)
             again = np.array([r[0].bundle.residual for r in shifted])
             np.testing.assert_allclose(again, got, rtol=1e-10)
+
+
+# Step sizes that keep a 200-step run away from blow-up and collapse, where either
+# path amplifies its rounding: a slow target tracks at eta * beta per step, and at
+# eta = 0.5 the full gradient collapses the state and a noisy run can diverge.
+EIGEN_MODES = {
+    "semi": dict(eta=0.5),
+    "full": dict(eta=0.02, gradient_mode="full"),
+    "beta_0": dict(eta=0.5, target_beta=0.0),
+    "beta_1": dict(eta=0.5, target_beta=1.0),
+    "beta_100": dict(eta=0.005, target_beta=100.0),
+    "noisy": dict(eta=0.05, predictor_mode="noisy", sigma=0.1),
+}
+
+
+def eigen_and_dense(phi0, tms, d, cfg):
+    """run_discrete_batch in the chains' eigenbasis and again on the dense P products."""
+    assert dynamics._eigenbasis(tms, d, cfg) is not None
+    out = []
+    for dense in (False, True):
+        rngs = ([np.random.default_rng(i) for i in range(len(phi0))]
+                if cfg.predictor_mode == "noisy" else None)
+        with pytest.MonkeyPatch.context() as mp:
+            if dense:
+                mp.setattr(dynamics, "_eigenbasis", lambda *args: None)
+            out.append(run_discrete_batch(phi0, tms, d, cfg, rngs))
+    return out
+
+
+def record_columns(records):
+    return {name: np.array([[getattr(r.bundle, name) for r in run] for run in records])
+            for name in ("f", "f_ratio", "residual", "covariance_drift", "max_abs_cosine")}
+
+
+class TestEigenbasisKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 40), iters=st.integers(1, 200),
+           mode=st.sampled_from(sorted(EIGEN_MODES)), seed=st.integers(0, 2**31))
+    def test_matches_dense_path(self, data, n, iters, mode, seed):
+        k = data.draw(st.integers(1, n), label="k")
+        tms = [gen_symmetric(n, seed + i) for i in range(2)]
+        phi0 = np.stack([orthonormal_init(n, k, seed + 7 + i) for i in range(2)])
+        cfg = DynamicsConfig(iters=iters, record_every=max(1, iters // 4), **EIGEN_MODES[mode])
+        (rec_e, fin_e), (rec_d, fin_d) = eigen_and_dense(phi0, tms, uniform_distribution(n), cfg)
+        got, want = record_columns(rec_e), record_columns(rec_d)
+        for name in ("f", "f_ratio"):
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=0)
+        # At k = n or near a critical point the residual is a difference of O(1)
+        # terms that cancel to rounding level, so it gets an absolute floor too.
+        np.testing.assert_allclose(got["residual"], want["residual"], rtol=1e-10, atol=1e-13)
+        for name in ("covariance_drift", "max_abs_cosine"):
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fin_e, fin_d, rtol=0, atol=1e-10 * np.abs(fin_d).max())
+
+    def test_divergent_run_records_inf_at_the_same_records(self, monkeypatch):
+        n, m = 6, 3
+        tms = [gen_symmetric(n, s) for s in range(m)]
+        phi0 = np.stack([orthonormal_init(n, 2, s + 1) for s in range(m)])
+        slogs = []
+        record_batch = dynamics._record_batch
+
+        def spy(records, step, phi, slog, *rest):
+            slogs.append(slog.copy())
+            record_batch(records, step, phi, slog, *rest)
+
+        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        cfg = DynamicsConfig(eta=10.0, iters=600, record_every=50)
+        (rec_e, fin_e), (rec_d, fin_d) = eigen_and_dense(phi0, tms, uniform_distribution(n), cfg)
+        half = len(slogs) // 2
+        assert np.any(slogs[half - 1] > 0) and np.any(slogs[-1] > 0)  # the guard fired in both
+        got, want = record_columns(rec_e), record_columns(rec_d)
+        assert np.isinf(got["f"]).any()
+        # Divergence amplifies rounding, so past step 0 only the overflow pattern is shared.
+        for name in got:
+            assert not np.isnan(got[name]).any()
+            np.testing.assert_array_equal(np.isinf(got[name]), np.isinf(want[name]))
+            np.testing.assert_allclose(got[name][:, 0], want[name][:, 0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(np.isinf(fin_e), np.isinf(fin_d))
+
+    def test_other_inputs_keep_the_dense_path(self, monkeypatch):
+        n = 5
+        chains = [gen_symmetric(n, s) for s in range(2)]
+        nudged = chains[0].entries.copy()
+        nudged[0, 1] = np.nextafter(nudged[0, 1], 1.0)  # flagged symmetric, not bitwise
+        nudged = TransitionMatrix.from_entries(nudged)
+        assert nudged.is_symmetric
+        for tm in chains + [nudged]:
+            tm.singular_values  # the ceilings read the cached eigh before the count starts
+        counted = []
+        cached = TransitionMatrix.eigh
+
+        def counting(tm):
+            counted.append(tm)
+            return cached.__get__(tm, TransitionMatrix)
+
+        monkeypatch.setattr(TransitionMatrix, "eigh", property(counting))
+        phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(2)])
+        uniform = uniform_distribution(n)
+        skewed = np.arange(1.0, n + 1) / np.arange(1.0, n + 1).sum()
+        cases = [
+            (chains, uniform, dict(), 2),
+            (chains, skewed, dict(), 0),
+            ([nudged, chains[1]], uniform, dict(), 0),
+            (chains, uniform, dict(loss_kind="l1"), 0),
+            (chains, uniform, dict(loss_kind="cosine_eps"), 0),
+            (chains, uniform, dict(predictor_mode="inner_solved"), 0),
+        ]
+        for tms, d, kw, expected in cases:
+            counted.clear()
+            run_discrete_batch(phi0, tms, d, DynamicsConfig(eta=0.1, iters=2, **kw))
+            assert len(counted) == expected, kw
+
+
+class TestNoiseBlocks:
+    def test_block_draw_is_the_per_step_stream(self):
+        block, k = 37, 3
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        together = a.standard_normal((block, k, k))
+        apart = np.stack([b.standard_normal((k, k)) for _ in range(block)])
+        assert together.tobytes() == apart.tobytes()
+        assert a.standard_normal() == b.standard_normal()
+
+    def test_run_consumes_exactly_its_steps(self, monkeypatch):
+        tm, phi, _, d = random_instance(2)
+        cfg = DynamicsConfig(predictor_mode="noisy", sigma=0.5, iters=dynamics.NOISE_BLOCK + 11,
+                             record_every=10)
+        out = []
+        for block in (dynamics.NOISE_BLOCK, 1):
+            monkeypatch.setattr(dynamics, "NOISE_BLOCK", block)
+            rng = np.random.default_rng(99)
+            records, final = run_discrete(phi, tm, d, cfg, noise_rng=rng)
+            out.append((records, final.tobytes(), rng.bit_generator.state))
+        assert out[0] == out[1]
 
 
 class TestFlow:

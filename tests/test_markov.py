@@ -228,6 +228,30 @@ class TestSpectral:
             lead = u[np.abs(u[:, j]) > 1e-12, j]
             assert lead.size == 0 or lead[0] > 0
 
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_eigen_reads_the_cached_eigh(self, n, seed):
+        from selfpredict.markov import _canonical_order, _fix_signs
+        tm = gen_symmetric(n, seed)
+        w, v = np.linalg.eigh(tm.entries)
+        order = _canonical_order(w)
+        ref_v = v[:, order].copy()
+        _fix_signs(ref_v)
+        summary = spectral(tm, "eigen")
+        assert summary.values.tobytes() == w[order].tobytes()
+        assert summary.right_vectors.tobytes() == ref_v.tobytes()
+        cached_w, cached_v = tm.eigh
+        assert tm.eigh is tm.eigh
+        assert not cached_w.flags.writeable and not cached_v.flags.writeable
+        assert cached_w.tobytes() == w.tobytes() and cached_v.tobytes() == v.tobytes()
+        assert not np.shares_memory(summary.right_vectors, cached_v)
+        ref_s = np.sort(np.abs(np.linalg.eigvalsh(tm.entries)))[::-1]
+        assert np.abs(tm.singular_values - ref_s).max() <= 1e-12 * ref_s[0]
+
+    def test_eigh_requires_symmetry(self):
+        with pytest.raises(NotSymmetricError):
+            fixed_example_3x3().eigh
+
 
 class TestNStep:
     def test_two_step_of_fixed_2x2(self):

@@ -8,7 +8,7 @@ from concurrent.futures import Future
 import pytest
 
 from selfpredict import InvalidInputError, UnknownScenarioError
-from selfpredict import scenarios
+from selfpredict import dynamics, scenarios
 from selfpredict.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 CSV_HEADER = "run_id,step_or_time,f,f_ratio,f_tilde,covariance_drift,max_abs_cosine,residual"
@@ -108,6 +108,21 @@ class TestDeterminism:
         for name, workers in (("serial", 1), ("pool", 2)):
             cfg = tiny("fig4_trace_ratio", tmp_path / name, n_runs=30,
                        t_end=3.0, n_records=3, workers=workers)
+            arts.append(run_scenario(cfg))
+        for pa, pb in zip(artifact_files(arts[0]), artifact_files(arts[1])):
+            assert filecmp.cmp(pa, pb, shallow=False), (pa, pb)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("scenario", ["fig2_collapse", "appendix_noisy_predictor"])
+    def test_noise_blocks_leave_noisy_artifacts_unchanged(self, tmp_path, monkeypatch,
+                                                          scenario, dense):
+        # A block of one step is the per-step draw; 150 steps cross a block boundary.
+        if dense:
+            monkeypatch.setattr(dynamics, "_eigenbasis", lambda *args: None)
+        arts = []
+        for block in (dynamics.NOISE_BLOCK, 1):
+            monkeypatch.setattr(dynamics, "NOISE_BLOCK", block)
+            cfg = tiny(scenario, tmp_path / str(block), eta=0.01, iters=150, record_every=50)
             arts.append(run_scenario(cfg))
         for pa, pb in zip(artifact_files(arts[0]), artifact_files(arts[1])):
             assert filecmp.cmp(pa, pb, shallow=False), (pa, pb)
