@@ -19,7 +19,7 @@ Conventions shared by every routine in this module:
 
 integrate_ode_batch steps a stack of runs through the stacked Dormand-Prince
 5(4) in rk45; a run's records do not depend on the runs beside it.  Predictors
-come from covariance_solve_batch: certified Cholesky, else eigh pseudoinverse.
+come from covariance_solve_batch: certified inverse, else eigh pseudoinverse.
 
 Under uniform d, the squared loss and a closed-form predictor, run_discrete_batch
 steps psi = U^T phi against the eigenvalues of a chain P = U diag(lam) U^T equal to
@@ -28,8 +28,9 @@ its transpose bitwise (O(nk), not O(n^2 k)); only rounding differs from dense P.
 Blow-up handling: with the losses here the semi-gradient update with an
 optimal predictor is degree-1 homogeneous in phi, so divergent runs are
 rescaled by an exact power of two whenever entries pass 2**256 and the
-accumulated exponent is folded back into reported metrics.  Cosines are
-unaffected and reported objectives overflow to inf honestly.  Noisy predictors
+accumulated exponent is folded back into reported metrics with ldexp.  Cosines
+are unaffected; a reported value is inf only where the true one is not
+representable, or where a working product overflowed first.  Noisy predictors
 break homogeneity and skip the guard; a noisy run that overflows ends in
 NonFiniteStateError from the predictor solve.
 """
@@ -137,16 +138,16 @@ def covariance_solve_batch(cov, rhs, run_offset: int = 0, step=None) -> np.ndarr
     """Solve cov @ x = rhs for an (m, k, k) stack of symmetric PSD covariances.
 
     The answer is the eigh pseudoinverse's, which zeroes eigenvalues at or below
-    1e-12 of the largest.  Runs whose Cholesky factor L puts every eigenvalue
-    CERTIFY_MARGIN above that (lambda_min >= 1/||L^-1||_F^2, lambda_max <= trace)
-    are solved through L, the rest through eigh, which raises NonFiniteStateError
-    or DegenerateCovarianceError naming run run_offset + index (and step).
+    1e-12 of the largest.  Runs whose inverse puts every eigenvalue CERTIFY_MARGIN
+    above that (lambda_min >= 1/||cov^-1||_F, lambda_max <= trace) are solved
+    through it, the rest through eigh, which raises NonFiniteStateError or
+    DegenerateCovarianceError naming run run_offset + index (and step).
     """
     x, ok = np.empty_like(rhs), np.zeros(len(cov), dtype=bool)
     with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
-        linv = np.linalg.inv(np.linalg.cholesky(cov))
-        x = linv.swapaxes(-1, -2) @ (linv @ rhs)
-        bound = np.einsum("mii->m", cov) * np.einsum("mij,mij->m", linv, linv)
+        inv = np.linalg.inv(cov)
+        x = inv @ rhs
+        bound = np.einsum("mii->m", cov) * np.sqrt(np.einsum("mij,mij->m", inv, inv))
         ok = (bound * (CERTIFY_MARGIN * COV_CUTOFF) < 1.0) & np.isfinite(x.sum(axis=(-2, -1)))
     if ok.all():
         return x
@@ -174,6 +175,15 @@ def covariance_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return covariance_solve_batch(*(np.asarray(a, dtype=float)[None] for a in (cov, rhs)))[0]
 
 
+def _operands(p, phi, d, phi_target=None):
+    """Checked (P, phi, d, target) of one run; the target defaults to phi."""
+    a = _matrix(p)
+    n = a.shape[0]
+    v = _check_rep(phi, n)
+    d = validate_distribution(d, n)
+    return a, v, d, v if phi_target is None else _check_rep(phi_target, n, "phi_target")
+
+
 def optimal_predictor(phi, p, d, phi_target=None) -> np.ndarray:
     """Least-squares predictor for the squared loss at fixed representations.
 
@@ -181,11 +191,7 @@ def optimal_predictor(phi, p, d, phi_target=None) -> np.ndarray:
     defaulting phi_target to phi.  Rank deficiency is handled by the
     pseudoinverse in covariance_solve.
     """
-    a = _matrix(p)
-    n = a.shape[0]
-    v = _check_rep(phi, n)
-    d = validate_distribution(d, n)
-    t = v if phi_target is None else _check_rep(phi_target, n, "phi_target")
+    a, v, d, t = _operands(p, phi, d, phi_target)
     if t.shape[1] != v.shape[1]:
         raise ShapeMismatchError("phi and phi_target must have the same number of columns")
     dv = d[:, None] * v
@@ -233,11 +239,7 @@ def _pair_loss_grad(z: np.ndarray, t: np.ndarray, w: np.ndarray,
 def prediction_loss(phi, pred, p, d, loss_kind: str = "squared",
                     epsilon: float = 1e-8, phi_target=None) -> float:
     """Expected pairwise loss between predicted and frozen successor embeddings."""
-    a = _matrix(p)
-    n = a.shape[0]
-    v = _check_rep(phi, n)
-    d = validate_distribution(d, n)
-    t = v if phi_target is None else _check_rep(phi_target, n, "phi_target")
+    a, v, d, t = _operands(p, phi, d, phi_target)
     val, _ = _pair_loss_grad(v @ np.asarray(pred, dtype=float), t, d[:, None] * a,
                              loss_kind, epsilon)
     return val
@@ -246,11 +248,7 @@ def prediction_loss(phi, pred, p, d, loss_kind: str = "squared",
 def predictor_gradient(phi, pred, p, d, loss_kind: str = "squared",
                        epsilon: float = 1e-8, phi_target=None) -> np.ndarray:
     """Gradient of prediction_loss with respect to the predictor matrix."""
-    a = _matrix(p)
-    n = a.shape[0]
-    v = _check_rep(phi, n)
-    d = validate_distribution(d, n)
-    t = v if phi_target is None else _check_rep(phi_target, n, "phi_target")
+    a, v, d, t = _operands(p, phi, d, phi_target)
     _, gz = _pair_loss_grad(v @ np.asarray(pred, dtype=float), t, d[:, None] * a,
                             loss_kind, epsilon)
     return v.T @ gz
@@ -264,11 +262,7 @@ def semi_gradient_step(phi, pred, p, d, eta: float, loss_kind: str = "squared",
     frozen at phi_target (phi itself by default).  For the squared loss the
     update is phi + 2 eta (D P phi_target - D phi pred) pred^T.
     """
-    a = _matrix(p)
-    n = a.shape[0]
-    v = _check_rep(phi, n)
-    d = validate_distribution(d, n)
-    t = v if phi_target is None else _check_rep(phi_target, n, "phi_target")
+    a, v, d, t = _operands(p, phi, d, phi_target)
     pred = np.asarray(pred, dtype=float)
     _, gz = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return v - eta * (gz @ pred.T)
@@ -276,10 +270,7 @@ def semi_gradient_step(phi, pred, p, d, eta: float, loss_kind: str = "squared",
 
 def full_gradient_step(phi, pred, p, d, eta: float) -> np.ndarray:
     """One full-gradient update for the squared loss (successor side included)."""
-    a = _matrix(p)
-    n = a.shape[0]
-    v = _check_rep(phi, n)
-    d = validate_distribution(d, n)
+    a, v, d, _ = _operands(p, phi, d)
     pred = np.asarray(pred, dtype=float)
     dv = d[:, None] * v
     vp = dv @ pred
@@ -307,11 +298,7 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8
     InnerSolveFailureError if no start reaches tol.
     """
     from scipy.optimize import minimize
-    a = _matrix(p)
-    n = a.shape[0]
-    v = _check_rep(phi, n)
-    d = validate_distribution(d, n)
-    t = v if phi_target is None else _check_rep(phi_target, n, "phi_target")
+    a, v, d, t = _operands(p, phi, d, phi_target)
     k = v.shape[1]
     w = d[:, None] * a
 
@@ -412,10 +399,9 @@ def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = 100.0, n_records: i
 
 
 def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """vals * 2**exp with 0 * inf resolved to 0."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = vals * np.exp2(exp)
-    return np.where(vals == 0.0, 0.0, out)
+    """vals * 2**exp, rounded once, so a representable product stays finite."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(vals, exp.astype(np.int64))
 
 
 def _metrics(phi, slog, c0, op, apply=np.matmul):
@@ -433,7 +419,7 @@ def _metrics(phi, slog, c0, op, apply=np.matmul):
         drift = np.abs(_scaled(c, 2.0 * slog[..., None, None]) - c0).max(axis=(-2, -1))
         # (2^(-2 slog) I - phi phi^T) P phi pred^T without the (n, n) projector;
         # phi^T P phi is pred itself.
-        tangent = np.exp2(-2.0 * slog)[..., None, None] * pp - phi @ pred
+        tangent = _scaled(pp, -2.0 * slog[..., None, None]) - phi @ pred
         resid = _scaled(_norm(tangent @ pred.swapaxes(-1, -2), axis=(-2, -1)), 5.0 * slog)
     return f, drift, _max_abs_cosine(c), resid
 
@@ -480,7 +466,7 @@ def _eigenbasis(tms, d, config: DynamicsConfig):
     the predictor closed-form and every chain equal to its transpose bitwise.
     """
     if (config.loss_kind != "squared" or config.predictor_mode == "inner_solved"
-            or np.any(d != d[0]) or not all(np.array_equal(t.entries, t.entries.T) for t in tms)):
+            or np.any(d != d[0]) or not all(t.is_bitwise_symmetric for t in tms)):
         return None
     lam, vecs = zip(*(t.eigh for t in tms))
     return np.stack(lam)[:, :, None], vecs
@@ -507,21 +493,27 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     inner = config.predictor_mode == "inner_solved"
 
     basis = _eigenbasis(tms, d, config)
+    full = config.gradient_mode == "full"
+    two_eta = 2.0 * config.eta
+    w = d[0] if np.all(d == d[0]) else d[:, None]  # the state weights, D = diag(d)
     if basis is None:  # BLAS forms P @ t fastest with P a view of a C-ordered P^T stack
-        op = np.stack([t.entries.T for t in tms]).transpose(0, 2, 1)
-        apply, op_t = np.matmul, op.transpose(0, 2, 1)
+        p_t = np.stack([t.entries.T for t in tms])
+        apply, op, wop = np.matmul, p_t.transpose(0, 2, 1), (p_t * d).transpose(0, 2, 1)
+        if full:  # 2 eta P^T and its column weights 2 eta P^T d
+            op_t, colw = two_eta * p_t, np.repeat((two_eta * (p_t @ d))[:, :, None], k, axis=2)
     else:
         (op, vecs), apply = basis, np.multiply
-        op_t, phi = op, np.stack([u.T @ v for u, v in zip(vecs, phi)])
+        wop = np.repeat(w * op, k, axis=2)  # a contiguous operand multiplies fastest
+        if full:  # here P^T d is the constant d
+            op_t, colw = np.repeat(two_eta * op, k, axis=2), two_eta * w
+        phi = np.stack([u.T @ v for u, v in zip(vecs, phi)])
     norms = np.array([reference_normalizer(t, k) for t in tms])
-    dw = np.broadcast_to(d[:, None], phi.shape).copy()
-    pt, dphi, dpt, dpp, g = (np.empty_like(phi) for _ in range(5))
-    full = config.gradient_mode == "full"
-    colw = (np.repeat(np.einsum("mji,j->mi", op, d)[:, :, None], k, axis=2)
-            if full and basis is None else dw)  # P^T d, in the eigenbasis the constant d
+    dphi, dpt, dpp, g = (np.empty_like(phi) for _ in range(4))
+    pred_t = np.empty((m, k, k))  # 2 eta pred^T, contiguous: a strided operand slows the product
 
     beta = config.target_beta
     tgt = phi.copy() if beta is not None else None
+    guarded = (phi,) if tgt is None else (phi, tgt)
     slog = np.zeros(m)
     phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
     c0 = phi_t @ phi
@@ -532,9 +524,8 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     with np.errstate(**(dict(over="ignore", invalid="ignore") if noisy else {})):
         for step in range(1, config.iters + 1):
             t_mat = tgt if beta is not None else phi
-            apply(op, t_mat, out=pt)
-            np.multiply(dw, phi, out=dphi)
-            np.multiply(dw, pt, out=dpt)
+            apply(wop, t_mat, out=dpt)
+            np.multiply(phi, w, out=dphi)  # a second buffer keeps the Gram off the syrk path
             if inner:
                 pred = np.stack([
                     solve_predictor(phi[i], op[i], d, config.loss_kind,
@@ -547,16 +538,16 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
                         noise = np.stack([r.standard_normal((b, k, k)) for r in noise_rngs])
                     pred += config.sigma * noise[:, (step - 1) % NOISE_BLOCK]
             if config.loss_kind == "squared":
-                # g = 2 eta ((D P t - D phi pred) pred^T [+ P^T D phi pred - colw phi])
+                # g = (D P t - D phi pred) 2 eta pred^T [+ 2 eta (P^T D phi pred - colw phi)]
                 np.matmul(dphi, pred, out=dpp)
                 np.subtract(dpt, dpp, out=dpt)
-                np.matmul(dpt, pred.transpose(0, 2, 1).copy(), out=g)
+                np.multiply(pred.transpose(0, 2, 1), two_eta, out=pred_t)
+                np.matmul(dpt, pred_t, out=g)
                 if full:
                     apply(op_t, dpp, out=dpt)
-                    np.multiply(colw, phi, out=dphi)
+                    np.multiply(phi, colw, out=dphi)
                     dpt -= dphi
                     g += dpt
-                g *= 2.0 * config.eta
             else:
                 for i in range(m):
                     _, gz = _pair_loss_grad(phi[i] @ pred[i], t_mat[i], d[:, None] * op[i],
@@ -567,16 +558,13 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
                 dpt *= config.eta * beta
                 tgt += dpt
             phi += g
-            if not noisy:
-                mx = np.abs(phi, out=g).max(axis=(1, 2))
-                if tgt is not None:
-                    mx = np.maximum(mx, np.abs(tgt, out=g).max(axis=(1, 2)))
-                big = mx > RESCALE_LIMIT
-                if np.any(big):
-                    phi[big] *= 2.0 ** -RESCALE_EXP
-                    if tgt is not None:
-                        tgt[big] *= 2.0 ** -RESCALE_EXP
-                    slog[big] += RESCALE_EXP
+            # One global min and max, with no |x| buffer; past the limit, or NaN, per run.
+            if not noisy and not all(-RESCALE_LIMIT <= x.min() and x.max() <= RESCALE_LIMIT
+                                     for x in guarded):
+                big = np.max([np.abs(x).max(axis=(1, 2)) for x in guarded], axis=0) > RESCALE_LIMIT
+                for x in guarded:
+                    x[big] *= 2.0 ** -RESCALE_EXP
+                slog[big] += RESCALE_EXP
             if step % config.record_every == 0 or step == config.iters:
                 _record_batch(records, float(step), phi, slog, c0, op, norms, apply)
 

@@ -55,6 +55,11 @@ class TransitionMatrix:
         return tuple(wv)
 
     @cached_property
+    def is_bitwise_symmetric(self) -> bool:
+        """Entries equal to their transpose exactly (is_symmetric allows 1e-12), once per chain."""
+        return bool(np.array_equal(self.entries, self.entries.T))
+
+    @cached_property
     def singular_values(self) -> np.ndarray:
         """Descending singular values, once per chain (eigh magnitudes if symmetric)."""
         s = (np.sort(np.abs(self.eigh[0]))[::-1] if self.is_symmetric
@@ -97,6 +102,11 @@ def sinkhorn_normalize(raw, tol: float = 1e-12, max_iters: int = 100_000) -> Tra
     negative entries and all-zero rows or columns are rejected, and hitting
     max_iters raises NonConvergenceError.
     """
+    return TransitionMatrix.from_entries(_sinkhorn(raw, tol, max_iters))
+
+
+def _sinkhorn(raw, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:
+    """sinkhorn_normalize's projected array, not yet wrapped and validated."""
     a = np.array(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
@@ -104,19 +114,18 @@ def sinkhorn_normalize(raw, tol: float = 1e-12, max_iters: int = 100_000) -> Tra
         raise InvalidInputError("matrix entries must be finite")
     if np.any(a < 0):
         raise InvalidInputError("matrix entries must be nonnegative")
-    if np.any(a.sum(axis=1) == 0.0) or np.any(a.sum(axis=0) == 0.0):
+    rows = a.sum(axis=1, keepdims=True)
+    if np.any(rows == 0.0) or np.any(a.sum(axis=0) == 0.0):
         raise InvalidInputError("matrix must have no all-zero row or column")
 
     for _ in range(max_iters):
-        a /= a.sum(axis=1, keepdims=True)
+        a /= rows
         a /= a.sum(axis=0, keepdims=True)
-        residual = max(
-            np.abs(a.sum(axis=1) - 1.0).max(),
-            np.abs(a.sum(axis=0) - 1.0).max(),
-        )
+        rows = a.sum(axis=1, keepdims=True)  # the residual's row sums divide the next pass
+        residual = max(np.abs(rows - 1.0).max(), np.abs(a.sum(axis=0) - 1.0).max())
         if residual <= tol:
-            a /= a.sum(axis=1, keepdims=True)
-            return TransitionMatrix.from_entries(a)
+            a /= rows
+            return a
     raise NonConvergenceError(
         f"alternating normalization still above tol={tol} after {max_iters} iterations"
     )
@@ -135,7 +144,7 @@ def gen_doubly_stochastic(n: int, seed: int, alpha="random") -> TransitionMatrix
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    base = sinkhorn_normalize(rng.random((n, n)))
+    base = _sinkhorn(rng.random((n, n)))
     perm = rng.permutation(n)
     if isinstance(alpha, str):
         if alpha != "random":
@@ -145,7 +154,7 @@ def gen_doubly_stochastic(n: int, seed: int, alpha="random") -> TransitionMatrix
         alpha = float(alpha)
         if not 0.0 <= alpha <= 1.0:
             raise InvalidInputError(f"alpha must lie in [0, 1], got {alpha}")
-    out = alpha * base.entries
+    out = alpha * base
     out[np.arange(n), perm] += 1.0 - alpha
     return TransitionMatrix.from_entries(out)
 
@@ -155,7 +164,7 @@ def gen_symmetric(n: int, seed: int) -> TransitionMatrix:
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    base = sinkhorn_normalize(rng.random((n, n))).entries
+    base = _sinkhorn(rng.random((n, n)))
     return TransitionMatrix.from_entries(0.5 * (base + base.T))
 
 
@@ -239,10 +248,12 @@ def spectral(tm: TransitionMatrix, kind: str = "eigen") -> SpectralSummary:
 
 
 def n_step_matrix(tm: TransitionMatrix, n_steps: int) -> TransitionMatrix:
-    """The chain composed with itself n_steps times."""
+    """The chain composed with itself n_steps times; a symmetric chain's power is
+    averaged with its transpose, as in gen_symmetric, so it is symmetric bitwise."""
     if n_steps < 1:
         raise InvalidInputError("n_steps must be at least 1")
-    return TransitionMatrix.from_entries(np.linalg.matrix_power(tm.entries, n_steps))
+    a = np.linalg.matrix_power(tm.entries, n_steps)
+    return TransitionMatrix.from_entries(0.5 * (a + a.T) if tm.is_symmetric else a)
 
 
 def uniform_distribution(n: int) -> np.ndarray:

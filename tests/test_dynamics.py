@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,23 +207,28 @@ class TestKernelStepOracle:
     def test_one_step_matches_oracle(self, mode, seed):
         rng = np.random.default_rng(seed)
         m, n, k, eta = 3, 6, 2, 0.05
-        # non-symmetric chains and a non-uniform d exercise P^T and the column weights
-        tms = [gen_doubly_stochastic(n, seed + i) for i in range(m)]
-        d = rng.dirichlet(np.ones(n))
         phi0 = np.stack([orthonormal_init(n, k, seed + 10 + i) for i in range(m)])
         cfg = DynamicsConfig(eta=eta, iters=1, record_every=1,
                              gradient_mode="full" if mode == "full" else "semi",
                              predictor_mode="noisy" if mode == "noisy_sigma0" else "optimal",
                              target_beta=0.5 if mode == "slow_target" else None)
-        rngs = [np.random.default_rng(i) for i in range(m)] if mode == "noisy_sigma0" else None
-        _, final = run_discrete_batch(phi0, tms, d, cfg, rngs)
-        for i in range(m):
-            pred = optimal_predictor(phi0[i], tms[i], d)
-            if mode == "full":
-                want = full_gradient_step(phi0[i], pred, tms[i], d, eta)
-            else:
-                want = semi_gradient_step(phi0[i], pred, tms[i], d, eta, phi_target=phi0[i])
-            assert np.abs(final[i] - want).max() <= 1e-12 * np.abs(want).max()
+        cases = [
+            # non-symmetric chains and a non-uniform d exercise P^T and the column weights
+            ([gen_doubly_stochastic(n, seed + i) for i in range(m)], rng.dirichlet(np.ones(n))),
+            # symmetric chains under uniform d take the eigenbasis, the weight folded into lambda
+            ([gen_symmetric(n, seed + i) for i in range(m)], uniform_distribution(n)),
+        ]
+        for (tms, d), eigen in zip(cases, (False, True)):
+            assert (dynamics._eigenbasis(tms, d, cfg) is not None) == eigen
+            rngs = [np.random.default_rng(i) for i in range(m)] if mode == "noisy_sigma0" else None
+            _, final = run_discrete_batch(phi0, tms, d, cfg, rngs)
+            for i in range(m):
+                pred = optimal_predictor(phi0[i], tms[i], d)
+                if mode == "full":
+                    want = full_gradient_step(phi0[i], pred, tms[i], d, eta)
+                else:
+                    want = semi_gradient_step(phi0[i], pred, tms[i], d, eta, phi_target=phi0[i])
+                assert np.abs(final[i] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestNonFiniteState:
@@ -446,6 +452,16 @@ def projector_residual(phi, slog, p_stack):
         return np.where(top == 0.0, 0.0, inner * np.exp2(5.0 * slog))
 
 
+def mpmath_record(psi, slog, c0, lam):
+    """f, drift and residual of the state phi = 2**slog psi against diag(lam), in mpmath."""
+    phi = mpmath.matrix(psi.tolist()) * mpmath.mpf(2) ** int(slog)
+    pp = mpmath.diag(lam.tolist()) * phi
+    pred = phi.T * pp
+    return dict(f=sum(x ** 2 for x in pred),
+                covariance_drift=max(abs(a - b) for a, b in zip(phi.T * phi, c0.ravel().tolist())),
+                residual=mpmath.norm((pp - phi * pred) * pred.T, 2))
+
+
 class TestRecordResidual:
     def test_step_zero_is_flow_residual(self):
         n, m = 7, 4
@@ -484,6 +500,37 @@ class TestRecordResidual:
             record_batch(shifted, 0.0, psi * 2.0 ** -64, slog + 64.0, *rest)
             again = np.array([r[0].bundle.residual for r in shifted])
             np.testing.assert_allclose(again, got, rtol=1e-10)
+
+
+    def test_records_after_rescale_match_mpmath(self, monkeypatch):
+        n, k, m = 10, 2, 2
+        tms = [gen_symmetric(n, s) for s in range(m)]
+        phi0 = np.stack([orthonormal_init(n, k, s + 1) for s in range(m)])
+        calls = []
+        record_batch = dynamics._record_batch
+
+        def spy(records, step, psi, slog, c0, lam, *rest):
+            calls.append((psi.copy(), slog.copy(), c0, lam))
+            record_batch(records, step, psi, slog, c0, lam, *rest)
+
+        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        # a slow target overshooting at eta * beta = 5 diverges within about 140 steps
+        cfg = DynamicsConfig(eta=0.05, iters=150, record_every=1, target_beta=100.0)
+        records, _ = run_discrete_batch(phi0, tms, uniform_distribution(n), cfg)
+        top = mpmath.mpf(np.finfo(float).max)
+        finite_after_rescale = 0
+        for j, (psi, slog, c0, lam) in enumerate(calls):
+            for i in np.flatnonzero(slog > 0):
+                with mpmath.workdps(60):
+                    want = mpmath_record(psi[i], slog[i], c0[i], lam[i, :, 0])
+                for name, value in want.items():
+                    got = getattr(records[i][j].bundle, name)
+                    if value > top:
+                        assert got == np.inf, (name, j, i)
+                    else:
+                        assert abs(got - value) <= 1e-10 * value, (name, j, i, got, value)
+                finite_after_rescale += bool(want["f"] <= top)
+        assert finite_after_rescale > 0
 
 
 # Step sizes that keep a 200-step run away from blow-up and collapse, where either
@@ -595,6 +642,28 @@ class TestEigenbasisKernel:
             counted.clear()
             run_discrete_batch(phi0, tms, d, DynamicsConfig(eta=0.1, iters=2, **kw))
             assert len(counted) == expected, kw
+
+
+    def test_n_step_powers_keep_the_eigenbasis(self, monkeypatch):
+        n, m = 20, 4
+        chains = [gen_symmetric(n, s) for s in range(m)]
+        # at n = 20 the plain matrix power of these chains is not symmetric bitwise
+        assert not any(np.array_equal(a, a.T)
+                       for a in (np.linalg.matrix_power(t.entries, 2) for t in chains))
+        counted = []
+        cached = TransitionMatrix.eigh
+
+        def counting(tm):
+            counted.append(tm)
+            return cached.__get__(tm, TransitionMatrix)
+
+        monkeypatch.setattr(TransitionMatrix, "eigh", property(counting))
+        phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(m)])
+        run_discrete_batch(phi0, chains, uniform_distribution(n),
+                           DynamicsConfig(eta=0.1, iters=2, n_step=2))
+        # each squared chain's eigh is read once by its normalizer and once by the
+        # eigenbasis step; the dense step reads it only for the normalizer
+        assert len(counted) == 2 * m and len({id(t) for t in counted}) == m
 
 
 class TestNoiseBlocks:
