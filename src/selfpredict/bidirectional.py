@@ -10,8 +10,12 @@ where the single dynamics provably cannot.
 Everything here assumes a doubly stochastic chain under the uniform state
 distribution; that is what makes the reversed process a chain with the same
 stationary weights.  Routines raise NotDoublyStochasticError or
-InvalidInputError when the assumption fails.  integrate_bidir_batch steps a
-stack of pairs through the same stacked integrator as the single flow.
+InvalidInputError when the assumption fails.
+
+Each member is the single dynamics' learner with its partner as the live
+target, so a pair runs as two adjacent runs of one dynamics stack, the left
+member against P and the right one against P^T, through the single dynamics'
+lockstep kernel (blow-up guard included) and flow driver.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotDoublyStochasticError, ShapeMismatchError
-from .markov import TransitionMatrix, n_step_matrix, validate_distribution
-from .metrics import _max_abs_cosine, _norm, normalizers
-from .dynamics import (DynamicsConfig, _check_horizon, _rep_stack, _trajectories,
-                       covariance_solve)
+from .markov import TransitionMatrix, validate_distribution
+from .metrics import _check_rep, normalizers  # noqa: F401 (bench/tracing.py wraps it)
+from .dynamics import DynamicsConfig, _flow, _integrate, _lockstep, _partner, _rep_stack
 from .rk45 import solve_ivp
 
 ORTHONORMAL_TOL = 1e-8
@@ -44,16 +47,18 @@ class BidirState:
 
 
 def _check_state(state: BidirState, n: int) -> BidirState:
-    lv = np.asarray(state.left, dtype=float)
-    rv = np.asarray(state.right, dtype=float)
-    if lv.ndim != 2 or rv.ndim != 2 or lv.shape != rv.shape:
+    if np.shape(state.left) != np.shape(state.right):
         raise ShapeMismatchError(
-            f"left and right must share a 2d shape, got {np.shape(state.left)} and {np.shape(state.right)}")
-    if lv.shape[0] != n:
-        raise ShapeMismatchError(f"representations have {lv.shape[0]} rows, chain has {n} states")
-    if not 1 <= lv.shape[1] <= n:
-        raise InvalidInputError(f"need 1 <= k <= n, got k={lv.shape[1]}")
-    return BidirState(lv, rv)
+            f"left and right must share a shape, got {np.shape(state.left)} and {np.shape(state.right)}")
+    return BidirState(_check_rep(state.left, n, "left"), _check_rep(state.right, n, "right"))
+
+
+def _pair_chains(tms) -> list:
+    """P and P^T for each doubly stochastic chain: a stacked pair's left and right chains."""
+    for t in tms:
+        _require_doubly_stochastic(t)
+    return [c for t in tms for c in
+            (t, t if t.is_bitwise_symmetric else TransitionMatrix.from_entries(t.entries.T))]
 
 
 def _require_doubly_stochastic(tm: TransitionMatrix) -> None:
@@ -92,37 +97,17 @@ def bidir_optimal_predictors(state: BidirState, tm: TransitionMatrix, d):
     return fwd, fwd.T.copy()
 
 
-def _pair_flow(a, left, right):
-    """Both legs of the paired flow (see bidir_ode_rhs) for (..., n, k) stacks."""
-    pr, pl = a @ right, a.swapaxes(-1, -2) @ left
-    fwd = left.swapaxes(-1, -2) @ pr
-    bwd = fwd.swapaxes(-1, -2)
-    return (pr - left @ fwd) @ bwd, (pl - right @ bwd) @ fwd
-
-
 def bidir_ode_rhs(state: BidirState, tm: TransitionMatrix) -> BidirState:
     """Continuous-time flow of the pair under their optimal predictors.
 
     left' = (I - L L^T) P R fwd^T and right' = (I - R R^T) P^T L fwd with
     fwd = L^T P R (the backward predictor is fwd^T, hence the bare fwd in
-    the second leg).
+    the second leg): the single flow of each member against the other.
     """
     _require_doubly_stochastic(tm)
     st = _check_state(state, tm.n)
-    return BidirState(*_pair_flow(tm.entries, st.left, st.right))
-
-
-def _pair_metrics(a, left, right, c0_left, c0_right):
-    """f, f_tilde, drift, cosine and flow residual of (..., n, k) stacks of pairs."""
-    lt, rt = left.swapaxes(-1, -2), right.swapaxes(-1, -2)
-    pred, cross = lt @ a @ left, lt @ a @ right
-    cl, cr = lt @ left, rt @ right
-    d_left, d_right = _pair_flow(a, left, right)
-    return (np.sum(pred * pred, axis=(-2, -1)), np.sum(cross * cross, axis=(-2, -1)),
-            np.maximum(np.abs(cl - c0_left).max(axis=(-2, -1)),
-                       np.abs(cr - c0_right).max(axis=(-2, -1))),
-            np.maximum(_max_abs_cosine(cl), _max_abs_cosine(cr)),
-            np.hypot(_norm(d_left, axis=(-2, -1)), _norm(d_right, axis=(-2, -1))))
+    pair = np.stack([st.left, st.right])
+    return BidirState(*_flow(np.stack([tm.entries, tm.entries.T]), pair, _partner(pair, 2)))
 
 
 def integrate_bidir_batch(state0: BidirState, tms, t_end: float = 100.0, n_records: int = 100,
@@ -133,27 +118,10 @@ def integrate_bidir_batch(state0: BidirState, tms, t_end: float = 100.0, n_recor
     right, _ = _rep_stack(state0.right, tms)
     if left.shape != right.shape:
         raise ShapeMismatchError(f"left and right stacks differ: {left.shape} and {right.shape}")
-    for tm in tms:
-        _require_doubly_stochastic(tm)
-    _check_horizon(t_end, n_records)
-    m, n, k = left.shape
-    a = np.stack([t.entries for t in tms])
-    svd_norms = np.array([normalizers(t, k).svd_norm for t in tms])
-
-    def rhs(y):
-        pair = y.reshape(m, 2 * n, k)
-        return np.concatenate(_pair_flow(a, pair[:, :n], pair[:, n:]), axis=1).reshape(m, -1)
-
-    t_eval = np.linspace(0.0, t_end, n_records + 1)
-    sol = solve_ivp(rhs, t_end, np.concatenate([left, right], axis=1).reshape(m, -1),
-                    t_eval, rel_tol, abs_tol, run_offset)
-    pair = sol.y.reshape(m, -1, 2 * n, k)
-    lv, rv = pair[:, :, :n], pair[:, :, n:]
-    c0 = [(v.swapaxes(-1, -2) @ v)[:, None] for v in (left, right)]
-    f, f_tilde, drift, cos, resid = _pair_metrics(a[:, None], lv, rv, *c0)
-    records = _trajectories(t_eval.tolist(), f, f_tilde / svd_norms[:, None], drift, cos,
-                            resid, f_tilde)
-    return records, BidirState(lv[:, -1], rv[:, -1])
+    pairs = np.stack([left, right], axis=1).reshape(-1, *left.shape[1:])
+    records, final = _integrate(pairs, _pair_chains(tms), t_end, n_records, rel_tol, abs_tol,
+                                run_offset, solve_ivp, r=2)
+    return records, BidirState(final[0::2], final[1::2])
 
 
 def integrate_bidir(state0: BidirState, tm: TransitionMatrix, t_end: float = 100.0,
@@ -175,41 +143,19 @@ def run_discrete_bidir(state0: BidirState, tm: TransitionMatrix, d, config: Dyna
     """Discrete lockstep training of the pair with per-step optimal predictors.
 
     Both updates are computed from the same pre-step pair and applied
-    together.  Predictors come from the k-by-k normal equations (the
-    uniform weight cancels), so mild orthonormality drift along the run is
-    handled rather than assumed away.  Only the plain configuration is
-    supported: semi gradient, optimal predictor, squared loss, no target.
+    together.  Predictors come from the k-by-k normal equations, so mild
+    orthonormality drift along the run is handled rather than assumed away.
+    The pair trains as a two-run stack of run_discrete_batch's kernel, so a
+    divergent pair is rescaled as one and reports inf only where a value is
+    not representable.  Only the plain configuration is supported: semi
+    gradient, optimal predictor, squared loss, no target.
     """
     _require_doubly_stochastic(tm)
     st = _check_state(state0, tm.n)
-    _require_uniform(d, tm.n)
+    d = _require_uniform(d, tm.n)
     if (config.gradient_mode, config.predictor_mode, config.loss_kind) != ("semi", "optimal", "squared") \
             or config.target_beta is not None:
         raise InvalidInputError(
             "run_discrete_bidir supports semi gradient, optimal predictor, squared loss only")
-    tm_run = n_step_matrix(tm, config.n_step) if config.n_step > 1 else tm
-    a = tm_run.entries
-    n, k = st.left.shape
-    svd_norm = normalizers(tm_run, k).svd_norm
-    left = st.left.copy()
-    right = st.right.copy()
-    c0_left = left.T @ left
-    c0_right = right.T @ right
-    steps, snapshots = [0.0], [(left.copy(), right.copy())]
-    scale = 2.0 * config.eta / n
-    for step in range(1, config.iters + 1):
-        pr = a @ right
-        pl = a.T @ left
-        fwd = covariance_solve(left.T @ left, left.T @ pr)
-        bwd = covariance_solve(right.T @ right, right.T @ pl)
-        d_left = scale * ((pr - left @ fwd) @ fwd.T)
-        d_right = scale * ((pl - right @ bwd) @ bwd.T)
-        left += d_left
-        right += d_right
-        if step % config.record_every == 0 or step == config.iters:
-            steps.append(float(step))
-            snapshots.append((left.copy(), right.copy()))
-    lefts, rights = (np.stack(s)[None] for s in zip(*snapshots))
-    f, f_tilde, drift, cos, resid = _pair_metrics(a, lefts, rights, c0_left, c0_right)
-    records = _trajectories(steps, f, f_tilde / svd_norm, drift, cos, resid, f_tilde)
-    return records[0], BidirState(left, right)
+    records, final = _lockstep(np.stack([st.left, st.right]), _pair_chains([tm]), d, config, r=2)
+    return records[0], BidirState(*final)

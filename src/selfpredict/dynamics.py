@@ -17,16 +17,19 @@ Conventions shared by every routine in this module:
 * records are taken at step 0, every record_every steps, and at the final
   step; the continuous flow records on a uniform time grid instead.
 
-integrate_ode_batch steps a stack of runs through the stacked Dormand-Prince
-5(4) in rk45; a run's records do not depend on the runs beside it.  Predictors
-come from covariance_solve_batch: certified inverse, else eigh pseudoinverse.
+Runs step in stacks, in lockstep (_lockstep) or through the stacked
+Dormand-Prince 5(4) in rk45 (_integrate); a run's records do not depend on the
+runs beside it.  A run's live target is its partner (_partner): itself, or the
+other member of a bidirectional pair.  Predictors come from
+covariance_solve_batch: certified inverse, else eigh pseudoinverse.
 
 Under uniform d, the squared loss and a closed-form predictor, run_discrete_batch
 steps psi = U^T phi against the eigenvalues of a chain P = U diag(lam) U^T equal to
 its transpose bitwise (O(nk), not O(n^2 k)); only rounding differs from dense P.
 
 Blow-up handling: with the losses here the semi-gradient update with an
-optimal predictor is degree-1 homogeneous in phi, so divergent runs are
+optimal predictor is degree-1 homogeneous in phi (in both members of a pair
+jointly), so divergent runs, and both members of a pair together, are
 rescaled by an exact power of two whenever entries pass 2**256 and the
 accumulated exponent is folded back into reported metrics with ldexp.  Cosines
 are unaffected; a reported value is inf only where the true one is not
@@ -44,7 +47,7 @@ import numpy as np
 
 from .errors import (DegenerateCovarianceError, InnerSolveFailureError, InvalidInputError,
                      NonFiniteStateError, ShapeMismatchError)
-from .markov import TransitionMatrix, n_step_matrix, validate_distribution
+from .markov import TransitionMatrix, validate_distribution
 from .metrics import MetricBundle, _check_rep, _matrix, _max_abs_cosine, _norm, reference_normalizer
 from .rk45 import solve_ivp
 
@@ -66,8 +69,7 @@ class DynamicsConfig:
     target_beta=None trains against the live representation; a float turns
     on a separate target matrix tracking phi at rate eta * target_beta per
     step (0 freezes it at the init).  sigma is the predictor noise scale
-    and requires predictor_mode="noisy".  n_step > 1 replaces the chain by
-    its n_step-fold composition before training.
+    and requires predictor_mode="noisy".
     """
 
     eta: float = 1e-3
@@ -79,7 +81,6 @@ class DynamicsConfig:
     sigma: float = 0.0
     epsilon: float = 1e-8
     target_beta: float | None = None
-    n_step: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0):
@@ -107,8 +108,6 @@ class DynamicsConfig:
                 raise InvalidInputError("a separate target is undefined for the full gradient")
         if self.gradient_mode == "full" and self.loss_kind != "squared":
             raise InvalidInputError("the full gradient is implemented for the squared loss only")
-        if self.n_step < 1:
-            raise InvalidInputError("n_step must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8
 
 
 def _flow(a, left, right):
-    """(I - L L^T) a R (L^T a R)^T for (..., n, k) stacks L, R; ode_rhs ties L = R."""
+    """(I - L L^T) a R (L^T a R)^T for (..., n, k) stacks: L's flow with R as its target."""
     pr = a @ right
     fwd = left.swapaxes(-1, -2) @ pr
     return (pr - left @ fwd) @ fwd.swapaxes(-1, -2)
@@ -355,13 +354,6 @@ def flow_residual(phi, p) -> float:
     return float(_norm(ode_rhs(phi, p)))
 
 
-def _check_horizon(t_end: float, n_records: int) -> None:
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise InvalidInputError("t_end must be positive and finite")
-    if n_records < 1:
-        raise InvalidInputError("n_records must be at least 1")
-
-
 def integrate_ode_batch(phi0_stack, tms, t_end: float = 100.0, n_records: int = 100,
                         rel_tol: float = 1e-9, abs_tol: float = 1e-9, run_offset: int = 0):
     """Integrate the flow for a stack of runs (phi0_stack, tms as in run_discrete_batch).
@@ -369,23 +361,32 @@ def integrate_ode_batch(phi0_stack, tms, t_end: float = 100.0, n_records: int = 
     Returns m lists of n_records + 1 records on a uniform grid over [0, t_end]
     and the (m, n, k) states at t_end; run_offset labels errors.
     """
+    return _integrate(phi0_stack, tms, t_end, n_records, rel_tol, abs_tol, run_offset, solve_ivp)
+
+
+def _integrate(phi0_stack, tms, t_end, n_records, rel_tol, abs_tol, run_offset, solve, r=1):
+    """integrate_ode_batch for a stack of r-run groups (see _partner); a group is one
+    run of solve (the caller's solve_ivp), so a pair shares one step control."""
     phi, tms = _rep_stack(phi0_stack, tms)
-    _check_horizon(t_end, n_records)
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise InvalidInputError("t_end must be positive and finite")
+    if n_records < 1:
+        raise InvalidInputError("n_records must be at least 1")
     m, n, k = phi.shape
     p_stack = np.stack([t.entries for t in tms])
-    norms = np.array([reference_normalizer(t, k) for t in tms])
+    norms = np.array([reference_normalizer(t, k) for t in tms[::r]])
 
     def rhs(y):
         v = y.reshape(m, n, k)
-        return _flow(p_stack, v, v).reshape(m, -1)
+        return _flow(p_stack, v, _partner(v, r)).reshape(m // r, -1)
 
     t_eval = np.linspace(0.0, t_end, n_records + 1)
-    sol = solve_ivp(rhs, t_end, phi.reshape(m, -1), t_eval, rel_tol, abs_tol, run_offset)
-    v = sol.y.reshape(m, -1, n, k)
+    sol = solve(rhs, t_end, phi.reshape(m // r, -1), t_eval, rel_tol, abs_tol, run_offset)
+    v = sol.y.reshape(m // r, -1, r, n, k).swapaxes(1, 2).reshape(m, -1, n, k)
     c0 = phi.swapaxes(-1, -2) @ phi
-    f, drift, cos, resid = _metrics(v, np.zeros(v.shape[:2]), c0[:, None], p_stack[:, None])
-    records = _trajectories(t_eval.tolist(), f, f / norms[:, None], drift, cos, resid)
-    return records, v[:, -1]
+    cols = _columns(v, np.zeros(v.shape[:2]), c0[:, None], p_stack[:, None], norms[:, None],
+                    np.matmul, r)
+    return _trajectories(t_eval.tolist(), *cols), v[:, -1]
 
 
 def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = 100.0, n_records: int = 100,
@@ -404,27 +405,51 @@ def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
         return np.ldexp(vals, exp.astype(np.int64))
 
 
-def _metrics(phi, slog, c0, op, apply=np.matmul):
-    """f, covariance drift, cosine and flow residual of a (..., n, k) stack.
+def _partner(x, r):
+    """Each run's live target in a stack of r-run groups: the run itself for r = 1,
+    the other member of its pair for r = 2 (a copy, so x may change after)."""
+    return x if r == 1 else x.reshape(-1, 2, *x.shape[1:])[:, ::-1].reshape(x.shape)
 
-    The chain acts as apply(op, phi) (P under matmul, eigenvalues under multiply).
-    phi carries a factor 2**-slog that the metrics fold back in; a diverged
-    run reports inf, overflow in the intermediate products being the route.
+
+def _metrics(phi, target, slog, c0, op, apply=np.matmul):
+    """f against the target, covariance drift, cosine and flow residual of (..., n, k) stacks.
+
+    The chain acts as apply(op, target) (P under matmul, eigenvalues under
+    multiply).  phi and target carry a factor 2**-slog that the metrics fold
+    back in; a diverged run reports inf, overflow in the intermediate products
+    being the route.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        pp = apply(op, phi)
+        pp = apply(op, target)
         pred = phi.swapaxes(-1, -2) @ pp
         f = _scaled(np.sum(pred * pred, axis=(-2, -1)), 4.0 * slog)
         c = phi.swapaxes(-1, -2) @ phi
         drift = np.abs(_scaled(c, 2.0 * slog[..., None, None]) - c0).max(axis=(-2, -1))
-        # (2^(-2 slog) I - phi phi^T) P phi pred^T without the (n, n) projector;
-        # phi^T P phi is pred itself.
+        # (2^(-2 slog) I - phi phi^T) P target pred^T without the (n, n) projector;
+        # phi^T P target is pred itself.
         tangent = _scaled(pp, -2.0 * slog[..., None, None]) - phi @ pred
         resid = _scaled(_norm(tangent @ pred.swapaxes(-1, -2), axis=(-2, -1)), 5.0 * slog)
     return f, drift, _max_abs_cosine(c), resid
 
 
-def _trajectories(times, f, f_ratio, drift, cos, resid, f_tilde=None) -> list:
+def _columns(phi, slog, c0, op, norms, apply, r=1):
+    """MetricBundle columns of the r-run groups of a (m, ..., n, k) stack (see _metrics).
+
+    A single run reports f over its ceiling norms.  A pair reports f of its left
+    member, f_tilde = ||L^T P R||^2 over the singular value ceiling, the worse
+    drift and cosine of its members and the hypot of their flow residuals.
+    """
+    f, drift, cos, resid = _metrics(phi, _partner(phi, r), slog, c0, op, apply)
+    if r == 1:
+        return f, f / norms, None, drift, cos, resid
+    left = slice(None, None, 2)
+    own = _metrics(phi[left], phi[left], slog[left], c0[left], op[left], apply)[0]
+    drift, cos, resid = (x.reshape(-1, 2, *x.shape[1:]) for x in (drift, cos, resid))
+    return (own, f[left] / norms, f[left], drift.max(axis=1), cos.max(axis=1),
+            np.hypot(resid[:, 0], resid[:, 1]))
+
+
+def _trajectories(times, f, f_ratio, f_tilde, drift, cos, resid) -> list:
     """One TrajectoryRecord list per run from (m, len(times)) metric columns."""
     ft = f_tilde.tolist() if f_tilde is not None else [[None] * len(times)] * len(f)
     return [[TrajectoryRecord(t, MetricBundle(*row)) for t, *row in zip(times, *cols)]
@@ -432,15 +457,14 @@ def _trajectories(times, f, f_ratio, drift, cos, resid, f_tilde=None) -> list:
                             cos.tolist(), resid.tolist())]
 
 
-def _record_batch(records, step, phi, slog, c0, op, norms, apply):
-    f, drift, cos, resid = _metrics(phi, slog, c0, op, apply)
-    cols = (c[:, None] for c in (f, f / norms, drift, cos, resid))
+def _record_batch(records, step, phi, slog, c0, op, norms, apply, r=1):
+    cols = (None if c is None else c[:, None] for c in _columns(phi, slog, c0, op, norms, apply, r))
     for run, new in zip(records, _trajectories([step], *cols)):
         run.extend(new)
 
 
-def _rep_stack(phi0_stack, tms, n_step: int = 1):
-    """Checked (m, n, k) float copy of a stack and its m chains (n_step-fold)."""
+def _rep_stack(phi0_stack, tms):
+    """Checked (m, n, k) float copy of a stack and its m chains."""
     phi = np.array(phi0_stack, dtype=float)
     if phi.ndim != 3:
         raise InvalidInputError(f"phi0_stack must be (m, n, k), got shape {phi.shape}")
@@ -452,8 +476,6 @@ def _rep_stack(phi0_stack, tms, n_step: int = 1):
         raise ShapeMismatchError(f"got {len(tms)} chains for {m} runs")
     if not all(isinstance(t, TransitionMatrix) for t in tms):
         raise InvalidInputError("tms must contain TransitionMatrix instances")
-    if n_step > 1:
-        tms = [n_step_matrix(t, n_step) for t in tms]
     if any(t.n != n for t in tms):
         raise ShapeMismatchError("every chain must match the representation row count")
     return phi, tms
@@ -483,10 +505,15 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     record lists and phi_final is the (m, n, k) stack after the last step,
     with any blow-up rescaling folded back in (divergent runs report inf).
     """
-    phi, tms = _rep_stack(phi0_stack, tms, config.n_step)
+    return _lockstep(phi0_stack, tms, d, config, noise_rngs, run_offset)
+
+
+def _lockstep(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
+    """run_discrete_batch for a stack of r-run groups (see _partner): the blow-up
+    guard rescales a group as one, and records come one list per group (_columns)."""
+    phi, tms = _rep_stack(phi0_stack, tms)
     m, n, k = phi.shape
     d = validate_distribution(d, n)
-
     noisy = config.predictor_mode == "noisy"
     if noisy and (noise_rngs is None or len(noise_rngs) != m):
         raise InvalidInputError("predictor_mode='noisy' needs one noise rng per run")
@@ -507,7 +534,7 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
         if full:  # here P^T d is the constant d
             op_t, colw = np.repeat(two_eta * op, k, axis=2), two_eta * w
         phi = np.stack([u.T @ v for u, v in zip(vecs, phi)])
-    norms = np.array([reference_normalizer(t, k) for t in tms])
+    norms = np.array([reference_normalizer(t, k) for t in tms[::r]])
     dphi, dpt, dpp, g = (np.empty_like(phi) for _ in range(4))
     pred_t = np.empty((m, k, k))  # 2 eta pred^T, contiguous: a strided operand slows the product
 
@@ -517,13 +544,13 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     slog = np.zeros(m)
     phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
     c0 = phi_t @ phi
-    records: list[list[TrajectoryRecord]] = [[] for _ in range(m)]
-    _record_batch(records, 0.0, phi, slog, c0, op, norms, apply)
+    records: list[list[TrajectoryRecord]] = [[] for _ in range(m // r)]
+    _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
 
     # A noisy run has no guard; its overflow reaches the solve, which raises.
     with np.errstate(**(dict(over="ignore", invalid="ignore") if noisy else {})):
         for step in range(1, config.iters + 1):
-            t_mat = tgt if beta is not None else phi
+            t_mat = tgt if beta is not None else _partner(phi, r)
             apply(wop, t_mat, out=dpt)
             np.multiply(phi, w, out=dphi)  # a second buffer keeps the Gram off the syrk path
             if inner:
@@ -562,11 +589,12 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
             if not noisy and not all(-RESCALE_LIMIT <= x.min() and x.max() <= RESCALE_LIMIT
                                      for x in guarded):
                 big = np.max([np.abs(x).max(axis=(1, 2)) for x in guarded], axis=0) > RESCALE_LIMIT
+                big = np.repeat(big.reshape(-1, r).any(axis=1), r)  # a group rescales as one
                 for x in guarded:
                     x[big] *= 2.0 ** -RESCALE_EXP
                 slog[big] += RESCALE_EXP
             if step % config.record_every == 0 or step == config.iters:
-                _record_batch(records, float(step), phi, slog, c0, op, norms, apply)
+                _record_batch(records, float(step), phi, slog, c0, op, norms, apply, r)
 
     if basis is not None:
         phi = np.stack([u @ v for u, v in zip(vecs, phi)])

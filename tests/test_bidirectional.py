@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
+from selfpredict import dynamics
 from selfpredict import (
     BidirState,
     DynamicsConfig,
@@ -13,7 +15,6 @@ from selfpredict import (
     gen_doubly_stochastic,
     integrate_bidir,
     integrate_ode,
-    n_step_matrix,
     orthonormal_init,
     run_discrete_bidir,
     spectral,
@@ -27,6 +28,20 @@ from selfpredict.seeding import STREAM_INIT_LEFT, STREAM_INIT_RIGHT
 def paired_state(n, k, seed):
     return BidirState(orthonormal_init(n, k, stream_seed(0, seed, STREAM_INIT_LEFT)),
                       orthonormal_init(n, k, stream_seed(0, seed, STREAM_INIT_RIGHT)))
+
+
+def mpmath_sq(x):
+    return sum(v ** 2 for v in x)
+
+
+def mpmath_drift(v, v0):
+    return max(abs(a - b) for a, b in zip(v.T * v, v0.T * v0))
+
+
+def mpmath_leg(a, left, right):
+    """||(I - L L^T) a R (L^T a R)^T||_F in mpmath."""
+    pred = left.T * a * right
+    return mpmath.norm((a * right - left * pred) * pred.T, 2)
 
 
 class TestPredictors:
@@ -157,16 +172,45 @@ class TestDiscrete:
                                         uniform_distribution(6), cfg)
         assert [r.step_or_time for r in records] == [0.0, 10.0, 20.0, 25.0]
 
-    def test_n_step_equals_powered_chain(self):
-        tm = gen_doubly_stochastic(6, 4)
-        st = paired_state(6, 2, 4)
-        d = uniform_distribution(6)
-        two = DynamicsConfig(eta=0.01, iters=20, record_every=20, n_step=2)
-        one = DynamicsConfig(eta=0.01, iters=20, record_every=20)
-        _, fin_a = run_discrete_bidir(st, tm, d, two)
-        _, fin_b = run_discrete_bidir(st, n_step_matrix(tm, 2), d, one)
-        assert np.array_equal(fin_a.left, fin_b.left)
-        assert np.array_equal(fin_a.right, fin_b.right)
+    @pytest.mark.filterwarnings("error")
+    def test_divergent_pair_is_guarded(self, monkeypatch):
+        n = 6
+        tm = gen_doubly_stochastic(n, 2)
+        st = paired_state(n, 2, 2)
+        calls = []
+        record_batch = dynamics._record_batch
+
+        def spy(records, step, pair, slog, *rest):
+            calls.append((pair.copy(), slog.copy()))
+            record_batch(records, step, pair, slog, *rest)
+
+        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        cfg = DynamicsConfig(eta=10.0, iters=600, record_every=5)
+        records, final = run_discrete_bidir(st, tm, uniform_distribution(n), cfg)
+        assert calls[-1][1][0] > 0  # the guard fired
+        assert np.all(np.isinf(final.left) | np.isfinite(final.left))
+        a = mpmath.matrix(tm.entries.tolist())
+        top = mpmath.mpf(np.finfo(float).max)
+        l0, r0 = (mpmath.matrix(v.tolist()) for v in (st.left, st.right))
+        finite_after_rescale = 0
+        for rec, (pair, slog) in zip(records, calls):
+            assert slog[0] == slog[1]  # the two members rescale as one
+            with mpmath.workdps(60):
+                scale = mpmath.mpf(2) ** int(slog[0])
+                left, right = (mpmath.matrix(v.tolist()) * scale for v in pair)
+                want = dict(f=mpmath_sq(left.T * a * left), f_tilde=mpmath_sq(left.T * a * right),
+                            covariance_drift=max(mpmath_drift(left, l0), mpmath_drift(right, r0)),
+                            residual=mpmath.sqrt(mpmath_leg(a, left, right) ** 2
+                                                 + mpmath_leg(a.T, right, left) ** 2))
+            for name, value in want.items():
+                got = getattr(rec.bundle, name)
+                if value > top:
+                    assert got == np.inf, (name, rec.step_or_time)
+                else:
+                    assert abs(got - value) <= 1e-10 * value, (name, rec.step_or_time, got, value)
+            assert not np.isnan(rec.bundle.f_ratio) and not np.isnan(rec.bundle.max_abs_cosine)
+            finite_after_rescale += bool(slog[0] > 0 and want["covariance_drift"] <= top)
+        assert finite_after_rescale > 0
 
     @pytest.mark.parametrize("cfg", [
         DynamicsConfig(gradient_mode="full"),

@@ -19,6 +19,7 @@ from selfpredict import (
     gen_doubly_stochastic,
     gen_symmetric,
     integrate_ode,
+    n_step_matrix,
     noisy_predictor,
     ode_rhs,
     optimal_predictor,
@@ -349,16 +350,6 @@ class TestRunDiscrete:
             for a, b in zip(records, batch_records[i]):
                 assert a.bundle.f == pytest.approx(b.bundle.f, rel=1e-10, abs=1e-13)
 
-    def test_n_step_equals_powered_chain(self):
-        from selfpredict import n_step_matrix
-        tm, phi, _, d = random_instance(4)
-        two = DynamicsConfig(eta=1e-2, iters=30, record_every=30, n_step=2)
-        one = DynamicsConfig(eta=1e-2, iters=30, record_every=30)
-        rec_a, fin_a = run_discrete(phi, tm, d, two)
-        rec_b, fin_b = run_discrete(phi, n_step_matrix(tm, 2), d, one)
-        assert np.array_equal(fin_a, fin_b)
-        assert rec_a[-1].bundle.f == rec_b[-1].bundle.f
-
     def test_noisy_mode_requires_rng(self):
         tm, phi, _, d = random_instance(0)
         cfg = DynamicsConfig(predictor_mode="noisy", sigma=0.1, iters=5)
@@ -659,8 +650,8 @@ class TestEigenbasisKernel:
 
         monkeypatch.setattr(TransitionMatrix, "eigh", property(counting))
         phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(m)])
-        run_discrete_batch(phi0, chains, uniform_distribution(n),
-                           DynamicsConfig(eta=0.1, iters=2, n_step=2))
+        run_discrete_batch(phi0, [n_step_matrix(t, 2) for t in chains], uniform_distribution(n),
+                           DynamicsConfig(eta=0.1, iters=2))
         # each squared chain's eigh is read once by its normalizer and once by the
         # eigenbasis step; the dense step reads it only for the normalizer
         assert len(counted) == 2 * m and len({id(t) for t in counted}) == m
@@ -801,8 +792,6 @@ class TestConfigValidation:
             DynamicsConfig(gradient_mode="full", target_beta=1.0)
         with pytest.raises(InvalidInputError):
             DynamicsConfig(gradient_mode="full", loss_kind="l1")
-        with pytest.raises(InvalidInputError):
-            DynamicsConfig(n_step=0)
 
 
 def test_trace_objective_consistency_along_run():

@@ -16,9 +16,11 @@ from selfpredict import (
 )
 
 COLUMNS = ("f", "f_ratio", "f_tilde", "covariance_drift", "max_abs_cosine", "residual")
-# Drift, cosine and residual are differences of O(1) terms, so besides the
-# 1e-10 relative bound they may differ at the rounding floor of those terms.
-DIFFERENCE_FLOOR = 1e-13
+# Every column is built from sums of O(1) products, which can cancel: drift,
+# cosine and residual are differences, and f passes through zero where phi^T P phi
+# changes sign.  So besides the 1e-10 relative bound a column may differ at
+# the rounding floor of those terms.
+ROUNDING_FLOOR = 1e-13
 # Mode settings and the largest step size drawn.  The full gradient collapses
 # the columns, and near collapse the covariance amplifies rounding, so its steps
 # stay small enough that 300 of them end well short of that.
@@ -43,8 +45,7 @@ def assert_records_match(records, steps, want):
     assert [r.step_or_time for r in records] == steps
     got = columns(records)
     for name, col in want.items():
-        floor = DIFFERENCE_FLOOR if name in ("covariance_drift", "max_abs_cosine", "residual") else 0
-        np.testing.assert_allclose(got[name], col, rtol=1e-10, atol=floor, err_msg=name)
+        np.testing.assert_allclose(got[name], col, rtol=1e-10, atol=ROUNDING_FLOOR, err_msg=name)
 
 
 def assert_state_matches(got, want):
