@@ -15,7 +15,7 @@ InvalidInputError when the assumption fails.
 Each member is the single dynamics' learner with its partner as the live
 target, so a pair runs as two adjacent runs of one dynamics stack, the left
 member against P and the right one against P^T, through the single dynamics'
-lockstep kernel (blow-up guard included) and flow driver.
+lockstep kernel (blow-up guard included) and flow integration.
 """
 
 from __future__ import annotations
