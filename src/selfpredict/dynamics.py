@@ -40,6 +40,8 @@ NonFiniteStateError from the predictor solve.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -116,6 +118,34 @@ class TrajectoryRecord:
 
     step_or_time: float
     bundle: MetricBundle
+
+
+class Trajectories(Sequence):
+    """Read-only per-run record lists of a stack, held as metric columns.
+
+    times is the (T,) grid every run shares and columns the six (runs, T)
+    MetricBundle columns, f_tilde None for single runs.  Indexing builds a run's
+    TrajectoryRecord list (a slice, a list of them); len, iteration and == behave
+    as on the list of those lists.
+    """
+
+    __slots__ = ("times", "columns")
+
+    def __init__(self, times, columns):
+        self.times, self.columns = times, columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i, times = operator.index(i), self.times.tolist()
+        cols = [[None] * len(times) if c is None else c[i].tolist() for c in self.columns]
+        return [TrajectoryRecord(t, MetricBundle(*row)) for t, *row in zip(times, *cols)]
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, Trajectories) else other)
 
 
 def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
@@ -358,8 +388,8 @@ def integrate_ode_batch(phi0_stack, tms, t_end: float = 100.0, n_records: int = 
                         rel_tol: float = 1e-9, abs_tol: float = 1e-9, run_offset: int = 0):
     """Integrate the flow for a stack of runs (phi0_stack, tms as in run_discrete_batch).
 
-    Returns m lists of n_records + 1 records on a uniform grid over [0, t_end]
-    and the (m, n, k) states at t_end; run_offset labels errors.
+    Returns the m runs' records (Trajectories) on a uniform grid of n_records + 1
+    points over [0, t_end] and the (m, n, k) states at t_end; run_offset labels errors.
     """
     return _integrate(phi0_stack, tms, t_end, n_records, rel_tol, abs_tol, run_offset, solve_ivp)
 
@@ -386,7 +416,7 @@ def _integrate(phi0_stack, tms, t_end, n_records, rel_tol, abs_tol, run_offset, 
     c0 = phi.swapaxes(-1, -2) @ phi
     cols = _columns(v, np.zeros(v.shape[:2]), c0[:, None], p_stack[:, None], norms[:, None],
                     np.matmul, r)
-    return _trajectories(t_eval.tolist(), *cols), v[:, -1]
+    return Trajectories(t_eval, cols), v[:, -1]
 
 
 def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = 100.0, n_records: int = 100,
@@ -449,18 +479,16 @@ def _columns(phi, slog, c0, op, norms, apply, r=1):
             np.hypot(resid[:, 0], resid[:, 1]))
 
 
-def _trajectories(times, f, f_ratio, f_tilde, drift, cos, resid) -> list:
-    """One TrajectoryRecord list per run from (m, len(times)) metric columns."""
-    ft = f_tilde.tolist() if f_tilde is not None else [[None] * len(times)] * len(f)
-    return [[TrajectoryRecord(t, MetricBundle(*row)) for t, *row in zip(times, *cols)]
-            for cols in zip(f.tolist(), f_ratio.tolist(), ft, drift.tolist(),
-                            cos.tolist(), resid.tolist())]
-
-
 def _record_batch(records, step, phi, slog, c0, op, norms, apply, r=1):
-    cols = (None if c is None else c[:, None] for c in _columns(phi, slog, c0, op, norms, apply, r))
-    for run, new in zip(records, _trajectories([step], *cols)):
-        run.extend(new)
+    """Append (step, *_columns(...)) of one record to records."""
+    records.append((step, *_columns(phi, slog, c0, op, norms, apply, r)))
+
+
+def _stacked(records) -> Trajectories:
+    """The Trajectories of _record_batch's list: its (runs,) columns side by side."""
+    times, *cols = zip(*records)
+    return Trajectories(np.array(times), tuple(None if c[0] is None else np.stack(c, axis=1)
+                                               for c in cols))
 
 
 def _rep_stack(phi0_stack, tms):
@@ -501,16 +529,16 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     phi0_stack is (m, n, k); tms is one TransitionMatrix shared by every
     run or a sequence of m of them.  noise_rngs supplies one generator per
     run when predictor_mode="noisy".  run_offset only labels error
-    messages.  Returns (records, phi_final) where records is a list of m
-    record lists and phi_final is the (m, n, k) stack after the last step,
-    with any blow-up rescaling folded back in (divergent runs report inf).
+    messages.  Returns (records, phi_final) where records (Trajectories) holds
+    the m runs' record lists and phi_final is the (m, n, k) stack after the last
+    step, with any blow-up rescaling folded back in (divergent runs report inf).
     """
     return _lockstep(phi0_stack, tms, d, config, noise_rngs, run_offset)
 
 
 def _lockstep(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
     """run_discrete_batch for a stack of r-run groups (see _partner): the blow-up
-    guard rescales a group as one, and records come one list per group (_columns)."""
+    guard rescales a group as one, and records come one run per group (_columns)."""
     phi, tms = _rep_stack(phi0_stack, tms)
     m, n, k = phi.shape
     d = validate_distribution(d, n)
@@ -544,7 +572,7 @@ def _lockstep(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
     slog = np.zeros(m)
     phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
     c0 = phi_t @ phi
-    records: list[list[TrajectoryRecord]] = [[] for _ in range(m // r)]
+    records: list = []
     _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
 
     # A noisy run has no guard; its overflow reaches the solve, which raises.
@@ -599,7 +627,7 @@ def _lockstep(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
     if basis is not None:
         phi = np.stack([u @ v for u, v in zip(vecs, phi)])
     phi_final = _scaled(phi, slog[:, None, None])
-    return records, phi_final
+    return _stacked(records), phi_final
 
 
 def run_discrete(phi0, tm: TransitionMatrix, d, config: DynamicsConfig, noise_rng=None):

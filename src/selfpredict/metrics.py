@@ -120,7 +120,8 @@ def _max_abs_cosine(c: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1).clip(min=0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = c / (norms[..., :, None] * norms[..., None, :])
-    off = np.abs(cos[..., ~np.eye(k, dtype=bool)]).max(axis=-1)
+    # Rounding can put a nearly collinear pair a few ulp above 1.
+    off = np.minimum(np.abs(cos[..., ~np.eye(k, dtype=bool)]).max(axis=-1), 1.0)
     return np.where(np.any(norms < ZERO_NORM_FLOOR, axis=-1), 1.0, off)
 
 

@@ -5,7 +5,9 @@ J. Comput. Appl. Math. 6, 1980): same tableau, initial step, safety 0.9,
 factors in [0.2, 10], RMS error norm and quartic dense output.  Every
 operation acts on a run's row alone, so a run's trajectory does not depend
 on the runs beside it.  A non-finite error norm rejects at factor 0.2, so an
-overflowing run ends in StepSizeUnderflowError below 10 ulp of t.
+overflowing run ends in StepSizeUnderflowError below 10 ulp of t.  Dense output
+keeps a (runs, grid) mask of the grid points written so far; a step writes a
+run's unwritten points at or below its new time, every copy of a repeated one.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, run_offset=0):
     m, size = y.shape
     out = np.empty((m, len(t_eval), size))
     out[:, 0] = y
-    nxt = np.ones(m, dtype=int)
+    written = np.zeros((m, len(t_eval)), dtype=bool)
+    written[:, 0] = True
     K = np.empty((m, 7, size))
     with np.errstate(all="ignore"):
         f = fun(y)
@@ -94,17 +97,13 @@ def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, run_offset=0):
             rejected = ~(err < 1)
             t_new, y_new, f_new = (np.where(rejected, old, new)
                                    for new, old in ((t_new, t), (y_new, y), (f_new, f)))
-        hi = t_eval.searchsorted(t_new[:, 0], side="right")
-        # Python-level checks: numpy reductions cost microseconds on tiny stacks.
-        if hi.tolist() != nxt.tolist():
-            cnt = hi - nxt
-            rows = np.repeat(np.arange(m), cnt)
-            cols = np.arange(cnt.sum()) + np.repeat(nxt - np.cumsum(cnt) + cnt, cnt)
+        rows, cols = np.nonzero((t_eval <= t_new) & ~written)
+        if len(rows):
             x = (t_eval[cols] - t[rows, 0]) / h[rows, 0]
             powers = np.cumprod(np.repeat(x[:, None, None], 4, axis=2), axis=2)
             with np.errstate(all="ignore"):
                 out[rows, cols] = y[rows] + h[rows] * (powers @ (P.T @ K[rows]))[:, 0]
-            nxt = hi
-            done = min(nxt.tolist()) == len(t_eval)
+            written[rows, cols] = True
+            done = written.all()
         t, y, f = t_new, y_new, f_new
     return SimpleNamespace(y=out, nfev=nfev)

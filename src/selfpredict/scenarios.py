@@ -208,17 +208,13 @@ def _make_chain(kind: str, n: int, master_seed: int, run_index: int):
     raise InvalidInputError(f"unknown chain kind {kind!r}")
 
 
-def _tuples(records) -> list:
-    return [(r.step_or_time, r.bundle.f, r.bundle.f_ratio, r.bundle.f_tilde,
-             r.bundle.covariance_drift, r.bundle.max_abs_cosine, r.bundle.residual)
-            for r in records]
-
-
 def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
-    """Per-run record tuples of trials lo..hi-1 for each variant, in variant order.
+    """Record columns of trials lo..hi-1 for each variant, in variant order.
 
-    The unit of parallel dispatch.  Every variant shares the chunk's chains
-    and initial states; noise generators are fresh per variant.
+    The unit of parallel dispatch.  A variant's entry is (times, f, f_ratio,
+    f_tilde, covariance_drift, max_abs_cosine, residual): the shared (T,) times
+    and (runs, T) arrays, f_tilde None for single runs.  Every variant shares the
+    chunk's chains and initial states; noise generators are fresh per variant.
     """
     ms, k, idxs = cfg.master_seed, cfg.k, range(lo, hi)
     variants = list(_resolve(cfg).values())
@@ -249,12 +245,12 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
             records, _ = integrate_bidir_batch(state0, tms, **horizon)
         else:
             raise InvalidInputError(f"unknown variant mode {mode!r}")
-        out.append([_tuples(rs) for rs in records])
+        out.append((records.times, *records.columns))
     return out
 
 
 def _critical_points(cfg: ScenarioConfig):
-    """Rows and side data for the two-state critical point catalog.
+    """Record columns (as _run_chunk's) and side data for the two-state critical point catalog.
 
     The catalog holds the four unit eigenvectors and the four mixed unit
     vectors with eigenbasis coordinates (plus or minus 2/3, plus or minus
@@ -271,69 +267,61 @@ def _critical_points(cfg: ScenarioConfig):
         ("mixed", a * u1 + b * u2), ("mixed", a * u1 - b * u2),
         ("mixed", -a * u1 + b * u2), ("mixed", -a * u1 - b * u2),
     ]
-    rows = []
-    points = []
-    for rid, (kind, phi) in enumerate(catalog):
-        resid = flow_residual(phi, tm)
-        f = trace_objective(phi, tm)
-        rows.append((0.0, f, f, None, 0.0, 0.0, resid))
-        points.append({"run_id": rid, "kind": kind, "residual": resid, "f": f})
-    probe_resids = []
-    for j in range(cfg.n_runs):
-        phi = orthonormal_init(2, 1, stream_seed(cfg.master_seed, j, STREAM_INIT_LEFT))
-        resid = flow_residual(phi, tm)
-        f = trace_objective(phi, tm)
-        rows.append((0.0, f, f, None, 0.0, 0.0, resid))
-        probe_resids.append(resid)
+    phis = [phi for _, phi in catalog] + [
+        orthonormal_init(2, 1, stream_seed(cfg.master_seed, j, STREAM_INIT_LEFT))
+        for j in range(cfg.n_runs)]
+    resid = np.array([[flow_residual(phi, tm)] for phi in phis])
+    f = np.array([[trace_objective(phi, tm)] for phi in phis])
+    points = [{"run_id": rid, "kind": kind, "residual": float(resid[rid, 0]), "f": float(f[rid, 0])}
+              for rid, (kind, _) in enumerate(catalog)]
     extras = {
         "points": points,
         "catalog_residual_max": max(p["residual"] for p in points),
-        "probe_residual_min": min(probe_resids),
+        "probe_residual_min": float(resid[len(catalog):].min()),
     }
-    return [[row] for row in rows], extras
+    zero = np.zeros_like(f)
+    return (np.zeros(1), f, f, None, zero, zero, resid), extras
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
-def _write_csv(path: Path, per_run: list) -> None:
+def _write_csv(path: Path, times, *cols) -> None:
+    """One row per run and time from _run_chunk's columns; f_tilde None leaves its field empty."""
+    row = "%d,%.17g,%.17g,%.17g," + ("" if cols[2] is None else "%.17g") + ",%.17g,%.17g,%.17g"
+    runs, steps = cols[0].shape
+    ids = np.repeat(np.arange(runs), steps).tolist()
+    flat = [np.tile(times, runs).tolist()] + [c.ravel().tolist() for c in cols if c is not None]
     lines = ["run_id,step_or_time,f,f_ratio,f_tilde,covariance_drift,max_abs_cosine,residual"]
-    for rid, records in enumerate(per_run):
-        for (t, f, ratio, ftilde, drift, cos, resid) in records:
-            ft = "" if ftilde is None else _fmt(ftilde)
-            lines.append(f"{rid},{_fmt(t)},{_fmt(f)},{_fmt(ratio)},{ft},"
-                         f"{_fmt(drift)},{_fmt(cos)},{_fmt(resid)}")
+    lines += [row % values for values in zip(ids, *flat)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _median(x):
+    """np.median(x, axis=0), computed as numpy does but without the numpy.ma
+    import its NaN check makes: partition at numpy's kth (the middle index or
+    indices, and -1), mean of the middle, NaN wherever a column holds one."""
+    n = len(x)
+    part = np.partition(x, [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1], axis=0)
+    return np.where(np.isnan(part[-1]), part[-1], np.mean(part[(n - 1) // 2:n // 2 + 1], axis=0))
 
 
 def _summarize(cfg: ScenarioConfig, variants: dict, per_variant: dict, extras=None) -> dict:
     out_variants = {}
     for key, params in variants.items():
-        runs = per_variant[key]
-        lengths = {len(r) for r in runs}
-        if len(lengths) != 1:
-            raise InvalidInputError(f"variant {key!r} produced ragged record lists")
-        times = [row[0] for row in runs[0]]
-        ratio = np.array([[row[2] for row in r] for r in runs])
-        cos = np.array([[row[5] for row in r] for r in runs])
-        drift = np.array([[row[4] for row in r] for r in runs])
+        times, _, ratio, ftilde, drift, cos, _ = per_variant[key]
         curve = {
-            "step_or_time": times,
-            "f_ratio": np.median(ratio, axis=0).tolist(),
-            "max_abs_cosine": np.median(cos, axis=0).tolist(),
+            "step_or_time": times.tolist(),
+            "f_ratio": _median(ratio).tolist(),
+            "max_abs_cosine": _median(cos).tolist(),
         }
         if params.get("mode") == "bidir_ode":
-            ftilde = np.array([[row[3] for row in r] for r in runs])
-            curve["f_tilde"] = np.median(ftilde, axis=0).tolist()
+            curve["f_tilde"] = _median(ftilde).tolist()
         out_variants[key] = {
             "params": {k: v for k, v in params.items()},
-            "n_runs": len(runs),
+            "n_runs": len(ratio),
             "median_curve": curve,
             "final": {
-                "median_f_ratio": float(np.median(ratio[:, -1])),
-                "median_max_abs_cosine": float(np.median(cos[:, -1])),
-                "median_covariance_drift": float(np.median(drift[:, -1])),
+                "median_f_ratio": float(_median(ratio[:, -1])),
+                "median_max_abs_cosine": float(_median(cos[:, -1])),
+                "median_covariance_drift": float(_median(drift[:, -1])),
                 "per_run_f_ratio": ratio[:, -1].tolist(),
                 "per_run_max_abs_cosine": cos[:, -1].tolist(),
                 "per_run_covariance_drift": drift[:, -1].tolist(),
@@ -378,15 +366,17 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_chunk, cfg, *task) for task in tasks]
                 results = [f.result() for f in futures]
-        per_variant = {key: [run for chunk in results for run in chunk[j]]
-                       for j, key in enumerate(variants)}
+        for j, key in enumerate(variants):  # chunks concatenate along the run axis
+            times, *cols = zip(*(chunk[j] for chunk in results))
+            per_variant[key] = (times[0], *(c[0] if c[0] is None else np.concatenate(c)
+                                            for c in cols))
 
     out_root = Path(cfg.out_dir) / cfg.scenario
     out_root.mkdir(parents=True, exist_ok=True)
     csv_paths = {}
     for key in variants:
         path = out_root / f"{key}.csv"
-        _write_csv(path, per_variant[key])
+        _write_csv(path, *per_variant[key])
         csv_paths[key] = path
     summary = _summarize(cfg, variants, per_variant, extras)
     summary_path = out_root / "summary.json"

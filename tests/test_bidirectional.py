@@ -212,6 +212,15 @@ class TestDiscrete:
             finite_after_rescale += bool(slog[0] > 0 and want["covariance_drift"] <= top)
         assert finite_after_rescale > 0
 
+    def test_nearly_collinear_columns_report_a_cosine_of_at_most_one(self):
+        # Unclipped, rounding put this pair's cosine at 1.0000000000000002 in 7 records.
+        cfg = DynamicsConfig(eta=10.0, iters=600, record_every=50)
+        records, _ = run_discrete_bidir(BidirState(orthonormal_init(6, 2, 1),
+                                                   orthonormal_init(6, 2, 2)),
+                                        gen_doubly_stochastic(6, 2), uniform_distribution(6), cfg)
+        cosines = [r.bundle.max_abs_cosine for r in records]
+        assert max(cosines) == 1.0 and all(0.0 <= c <= 1.0 for c in cosines)
+
     @pytest.mark.parametrize("cfg", [
         DynamicsConfig(gradient_mode="full"),
         DynamicsConfig(predictor_mode="noisy", sigma=0.1),

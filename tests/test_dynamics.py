@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import central_fd, rel_err
 from selfpredict import dynamics
 from selfpredict import (
+    BidirState,
     DegenerateCovarianceError,
     DynamicsConfig,
     InnerSolveFailureError,
@@ -18,7 +19,10 @@ from selfpredict import (
     full_gradient_step,
     gen_doubly_stochastic,
     gen_symmetric,
+    integrate_bidir,
+    integrate_bidir_batch,
     integrate_ode,
+    integrate_ode_batch,
     n_step_matrix,
     noisy_predictor,
     ode_rhs,
@@ -367,6 +371,62 @@ class TestRunDiscrete:
         assert np.array_equal(out[0], out[1])
 
 
+class TestTrajectories:
+    """The batch functions' records behave as the list of per-run record lists."""
+
+    def flows(self, m=4, n=6, k=2):
+        tms = [gen_doubly_stochastic(n, s) for s in range(m)]
+        left = np.stack([orthonormal_init(n, k, 10 + s) for s in range(m)])
+        right = np.stack([orthonormal_init(n, k, 20 + s) for s in range(m)])
+        horizon = dict(t_end=3.0, n_records=5)
+        return [
+            (integrate_ode_batch(left, tms, **horizon)[0],
+             [integrate_ode(left[i], tms[i], **horizon)[0] for i in range(m)]),
+            (integrate_bidir_batch(BidirState(left, right), tms, **horizon)[0],
+             [integrate_bidir(BidirState(left[i], right[i]), tms[i], **horizon)[0]
+              for i in range(m)]),
+        ]
+
+    def test_sequence_operations_match_the_list_of_lists(self):
+        for view, want in self.flows():
+            assert all(type(run) is list for run in want)  # the single-run wrappers
+            assert len(view) == len(want) == 4
+            assert view == want and want == view and view == view
+            assert not view != want
+            assert view != want[:-1] and view != want[::-1] and view != tuple(want)
+            assert list(view) == want and list(reversed(view)) == want[::-1]
+            for i in range(-4, 4):
+                assert type(view[i]) is list and view[i] == want[i]
+            for s in (slice(None), slice(1, 3), slice(None, None, -1), slice(-3, None, 2),
+                      slice(7, 9)):
+                assert type(view[s]) is list and view[s] == want[s]
+            for i in (4, 5, -5):
+                with pytest.raises(IndexError):
+                    view[i]
+            with pytest.raises(TypeError):
+                view[0] = want[0]
+            assert view.index(want[2]) == 2 and view.count(want[1]) == 1 and want[3] in view
+
+    def test_records_read_the_columns(self):
+        for view, _ in self.flows():
+            for i, run in enumerate(view):
+                assert [r.step_or_time for r in run] == np.linspace(0.0, 3.0, 6).tolist()
+                for j, rec in enumerate(run):
+                    for name, col in zip(("f", "f_ratio", "f_tilde", "covariance_drift",
+                                          "max_abs_cosine", "residual"), view.columns):
+                        got = getattr(rec.bundle, name)
+                        assert (got is None) if col is None else (type(got) is float
+                                                                  and got == col[i, j])
+
+    def test_discrete_records_match_the_single_run_wrapper(self):
+        tm, phi, _, d = random_instance(3)
+        cfg = DynamicsConfig(eta=1e-2, iters=30, record_every=7)
+        view, _ = run_discrete_batch(phi[None], tm, d, cfg)
+        records, _ = run_discrete(phi, tm, d, cfg)
+        assert type(records) is list and view == [records]
+        assert [r.step_or_time for r in records] == [0.0, 7.0, 14.0, 21.0, 28.0, 30.0]
+
+
 class TestTargetNetwork:
     def manual_run(self, phi, tm, d, eta, beta, iters):
         cur = phi.copy()
@@ -487,9 +547,9 @@ class TestRecordResidual:
             np.testing.assert_allclose(got, projector_residual(phi, slog, p_stack), rtol=1e-10)
             # The same representations carried at a 2**64 smaller scale, which
             # reaches the 2**(-2 slog) term with finite values.
-            shifted = [[] for _ in range(m)]
+            shifted = []
             record_batch(shifted, 0.0, psi * 2.0 ** -64, slog + 64.0, *rest)
-            again = np.array([r[0].bundle.residual for r in shifted])
+            again = shifted[0][-1]  # the (step, *columns) record's residual column
             np.testing.assert_allclose(again, got, rtol=1e-10)
 
 

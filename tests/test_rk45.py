@@ -126,12 +126,19 @@ def test_rhs_calls_equal_nfev(monkeypatch):
     assert set(calls[:-1]) == {3}
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, selfpredict; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_import_loads_no_scipy(tmp_path):
+    # nor does a scenario run load scipy, or numpy.ma (np.median's NaN check imports it)
+    code = ("import sys, selfpredict\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from selfpredict.scenarios import ScenarioConfig, run_scenario\n"
+            f"run_scenario(ScenarioConfig('fig5_failure_mode', n_runs=3, t_end=2.0, "
+            f"n_records=4, out_dir={str(tmp_path)!r}))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.split('.')[:2] == ['numpy', 'ma']))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
+    assert (tmp_path / "fig5_failure_mode" / "summary.json").exists()
 
 
 @contextmanager
@@ -166,3 +173,28 @@ def test_underflow_names_the_run_in_its_chunk():
     with time_limit(30):
         with pytest.raises(StepSizeUnderflowError, match="run 26"):
             integrate_ode_batch(phi0, tms, t_end=10.0, run_offset=25)
+
+
+def test_repeated_grid_points_are_each_written():
+    # The grid's steps do not depend on it, so a grid with repeats writes every
+    # copy of a point as the grid of distinct points writes that point.
+    y0 = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
+    grid = np.array([0.0, 0.0, 0.0, 0.25, 0.25, 0.6, 1.0, 1.0])
+    distinct, where = np.unique(grid, return_inverse=True)
+    with time_limit(30):
+        rep, dis = (rk45.solve_ivp(lambda y: -y * (1.0 + y * y), 1.0, y0, g, 1e-9, 1e-9)
+                    for g in (grid, distinct))
+    assert rep.nfev == dis.nfev
+    assert np.array_equal(rep.y, dis.y[:, where])
+
+
+def test_tiny_horizon_records_every_grid_point():
+    # linspace puts 21 distinct points among these 101, three of them 0; the flow
+    # moves phi by far less than an ulp, so every record is the initial one.
+    t_eval = np.linspace(0.0, 1e-322, 101)
+    assert len(np.unique(t_eval)) == 21 and np.count_nonzero(t_eval == 0.0) == 3
+    with time_limit(30):
+        records, _ = integrate_ode(orthonormal_init(6, 2, 0), gen_symmetric(6, 0),
+                                   t_end=1e-322, n_records=100)
+    assert [r.step_or_time for r in records] == t_eval.tolist()
+    assert all(r.bundle == records[0].bundle for r in records)

@@ -5,11 +5,16 @@ import sys
 from collections import Counter
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selfpredict import InvalidInputError, UnknownScenarioError
+from selfpredict import (InvalidInputError, MetricBundle, TrajectoryRecord, UnknownScenarioError,
+                         fixed_example_2x2, flow_residual, orthonormal_init, stream_seed,
+                         trace_objective)
 from selfpredict import dynamics, scenarios
 from selfpredict.scenarios import SCENARIOS, ScenarioConfig, run_scenario
+from selfpredict.seeding import STREAM_INIT_LEFT
 
 CSV_HEADER = "run_id,step_or_time,f,f_ratio,f_tilde,covariance_drift,max_abs_cosine,residual"
 
@@ -89,6 +94,74 @@ class TestArtifacts:
                    record_every=20, beta=0.5)
         art = run_scenario(cfg)
         assert set(art.csv_paths) == {"beta_0.5"}
+
+
+def record_rows(per_run):
+    """CSV rows of per-run TrajectoryRecord lists, every number "%.17g"."""
+    rows = []
+    for rid, run in enumerate(per_run):
+        for r in run:
+            b = r.bundle
+            head = ["%.17g" % v for v in (r.step_or_time, b.f, b.f_ratio)]
+            tail = ["%.17g" % v for v in (b.covariance_drift, b.max_abs_cosine, b.residual)]
+            ft = "" if b.f_tilde is None else "%.17g" % b.f_tilde
+            rows.append(",".join([str(rid), *head, ft, *tail]))
+    return rows
+
+
+def critical_point_records(summary, cfg):
+    """The catalog's records from its side data, then the probes' from the public functions."""
+    tm = fixed_example_2x2()
+    vals = [(p["f"], p["residual"]) for p in summary["points"]]
+    for j in range(cfg.n_runs):
+        phi = orthonormal_init(2, 1, stream_seed(cfg.master_seed, j, STREAM_INIT_LEFT))
+        vals.append((trace_objective(phi, tm), flow_residual(phi, tm)))
+    return [[TrajectoryRecord(0.0, MetricBundle(f, f, None, 0.0, 0.0, r))] for f, r in vals]
+
+
+class TestColumnarArtifacts:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_csv_rows_format_the_public_records(self, tmp_path, monkeypatch, scenario):
+        returned = []
+        for name in ("run_discrete_batch", "integrate_ode_batch", "integrate_bidir_batch"):
+            def spy(*args, _fn=getattr(scenarios, name), **kwargs):
+                records, final = _fn(*args, **kwargs)
+                returned.append(list(records))
+                return records, final
+            monkeypatch.setattr(scenarios, name, spy)
+        # 27 runs are two chunks, so rows cross a chunk boundary
+        cfg = tiny(scenario, tmp_path, n_runs=27, iters=20, record_every=10, t_end=2.0,
+                   n_records=4)
+        art = run_scenario(cfg)
+        keys = list(art.csv_paths)
+        if scenario == "example1_critical_points":
+            summary = json.loads(art.summary_path.read_text())
+            expected = {"points": critical_point_records(summary, cfg)}
+        else:  # one batch call per chunk and variant, chunk by chunk
+            assert len(returned) == 2 * len(keys)
+            expected = {key: returned[j] + returned[len(keys) + j] for j, key in enumerate(keys)}
+        for key, path in art.csv_paths.items():
+            lines = path.read_text().splitlines()
+            assert lines[0] == CSV_HEADER
+            assert lines[1:] == record_rows(expected[key])
+
+
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 5e-324,
+                               np.inf, -np.inf, np.nan, -np.nan])
+
+
+class TestMedian:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), runs=st.integers(1, 12), steps=st.integers(1, 5))
+    def test_matches_numpy_bytewise(self, data, runs, steps):
+        values = data.draw(st.lists(st.one_of(st.floats(), EDGE_VALUES),
+                                    min_size=runs * steps, max_size=runs * steps))
+        x = np.array(values).reshape(runs, steps)
+        with np.errstate(all="ignore"):
+            for a in (x, x[:, -1], x[:, 0].copy()):
+                got, want = scenarios._median(a), np.median(a, axis=0)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, got, want)
 
 
 class TestDeterminism:
