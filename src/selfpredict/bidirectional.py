@@ -27,7 +27,8 @@ import numpy as np
 from .errors import InvalidInputError, NotDoublyStochasticError, ShapeMismatchError
 from .markov import TransitionMatrix, validate_distribution
 from .metrics import _check_rep, normalizers  # noqa: F401 (bench/tracing.py wraps it)
-from .dynamics import DynamicsConfig, _flow, _integrate, _lockstep, _partner, _rep_stack
+from . import dynamics
+from .dynamics import DynamicsConfig, _flow, _integrate, _lockstep, _rep_stack
 from .rk45 import solve_ivp
 
 ORTHONORMAL_TOL = 1e-8
@@ -107,21 +108,43 @@ def bidir_ode_rhs(state: BidirState, tm: TransitionMatrix) -> BidirState:
     _require_doubly_stochastic(tm)
     st = _check_state(state, tm.n)
     pair = np.stack([st.left, st.right])
-    return BidirState(*_flow(np.stack([tm.entries, tm.entries.T]), pair, _partner(pair, 2)))
+    return BidirState(*_flow(np.stack([tm.entries, tm.entries.T]), pair, pair[::-1]))
 
 
 def integrate_bidir_batch(state0: BidirState, tms, t_end: float = 100.0, n_records: int = 100,
                           rel_tol: float = 1e-9, abs_tol: float = 1e-9, run_offset: int = 0):
     """integrate_ode_batch for the pair: state0 and the returned final state
     hold (m, n, k) stacks, and every chain in tms must be doubly stochastic."""
+    return integrate_flows_batch([(state0, tms)], t_end, n_records, rel_tol, abs_tol,
+                                 run_offset)[0]
+
+
+def integrate_flows_batch(flows, t_end: float = 100.0, n_records: int = 100,
+                          rel_tol: float = 1e-9, abs_tol: float = 1e-9, run_offset: int = 0):
+    """integrate_ode_batch and integrate_bidir_batch of several stacks in one loop.
+
+    flows holds (state0, tms) entries: an (m, n, k) stack for the single flow, a
+    BidirState of them for the pair.  Returns each entry's (records, final state)
+    as its driver does; errors name an entry's run from run_offset and its flow.
+    Beside a pair a single run rides as a twin pair (see dynamics._integrate), so
+    its records move by integrator rounding from integrate_ode_batch's.
+    """
+    stacks = [(*_pair_stack(st, tms), 2) if isinstance(st, BidirState) else (st, tms, 1)
+              for st, tms in flows]
+    paired = any(r == 2 for *_, r in stacks)
+    results = _integrate(stacks, t_end, n_records, rel_tol, abs_tol, run_offset,
+                         solve_ivp if paired else dynamics.solve_ivp)
+    return [(rec, BidirState(final[0::2], final[1::2]) if r == 2 else final)
+            for (rec, final), (*_, r) in zip(results, stacks)]
+
+
+def _pair_stack(state0: BidirState, tms):
+    """The (2m, n, k) stack of m pairs, members adjacent, and its chains."""
     left, tms = _rep_stack(state0.left, tms)
     right, _ = _rep_stack(state0.right, tms)
     if left.shape != right.shape:
         raise ShapeMismatchError(f"left and right stacks differ: {left.shape} and {right.shape}")
-    pairs = np.stack([left, right], axis=1).reshape(-1, *left.shape[1:])
-    records, final = _integrate(pairs, _pair_chains(tms), t_end, n_records, rel_tol, abs_tol,
-                                run_offset, solve_ivp, r=2)
-    return records, BidirState(final[0::2], final[1::2])
+    return np.stack([left, right], axis=1).reshape(-1, *left.shape[1:]), _pair_chains(tms)
 
 
 def integrate_bidir(state0: BidirState, tm: TransitionMatrix, t_end: float = 100.0,

@@ -19,9 +19,11 @@ Conventions shared by every routine in this module:
 
 Runs step in stacks, in lockstep (_lockstep) or through the stacked
 Dormand-Prince 5(4) in rk45 (_integrate); a run's records do not depend on the
-runs beside it.  A run's live target is its partner (_partner): itself, or the
-other member of a bidirectional pair.  Predictors come from
-covariance_solve_batch: certified inverse, else eigh pseudoinverse.
+runs beside it, except that a single run integrated beside pairs rides as a
+twin pair, which moves its records by integrator rounding.  A run's live target
+is its partner (_partner): itself, or the other member of a bidirectional pair.
+Predictors come from covariance_solve_batch: certified inverse, else eigh
+pseudoinverse.
 
 Under uniform d, the squared loss and a closed-form predictor, run_discrete_batch
 steps psi = U^T phi against the eigenvalues of a chain P = U diag(lam) U^T equal to
@@ -391,32 +393,54 @@ def integrate_ode_batch(phi0_stack, tms, t_end: float = 100.0, n_records: int = 
     Returns the m runs' records (Trajectories) on a uniform grid of n_records + 1
     points over [0, t_end] and the (m, n, k) states at t_end; run_offset labels errors.
     """
-    return _integrate(phi0_stack, tms, t_end, n_records, rel_tol, abs_tol, run_offset, solve_ivp)
+    return _integrate([(phi0_stack, tms, 1)], t_end, n_records, rel_tol, abs_tol, run_offset,
+                      solve_ivp)[0]
 
 
-def _integrate(phi0_stack, tms, t_end, n_records, rel_tol, abs_tol, run_offset, solve, r=1):
-    """integrate_ode_batch for a stack of r-run groups (see _partner); a group is one
-    run of solve (the caller's solve_ivp), so a pair shares one step control."""
-    phi, tms = _rep_stack(phi0_stack, tms)
+def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
+    """integrate_ode_batch for flows, a list of (phi0_stack, tms, r) stacks of r-run
+    groups (see _partner), in one loop of solve (the caller's solve_ivp); returns
+    each stack's (records, final stack).
+
+    A group is one row of solve, so a pair shares one step control.  Beside pairs,
+    a single run rides as a twin pair, both members on its chain and each the
+    other's partner, so every row holds as many members.  A row's chains are a
+    per-run operand of solve, so they leave the loop with the row.
+    """
     if not (np.isfinite(t_end) and t_end > 0):
         raise InvalidInputError("t_end must be positive and finite")
     if n_records < 1:
         raise InvalidInputError("n_records must be at least 1")
-    m, n, k = phi.shape
-    p_stack = np.stack([t.entries for t in tms])
-    norms = np.array([reference_normalizer(t, k) for t in tms[::r]])
+    flows = [(*_rep_stack(phi, tms), r) for phi, tms, r in flows]
+    flows = [(phi, tms, np.stack([t.entries for t in tms]), r) for phi, tms, r in flows]
+    if len({phi.shape[1:] for phi, *_ in flows}) > 1:
+        raise ShapeMismatchError("every flow must share the representation shape")
+    w = max(r for *_, r in flows)  # members per row
+    phi, p = (np.concatenate([np.repeat(f[i], w // f[-1], axis=0) for f in flows]) for i in (0, 2))
+    rows, n, k = len(phi) // w, *phi.shape[1:]
+    starts = np.cumsum([0] + [len(f[0]) // f[-1] for f in flows])  # a stack's first row
 
-    def rhs(y):
-        v = y.reshape(m, n, k)
-        return _flow(p_stack, v, _partner(v, r)).reshape(m // r, -1)
+    def rhs(y, a):
+        v = y.reshape(len(y), w, n, k)
+        return _flow(a, v, v[:, ::-1]).reshape(len(y), -1)
+
+    def name(i):
+        j = int(np.searchsorted(starts, i, side="right")) - 1
+        return f"run {run_offset + i - starts[j]} of the {('single', 'pair')[flows[j][-1] - 1]} flow"
 
     t_eval = np.linspace(0.0, t_end, n_records + 1)
-    sol = solve(rhs, t_end, phi.reshape(m // r, -1), t_eval, rel_tol, abs_tol, run_offset)
-    v = sol.y.reshape(m // r, -1, r, n, k).swapaxes(1, 2).reshape(m, -1, n, k)
-    c0 = phi.swapaxes(-1, -2) @ phi
-    cols = _columns(v, np.zeros(v.shape[:2]), c0[:, None], p_stack[:, None], norms[:, None],
-                    np.matmul, r)
-    return Trajectories(t_eval, cols), v[:, -1]
+    sol = solve(rhs, t_end, phi.reshape(rows, -1), t_eval, rel_tol, abs_tol,
+                (p.reshape(rows, w, n, n),), name)
+    y = sol.y.reshape(rows, len(t_eval), w, n, k)
+    out = []
+    for (phi0, tms, a, r), lo, hi in zip(flows, starts, starts[1:]):
+        v = y[lo:hi, :, :r].swapaxes(1, 2).reshape(-1, len(t_eval), n, k)  # a twin's first member
+        norms = np.array([reference_normalizer(t, k) for t in tms[::r]])
+        c0 = phi0.swapaxes(-1, -2) @ phi0
+        cols = _columns(v, np.zeros(v.shape[:2]), c0[:, None], a[:, None], norms[:, None],
+                        np.matmul, r)
+        out.append((Trajectories(t_eval, cols), v[:, -1]))
+    return out
 
 
 def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = 100.0, n_records: int = 100,
@@ -436,9 +460,9 @@ def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
 
 
 def _partner(x, r):
-    """Each run's live target in a stack of r-run groups: the run itself for r = 1,
-    the other member of its pair for r = 2 (a copy, so x may change after)."""
-    return x if r == 1 else x.reshape(-1, 2, *x.shape[1:])[:, ::-1].reshape(x.shape)
+    """Each run's live target in a stack of r-run groups: x itself for r = 1; for
+    r = 2, a view in the (m / 2, 2, ...) layout of the other member of each pair."""
+    return x if r == 1 else x.reshape(-1, 2, *x.shape[1:])[:, ::-1]
 
 
 def _metrics(phi, target, slog, c0, op, apply=np.matmul):
@@ -469,13 +493,12 @@ def _columns(phi, slog, c0, op, norms, apply, r=1):
     member, f_tilde = ||L^T P R||^2 over the singular value ceiling, the worse
     drift and cosine of its members and the hypot of their flow residuals.
     """
-    f, drift, cos, resid = _metrics(phi, _partner(phi, r), slog, c0, op, apply)
+    phi, slog, c0, op = (x.reshape(-1, r, *x.shape[1:]) for x in (phi, slog, c0, op))
+    f, drift, cos, resid = _metrics(phi, phi[:, ::-1], slog, c0, op, apply)
     if r == 1:
-        return f, f / norms, None, drift, cos, resid
-    left = slice(None, None, 2)
-    own = _metrics(phi[left], phi[left], slog[left], c0[left], op[left], apply)[0]
-    drift, cos, resid = (x.reshape(-1, 2, *x.shape[1:]) for x in (drift, cos, resid))
-    return (own, f[left] / norms, f[left], drift.max(axis=1), cos.max(axis=1),
+        return f[:, 0], f[:, 0] / norms, None, drift[:, 0], cos[:, 0], resid[:, 0]
+    own = _metrics(phi[:, 0], phi[:, 0], slog[:, 0], c0[:, 0], op[:, 0], apply)[0]
+    return (own, f[:, 0] / norms, f[:, 0], drift.max(axis=1), cos.max(axis=1),
             np.hypot(resid[:, 0], resid[:, 1]))
 
 
@@ -569,6 +592,11 @@ def _lockstep(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
     beta = config.target_beta
     tgt = phi.copy() if beta is not None else None
     guarded = (phi,) if tgt is None else (phi, tgt)
+    t_mat = phi if tgt is None else tgt  # a single run's target
+    # Each run's target for the chain product, with wop and dpt in its layout: views
+    # that stay current, as phi and tgt are updated in place.
+    target = _partner(t_mat, r)
+    wop_g, dpt_g = (x.reshape(*target.shape[:-2], n, -1) for x in (wop, dpt))
     slog = np.zeros(m)
     phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
     c0 = phi_t @ phi
@@ -578,8 +606,7 @@ def _lockstep(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
     # A noisy run has no guard; its overflow reaches the solve, which raises.
     with np.errstate(**(dict(over="ignore", invalid="ignore") if noisy else {})):
         for step in range(1, config.iters + 1):
-            t_mat = tgt if beta is not None else _partner(phi, r)
-            apply(wop, t_mat, out=dpt)
+            apply(wop_g, target, out=dpt_g)
             np.multiply(phi, w, out=dphi)  # a second buffer keeps the Gram off the syrk path
             if inner:
                 pred = np.stack([

@@ -8,6 +8,8 @@ on the runs beside it.  A non-finite error norm rejects at factor 0.2, so an
 overflowing run ends in StepSizeUnderflowError below 10 ulp of t.  Dense output
 keeps a (runs, grid) mask of the grid points written so far; a step writes a
 run's unwritten points at or below its new time, every copy of a repeated one.
+A run whose grid is written leaves the stack, with its rows of the per-run
+operands the right-hand side takes, so later steps carry only the live runs.
 """
 
 from __future__ import annotations
@@ -39,13 +41,15 @@ def _rms(x):
     return np.sqrt((x * x).sum(axis=1, keepdims=True)) / x.shape[1] ** 0.5
 
 
-def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, run_offset=0):
-    """Integrate y' = fun(y) from 0 to t_end for every row of y0.
+def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format):
+    """Integrate y' = fun(y, *args) from 0 to t_end for every row of y0.
 
-    fun maps an (m, N) stack of states to their derivatives, row by row;
-    t_eval is an increasing grid from 0 to t_end.  Returns y, the (m,
-    len(t_eval), N) states on the grid, and nfev, the number of fun calls.
-    run_offset only labels error messages.
+    fun maps a stack of states to their derivatives, row by row; args are
+    per-run operands, each with one leading row per run.  fun gets the rows of
+    the runs whose grid is not yet written, and their rows of args.  t_eval is
+    an increasing grid from 0 to t_end.  Returns y, the (m, len(t_eval), N)
+    states on the grid, and nfev, the number of fun calls.  name(i) labels row
+    i of y0 in error messages.
     """
     y = np.array(y0, dtype=float)
     m, size = y.shape
@@ -53,57 +57,59 @@ def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, run_offset=0):
     out[:, 0] = y
     written = np.zeros((m, len(t_eval)), dtype=bool)
     written[:, 0] = True
-    K = np.empty((m, 7, size))
     with np.errstate(all="ignore"):
-        f = fun(y)
+        f = fun(y, *args)
         scale = atol + np.abs(y) * rtol
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = np.fmin(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_end)
-        d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
+        d2 = _rms((fun(y + h0 * f, *args) - f) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.fmax(d1, d2)) ** (1 / 5))
-    nfev = 2
-    # Per-run scalars are (m, 1) columns; a finished run takes steps of length
-    # 0.  rejected is None while no run is retrying a rejected step.
-    h_abs = np.fmin(np.fmin(100 * h0, h1), t_end)
-    t = np.zeros((m, 1))
-    rejected = None
-    earlier = [(A[s, :s], K[:, :s]) for s in range(1, 6)]
-    done = len(t_eval) == 1
-    while not done:
-        min_step = 10 * np.spacing(t)
-        if rejected is not None and np.any(rejected & (h_abs < min_step)):
-            i = int(np.argmax(rejected & (h_abs < min_step)))
-            raise StepSizeUnderflowError(f"integration failed in run {run_offset + i}: "
-                                         f"step fell below 10 ulp of t={t[i, 0]:.6g}")
-        t_new = np.minimum(t + np.maximum(h_abs, min_step), t_end)
-        h = t_new - t
-        with np.errstate(all="ignore"):
+        nfev = 2
+        # Per-run scalars are (live, 1) columns; live holds the rows of y0 still
+        # in the stack.  rejected is None while no run is retrying a rejected step.
+        h_abs = np.fmin(np.fmin(100 * h0, h1), t_end)
+        t = np.zeros((m, 1))
+        live, K, rejected = np.arange(m), np.empty((m, 7, size)), None
+        while True:
+            keep = ~written[:, -1]
+            if not keep.all():  # finished runs leave the stack; K's rows are scratch
+                live, written, t, y, f, h_abs = (x[keep] for x in (live, written, t, y, f, h_abs))
+                rejected = None if rejected is None else rejected[keep]
+                args = tuple(a[keep] for a in args)
+                K = K[:len(live)]
+            if not len(live):
+                break
+            min_step = 10 * np.spacing(t)
+            if rejected is not None and np.any(rejected & (h_abs < min_step)):
+                i = int(np.argmax(rejected & (h_abs < min_step)))
+                raise StepSizeUnderflowError(f"integration failed in {name(int(live[i]))}: "
+                                             f"step fell below 10 ulp of t={t[i, 0]:.6g}")
+            t_new = np.minimum(t + np.maximum(h_abs, min_step), t_end)
+            h = t_new - t
             K[:, 0] = f
-            for s, (a, k_prev) in enumerate(earlier, start=1):
-                K[:, s] = fun(y + (a @ k_prev) * h)
+            for s in range(1, 6):
+                K[:, s] = fun(y + (A[s, :s] @ K[:, :s]) * h, *args)
             y_new = y + h * (B @ K[:, :6])
-            K[:, 6] = f_new = fun(y_new)
+            K[:, 6] = f_new = fun(y_new, *args)
             err = _rms((E @ K) * h / (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol))
+            nfev += 6
+            # A zero error norm gives an infinite factor, capped by minimum; a NaN
+            # one (non-finite error norm) falls to MIN_FACTOR in fmax.
             factor = SAFETY * err ** ERROR_EXPONENT
-        nfev += 6
-        # A zero error norm gives an infinite factor, capped by minimum; a NaN
-        # one (non-finite error norm) falls to MIN_FACTOR in fmax.
-        cap = MAX_FACTOR if rejected is None else np.where(rejected, 1.0, MAX_FACTOR)
-        h_abs = h * np.fmax(MIN_FACTOR, np.minimum(factor, cap))
-        if err.max() < 1:
-            rejected = None
-        else:
-            rejected = ~(err < 1)
-            t_new, y_new, f_new = (np.where(rejected, old, new)
-                                   for new, old in ((t_new, t), (y_new, y), (f_new, f)))
-        rows, cols = np.nonzero((t_eval <= t_new) & ~written)
-        if len(rows):
-            x = (t_eval[cols] - t[rows, 0]) / h[rows, 0]
-            powers = np.cumprod(np.repeat(x[:, None, None], 4, axis=2), axis=2)
-            with np.errstate(all="ignore"):
-                out[rows, cols] = y[rows] + h[rows] * (powers @ (P.T @ K[rows]))[:, 0]
-            written[rows, cols] = True
-            done = written.all()
-        t, y, f = t_new, y_new, f_new
+            cap = MAX_FACTOR if rejected is None else np.where(rejected, 1.0, MAX_FACTOR)
+            h_abs = h * np.fmax(MIN_FACTOR, np.minimum(factor, cap))
+            if err.max() < 1:
+                rejected = None
+            else:
+                rejected = ~(err < 1)
+                t_new, y_new, f_new = (np.where(rejected, old, new)
+                                       for new, old in ((t_new, t), (y_new, y), (f_new, f)))
+            rows, cols = np.nonzero((t_eval <= t_new) & ~written)
+            if len(rows):
+                x = (t_eval[cols] - t[rows, 0]) / h[rows, 0]
+                powers = np.cumprod(np.repeat(x[:, None, None], 4, axis=2), axis=2)
+                out[live[rows], cols] = y[rows] + h[rows] * (powers @ (P.T @ K[rows]))[:, 0]
+                written[rows, cols] = True
+            t, y, f = t_new, y_new, f_new
     return SimpleNamespace(y=out, nfev=nfev)

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import __version__
 # Unused integrate_ode/integrate_bidir stay importable for bench/tracing.py.
-from .bidirectional import BidirState, integrate_bidir, integrate_bidir_batch  # noqa: F401
+from .bidirectional import BidirState, integrate_bidir, integrate_flows_batch  # noqa: F401
 from .dynamics import (DynamicsConfig, flow_residual, integrate_ode,  # noqa: F401
-                       integrate_ode_batch, orthonormal_init, run_discrete_batch)
+                       orthonormal_init, run_discrete_batch)
 from .errors import InvalidInputError, UnknownScenarioError
 from .markov import (
     fixed_example_2x2,
@@ -215,6 +215,8 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
     f_tilde, covariance_drift, max_abs_cosine, residual): the shared (T,) times
     and (runs, T) arrays, f_tilde None for single runs.  Every variant shares the
     chunk's chains and initial states; noise generators are fresh per variant.
+    The flow variants, which share a horizon, integrate in one integrate_flows_batch
+    loop.
     """
     ms, k, idxs = cfg.master_seed, cfg.k, range(lo, hi)
     variants = list(_resolve(cfg).values())
@@ -228,25 +230,24 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
     def init(stream):
         return np.stack([orthonormal_init(n, k, stream_seed(ms, i, stream)) for i in idxs])
 
-    left, out = init(STREAM_INIT_LEFT), []
-    for params in variants:
+    left, out, flows = init(STREAM_INIT_LEFT), {}, {}
+    for key, params in enumerate(variants):
         mode, tms = params["mode"], chains[params["chain"]]
-        horizon = dict(t_end=params.get("t_end"), n_records=params.get("n_records"), run_offset=lo)
         if mode == "discrete":
             dcfg = DynamicsConfig(**{f: v for f, v in params.items() if f not in ("mode", "chain")})
             noisy = dcfg.predictor_mode == "noisy"
             rngs = [stream_rng(ms, i, STREAM_NOISE) for i in idxs] if noisy else None
-            records, _ = run_discrete_batch(left, tms, uniform_distribution(n), dcfg, rngs,
-                                            run_offset=lo)
-        elif mode == "ode":
-            records, _ = integrate_ode_batch(left, tms, **horizon)
-        elif mode == "bidir_ode":
-            state0 = BidirState(left, init(STREAM_INIT_RIGHT))
-            records, _ = integrate_bidir_batch(state0, tms, **horizon)
+            out[key], _ = run_discrete_batch(left, tms, uniform_distribution(n), dcfg, rngs,
+                                             run_offset=lo)
+        elif mode in ("ode", "bidir_ode"):
+            flows[key] = (left if mode == "ode" else BidirState(left, init(STREAM_INIT_RIGHT)), tms)
+            horizon = dict(t_end=params["t_end"], n_records=params["n_records"], run_offset=lo)
         else:
             raise InvalidInputError(f"unknown variant mode {mode!r}")
-        out.append((records.times, *records.columns))
-    return out
+    if flows:
+        results = integrate_flows_batch(list(flows.values()), **horizon)
+        out.update((key, records) for key, (records, _) in zip(flows, results))
+    return [(out[key].times, *out[key].columns) for key in range(len(variants))]
 
 
 def _critical_points(cfg: ScenarioConfig):

@@ -26,8 +26,10 @@ from selfpredict import (
     integrate_ode_batch,
     orthonormal_init,
 )
-from selfpredict import dynamics, rk45
+from selfpredict import bidirectional, dynamics, rk45, scenarios
 from selfpredict.dynamics import _flow
+from selfpredict.scenarios import ScenarioConfig, run_scenario
+from selfpredict.seeding import STREAM_INIT_LEFT, STREAM_INIT_RIGHT, stream_seed
 
 GENERATORS = {"symmetric": gen_symmetric, "doubly_stochastic": gen_doubly_stochastic}
 
@@ -88,22 +90,46 @@ def test_paired_flow_matches_scipy_rk45(n, tol):
     assert np.abs(got - ref.y[:, -1]).max() <= 100 * tol
 
 
-def test_single_run_is_bitwise_the_same_alone_and_in_a_stack():
-    n, k = 8, 2
-    tms = [gen_doubly_stochastic(n, s) for s in range(5)]
-    left = np.stack([orthonormal_init(n, k, 10 + s) for s in range(5)])
-    right = np.stack([orthonormal_init(n, k, 20 + s) for s in range(5)])
-    stacked, final = integrate_ode_batch(left, tms, t_end=30.0, n_records=15)
-    alone, final_alone = integrate_ode(left[2], tms[2], t_end=30.0, n_records=15)
-    assert stacked[2] == alone
-    assert np.array_equal(final[2], final_alone)
-    stacked, final = integrate_bidir_batch(BidirState(left, right), tms, t_end=30.0,
-                                           n_records=15)
-    alone, final_alone = integrate_bidir(BidirState(left[2], right[2]), tms[2],
-                                         t_end=30.0, n_records=15)
-    assert stacked[2] == alone
-    assert np.array_equal(final.left[2], final_alone.left)
-    assert np.array_equal(final.right[2], final_alone.right)
+def counted_steps(monkeypatch, module):
+    """nfev of every solve_ivp call made through module, in call order."""
+    nfevs, solver = [], module.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solver(*args, **kwargs)
+        nfevs.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(module, "solve_ivp", counted)
+    return nfevs
+
+
+def test_single_run_is_bitwise_the_same_alone_and_in_a_stack(monkeypatch):
+    # Scaled states move at a different speed and take a different number of
+    # steps, so each run shares the stack with runs that leave it before and after.
+    n, k, m = 8, 2, 5
+    tms = [gen_doubly_stochastic(n, s) for s in range(m)]
+    scale = np.array([1.0, 1.6, 0.7, 1.3, 0.9])[:, None, None]
+    left = scale * np.stack([orthonormal_init(n, k, 10 + s) for s in range(m)])
+    right = scale * np.stack([orthonormal_init(n, k, 20 + s) for s in range(m)])
+    for t_end in (4.0, 30.0):
+        single, pair = (counted_steps(monkeypatch, mod) for mod in (dynamics, bidirectional))
+        stacked, final = integrate_ode_batch(left, tms, t_end=t_end, n_records=15)
+        paired, final_pairs = integrate_bidir_batch(BidirState(left, right), tms, t_end=t_end,
+                                                    n_records=15)
+        for i in range(m):
+            alone, final_alone = integrate_ode(left[i], tms[i], t_end=t_end, n_records=15)
+            assert stacked[i] == alone
+            assert np.array_equal(final[i], final_alone)
+            alone, final_alone = integrate_bidir(BidirState(left[i], right[i]), tms[i],
+                                                 t_end=t_end, n_records=15)
+            assert paired[i] == alone
+            assert np.array_equal(final_pairs.left[i], final_alone.left)
+            assert np.array_equal(final_pairs.right[i], final_alone.right)
+        for nfevs in (single, pair):  # the stack's call, then one call per run alone
+            alone = nfevs[1:]
+            assert len(alone) == m and len(set(alone)) >= 3  # runs finish before and after others
+            assert nfevs[0] == max(alone)  # the stack steps until its slowest run finishes
+        monkeypatch.undo()
 
 
 def test_rhs_calls_equal_nfev(monkeypatch):
@@ -111,9 +137,10 @@ def test_rhs_calls_equal_nfev(monkeypatch):
     solver = dynamics.solve_ivp
 
     def counted(fun, *args, **kwargs):
-        def fun_counted(y):
+        def fun_counted(y, *operands):
             calls.append(len(y))
-            return fun(y)
+            assert all(len(a) == len(y) for a in operands)  # per-run operands move with rows
+            return fun(y, *operands)
         sol = solver(fun_counted, *args, **kwargs)
         calls.append(("nfev", sol.nfev))
         return sol
@@ -123,7 +150,12 @@ def test_rhs_calls_equal_nfev(monkeypatch):
     phi0 = np.stack([orthonormal_init(6, 2, s) for s in range(3)])
     integrate_ode_batch(phi0, tms, t_end=10.0, n_records=5)
     assert calls[-1] == ("nfev", len(calls) - 1)
-    assert set(calls[:-1]) == {3}
+    # The first call sees every run; finished runs leave, so calls never grow,
+    # and these runs take different numbers of steps, so the last call is smaller.
+    sizes = calls[:-1]
+    assert sizes[0] == 3
+    assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] < 3
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -173,6 +205,24 @@ def test_underflow_names_the_run_in_its_chunk():
     with time_limit(30):
         with pytest.raises(StepSizeUnderflowError, match="run 26"):
             integrate_ode_batch(phi0, tms, t_end=10.0, run_offset=25)
+
+
+@pytest.mark.parametrize("stream, flow", [(STREAM_INIT_LEFT, "single"),
+                                          (STREAM_INIT_RIGHT, "pair")])
+def test_underflow_names_the_run_and_flow_in_a_mixed_chunk(tmp_path, monkeypatch, stream, flow):
+    # fig5 integrates its single runs (as twins) and its pairs in one stack per
+    # chunk.  27 runs make two chunks; run 26 is row 1 of the second chunk's
+    # singles and row 3 of its stack.  Its left init reaches both flows, whose
+    # singles come first; its right init reaches the pair alone.
+    big = stream_seed(0, 26, stream)
+    init = scenarios.orthonormal_init
+    monkeypatch.setattr(scenarios, "orthonormal_init",
+                        lambda n, k, seed: init(n, k, seed) * (1e200 if seed == big else 1.0))
+    cfg = ScenarioConfig("fig5_failure_mode", n_runs=27, t_end=10.0, n_records=5,
+                         out_dir=str(tmp_path))
+    with time_limit(30):
+        with pytest.raises(StepSizeUnderflowError, match=f"in run 26 of the {flow} flow:"):
+            run_scenario(cfg)
 
 
 def test_repeated_grid_points_are_each_written():

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfpredict import (InvalidInputError, MetricBundle, TrajectoryRecord, UnknownScenarioError,
-                         fixed_example_2x2, flow_residual, orthonormal_init, stream_seed,
-                         trace_objective)
+from selfpredict import (BidirState, InvalidInputError, MetricBundle, TrajectoryRecord,
+                         UnknownScenarioError, fixed_example_2x2, flow_residual,
+                         integrate_bidir_batch, integrate_ode_batch, orthonormal_init,
+                         stream_seed, trace_objective)
 from selfpredict import dynamics, scenarios
 from selfpredict.scenarios import SCENARIOS, ScenarioConfig, run_scenario
-from selfpredict.seeding import STREAM_INIT_LEFT
+from selfpredict.seeding import STREAM_INIT_LEFT, STREAM_INIT_RIGHT
 
 CSV_HEADER = "run_id,step_or_time,f,f_ratio,f_tilde,covariance_drift,max_abs_cosine,residual"
 
@@ -123,11 +124,14 @@ class TestColumnarArtifacts:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_csv_rows_format_the_public_records(self, tmp_path, monkeypatch, scenario):
         returned = []
-        for name in ("run_discrete_batch", "integrate_ode_batch", "integrate_bidir_batch"):
-            def spy(*args, _fn=getattr(scenarios, name), **kwargs):
-                records, final = _fn(*args, **kwargs)
-                returned.append(list(records))
-                return records, final
+        # run_discrete_batch returns one variant's (records, final), the flow
+        # driver a list of them, one per flow variant
+        for name, entries in (("run_discrete_batch", lambda out: [out]),
+                              ("integrate_flows_batch", lambda out: out)):
+            def spy(*args, _fn=getattr(scenarios, name), _entries=entries, **kwargs):
+                out = _fn(*args, **kwargs)
+                returned.extend(list(records) for records, _ in _entries(out))
+                return out
             monkeypatch.setattr(scenarios, name, spy)
         # 27 runs are two chunks, so rows cross a chunk boundary
         cfg = tiny(scenario, tmp_path, n_runs=27, iters=20, record_every=10, t_end=2.0,
@@ -137,13 +141,45 @@ class TestColumnarArtifacts:
         if scenario == "example1_critical_points":
             summary = json.loads(art.summary_path.read_text())
             expected = {"points": critical_point_records(summary, cfg)}
-        else:  # one batch call per chunk and variant, chunk by chunk
+        else:  # one record stack per chunk and variant, chunk by chunk
             assert len(returned) == 2 * len(keys)
             expected = {key: returned[j] + returned[len(keys) + j] for j, key in enumerate(keys)}
         for key, path in art.csv_paths.items():
             lines = path.read_text().splitlines()
             assert lines[0] == CSV_HEADER
             assert lines[1:] == record_rows(expected[key])
+
+
+# A single run integrated beside pairs rides as a twin pair, whose wider rows
+# round the integrator's stage sums differently; its records then move by
+# integration error.  The largest move at fig5's defaults is 3.1e-8 (in f).
+TWIN_ATOL = 1e-7
+
+
+class TestMergedFlows:
+    @pytest.mark.parametrize("scenario", ["fig4_trace_ratio", "fig5_failure_mode"])
+    def test_chunk_matches_the_drivers_run_per_variant(self, tmp_path, scenario):
+        cfg = tiny(scenario, tmp_path, n_runs=8, n_states=6, t_end=100.0, n_records=100)
+        merged = scenarios._run_chunk(cfg, 0, cfg.n_runs)
+        for (times, *cols), params in zip(merged, scenarios._resolve(cfg).values()):
+            n = 3 if params["chain"] == "fixed3" else cfg.n_states
+            tms = [scenarios._make_chain(params["chain"], n, 0, i) for i in range(cfg.n_runs)]
+            left, right = (np.stack([orthonormal_init(n, cfg.k, stream_seed(0, i, stream))
+                                     for i in range(cfg.n_runs)])
+                           for stream in (STREAM_INIT_LEFT, STREAM_INIT_RIGHT))
+            if params["mode"] == "bidir_ode":
+                want, _ = integrate_bidir_batch(BidirState(left, right), tms, 100.0, 100)
+            else:
+                want, _ = integrate_ode_batch(left, tms, 100.0, 100)
+            assert np.array_equal(times, want.times)
+            twin = params["mode"] == "ode" and scenario == "fig5_failure_mode"
+            for got, exp in zip(cols, want.columns):
+                if exp is None:
+                    assert got is None
+                elif twin:
+                    np.testing.assert_allclose(got, exp, rtol=0, atol=TWIN_ATOL)
+                else:
+                    assert np.array_equal(got, exp)
 
 
 EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 5e-324,
