@@ -28,7 +28,7 @@ from .errors import InvalidInputError, NotDoublyStochasticError, ShapeMismatchEr
 from .markov import TransitionMatrix, validate_distribution
 from .metrics import _check_rep, normalizers  # noqa: F401 (bench/tracing.py wraps it)
 from . import dynamics
-from .dynamics import DynamicsConfig, _flow, _integrate, _lockstep, _rep_stack
+from .dynamics import DynamicsConfig, _discrete, _flow, _integrate, _rep_stack
 from .rk45 import solve_ivp
 
 ORTHONORMAL_TOL = 1e-8
@@ -180,5 +180,5 @@ def run_discrete_bidir(state0: BidirState, tm: TransitionMatrix, d, config: Dyna
             or config.target_beta is not None:
         raise InvalidInputError(
             "run_discrete_bidir supports semi gradient, optimal predictor, squared loss only")
-    records, final = _lockstep(np.stack([st.left, st.right]), _pair_chains([tm]), d, config, r=2)
+    records, final = _discrete(np.stack([st.left, st.right]), _pair_chains([tm]), d, config, r=2)
     return records[0], BidirState(*final)

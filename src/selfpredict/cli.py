@@ -16,24 +16,8 @@ from pathlib import Path
 from .errors import InvalidInputError, SelfPredictError, UnknownScenarioError
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
-# flag name -> ScenarioConfig field
-FLAG_FIELDS = {
-    "scenario": "scenario",
-    "seed": "master_seed",
-    "runs": "n_runs",
-    "out": "out_dir",
-    "n_states": "n_states",
-    "k": "k",
-    "eta": "eta",
-    "iters": "iters",
-    "sigma": "sigma",
-    "beta": "beta",
-    "n_step": "n_step",
-    "t_end": "t_end",
-    "records": "n_records",
-    "record_every": "record_every",
-    "workers": "workers",
-}
+# flags whose ScenarioConfig field has another name; the rest share theirs
+FLAG_FIELDS = {"seed": "master_seed", "runs": "n_runs", "out": "out_dir", "records": "n_records"}
 
 CONFIG_FIELDS = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
 
@@ -89,18 +73,14 @@ def main(argv=None) -> int:
             if unknown:
                 raise InvalidInputError(f"unknown config fields: {', '.join(unknown)}")
             fields.update(raw)
-        for flag, field in FLAG_FIELDS.items():
-            value = getattr(args, flag)
-            if value is not None:
-                fields[field] = value
+        for flag, value in vars(args).items():
+            if flag not in ("list", "config") and value is not None:
+                fields[FLAG_FIELDS.get(flag, flag)] = value
         if "scenario" not in fields:
             raise UnknownScenarioError("no scenario given; pass --scenario or --list")
         cfg = ScenarioConfig(**fields)
         artifact = run_scenario(cfg)
-    except json.JSONDecodeError as exc:
-        _error_json(exc)
-        return 2
-    except (InvalidInputError, UnknownScenarioError, TypeError) as exc:
+    except (json.JSONDecodeError, InvalidInputError, UnknownScenarioError, TypeError) as exc:
         _error_json(exc)
         return 2
     except (SelfPredictError, OSError) as exc:

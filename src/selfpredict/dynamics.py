@@ -25,9 +25,11 @@ is its partner (_partner): itself, or the other member of a bidirectional pair.
 Predictors come from covariance_solve_batch: certified inverse, else eigh
 pseudoinverse.
 
-Under uniform d, the squared loss and a closed-form predictor, run_discrete_batch
-steps psi = U^T phi against the eigenvalues of a chain P = U diag(lam) U^T equal to
-its transpose bitwise (O(nk), not O(n^2 k)); only rounding differs from dense P.
+Under uniform d, the squared loss and a closed-form predictor (_eigenbasis),
+run_discrete_batch steps psi = U^T phi against the eigenvalues of a chain
+P = U diag(lam) U^T equal to its transpose bitwise (O(nk), not O(n^2 k)); only
+rounding differs from dense P.  eigen_stack prepares them chain by chain, so streamed
+chains cost O(n^2 + m n k), not O(m n^2), and its output steps with no basis map.
 
 Blow-up handling: with the losses here the semi-gradient update with an
 optimal predictor is degree-1 homogeneous in phi (in both members of a pair
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateCovarianceError, InnerSolveFailureError, InvalidInputError,
-                     NonFiniteStateError, ShapeMismatchError)
+                     NonFiniteStateError, NotSymmetricError, ShapeMismatchError)
 from .markov import TransitionMatrix, validate_distribution
 from .metrics import MetricBundle, _check_rep, _matrix, _max_abs_cosine, _norm, reference_normalizer
 from .rk45 import solve_ivp
@@ -59,6 +61,7 @@ COV_CUTOFF = 1e-12
 CERTIFY_MARGIN = 1e3
 RESCALE_LIMIT = 2.0 ** 256
 RESCALE_EXP = 256.0
+GUARD_SUMSQ = 2.0 ** 510  # a sum of squares up to this, rounding included, keeps |x| < 2**256
 NOISE_BLOCK = 64  # steps of predictor noise drawn per generator call
 
 GRADIENT_MODES = ("semi", "full")
@@ -148,6 +151,14 @@ class Trajectories(Sequence):
 
     def __eq__(self, other):
         return list(self) == (list(other) if isinstance(other, Trajectories) else other)
+
+
+@dataclass(frozen=True)
+class Spectra:
+    """A stack's (m, n) chain eigenvalues and (m,) reference ceilings (see eigen_stack)."""
+
+    values: np.ndarray
+    norms: np.ndarray
 
 
 def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
@@ -465,6 +476,14 @@ def _partner(x, r):
     return x if r == 1 else x.reshape(-1, 2, *x.shape[1:])[:, ::-1]
 
 
+def _objective(phi, target, slog, op, apply):
+    """(P target, pred = phi^T P target, f) of (..., n, k) stacks; see _metrics."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        pp = apply(op, target)
+        pred = phi.swapaxes(-1, -2) @ pp
+        return pp, pred, _scaled(np.sum(pred * pred, axis=(-2, -1)), 4.0 * slog)
+
+
 def _metrics(phi, target, slog, c0, op, apply=np.matmul):
     """f against the target, covariance drift, cosine and flow residual of (..., n, k) stacks.
 
@@ -473,10 +492,8 @@ def _metrics(phi, target, slog, c0, op, apply=np.matmul):
     back in; a diverged run reports inf, overflow in the intermediate products
     being the route.
     """
+    pp, pred, f = _objective(phi, target, slog, op, apply)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        pp = apply(op, target)
-        pred = phi.swapaxes(-1, -2) @ pp
-        f = _scaled(np.sum(pred * pred, axis=(-2, -1)), 4.0 * slog)
         c = phi.swapaxes(-1, -2) @ phi
         drift = np.abs(_scaled(c, 2.0 * slog[..., None, None]) - c0).max(axis=(-2, -1))
         # (2^(-2 slog) I - phi phi^T) P target pred^T without the (n, n) projector;
@@ -497,7 +514,7 @@ def _columns(phi, slog, c0, op, norms, apply, r=1):
     f, drift, cos, resid = _metrics(phi, phi[:, ::-1], slog, c0, op, apply)
     if r == 1:
         return f[:, 0], f[:, 0] / norms, None, drift[:, 0], cos[:, 0], resid[:, 0]
-    own = _metrics(phi[:, 0], phi[:, 0], slog[:, 0], c0[:, 0], op[:, 0], apply)[0]
+    own = _objective(phi[:, 0], phi[:, 0], slog[:, 0], op[:, 0], apply)[2]
     return (own, f[:, 0] / norms, f[:, 0], drift.max(axis=1), cos.max(axis=1),
             np.hypot(resid[:, 0], resid[:, 1]))
 
@@ -515,13 +532,17 @@ def _stacked(records) -> Trajectories:
 
 
 def _rep_stack(phi0_stack, tms):
-    """Checked (m, n, k) float copy of a stack and its m chains."""
+    """Checked (m, n, k) float copy of a stack and its m chains (or their Spectra)."""
     phi = np.array(phi0_stack, dtype=float)
     if phi.ndim != 3:
         raise InvalidInputError(f"phi0_stack must be (m, n, k), got shape {phi.shape}")
     m, n, k = phi.shape
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if isinstance(tms, Spectra) and (tms.values.shape, tms.norms.shape) != ((m, n), (m,)):
+        raise ShapeMismatchError(f"Spectra of shape {tms.values.shape} for {m} runs, {n} states")
+    if isinstance(tms, Spectra):
+        return phi, tms
     tms = [tms] * m if isinstance(tms, TransitionMatrix) else list(tms)
     if len(tms) != m:
         raise ShapeMismatchError(f"got {len(tms)} chains for {m} runs")
@@ -532,17 +553,27 @@ def _rep_stack(phi0_stack, tms):
     return phi, tms
 
 
-def _eigenbasis(tms, d, config: DynamicsConfig):
-    """Eigenvalues (m, n, 1) and cached eigenvectors of the chains, or None.
+def _eigenbasis(tms, d, config: DynamicsConfig) -> bool:
+    """Whether run_discrete_batch steps in the eigenbasis, not on dense P: d uniform, the
+    loss squared, the predictor closed-form and every chain in tms symmetric bitwise."""
+    return bool(config.loss_kind == "squared" and config.predictor_mode != "inner_solved"
+                and np.all(d == d[0]) and all(t.is_bitwise_symmetric for t in tms))
 
-    None, keeping the dense P products, unless d is uniform, the loss squared,
-    the predictor closed-form and every chain equal to its transpose bitwise.
-    """
-    if (config.loss_kind != "squared" or config.predictor_mode == "inner_solved"
-            or np.any(d != d[0]) or not all(t.is_bitwise_symmetric for t in tms)):
-        return None
-    lam, vecs = zip(*(t.eigh for t in tms))
-    return np.stack(lam)[:, :, None], vecs
+
+def eigen_stack(tms, phi0_stack):
+    """(Spectra, psi0 = U^T phi0) of chains P = U diag(lam) U^T (any iterable, read one
+    chain at a time) and an (m, n, k) stack.  A chain not symmetric bitwise raises
+    NotSymmetricError, as its eigh is not the basis the kernel steps in."""
+    runs = []
+    for tm, phi in zip(tms, phi0_stack):
+        if not (isinstance(tm, TransitionMatrix) and tm.is_bitwise_symmetric):
+            raise NotSymmetricError(f"run {len(runs)}: the chain is not symmetric bitwise")
+        w, u = tm.eigh
+        runs.append((w, reference_normalizer(tm, phi.shape[-1]), u.T @ phi))
+    if len(runs) != len(phi0_stack):
+        raise ShapeMismatchError(f"got {len(runs)} chains for {len(phi0_stack)} runs")
+    lam, norms, psi = zip(*runs)
+    return Spectra(np.stack(lam), np.array(norms)), np.stack(psi)
 
 
 def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
@@ -550,42 +581,63 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     """Train a stack of runs in lockstep and collect per-run records.
 
     phi0_stack is (m, n, k); tms is one TransitionMatrix shared by every
-    run or a sequence of m of them.  noise_rngs supplies one generator per
+    run, a sequence of m of them, or their Spectra, with both stacks then in
+    eigen coordinates (eigen_stack).  noise_rngs supplies one generator per
     run when predictor_mode="noisy".  run_offset only labels error
     messages.  Returns (records, phi_final) where records (Trajectories) holds
     the m runs' record lists and phi_final is the (m, n, k) stack after the last
     step, with any blow-up rescaling folded back in (divergent runs report inf).
     """
-    return _lockstep(phi0_stack, tms, d, config, noise_rngs, run_offset)
+    return _discrete(phi0_stack, tms, d, config, noise_rngs, run_offset)
 
 
-def _lockstep(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
-    """run_discrete_batch for a stack of r-run groups (see _partner): the blow-up
-    guard rescales a group as one, and records come one run per group (_columns)."""
+def _discrete(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
+    """run_discrete_batch for a stack of r-run groups (see _partner)."""
     phi, tms = _rep_stack(phi0_stack, tms)
+    d = validate_distribution(d, phi.shape[1])
+    prepared = isinstance(tms, Spectra)
+    eigen = _eigenbasis(() if prepared else tms, d, config)
+    if prepared and not eigen:
+        raise InvalidInputError("Spectra need uniform d, squared loss and closed-form predictor")
+    if eigen:
+        spectra, phi = (tms, phi) if prepared else eigen_stack(tms, phi)
+        op, norms = spectra.values, spectra.norms[::r]
+    else:
+        op = np.stack([t.entries.T for t in tms])
+        norms = np.array([reference_normalizer(t, phi.shape[2]) for t in tms[::r]])
+    records, phi, slog = _lockstep(phi, op, norms, d, config, noise_rngs, run_offset, r)
+    if eigen and not prepared:
+        phi = np.stack([t.eigh[1] @ v for t, v in zip(tms, phi)])
+    return records, _scaled(phi, slog[:, None, None])
+
+
+def _inside(x) -> bool:
+    """All |x| <= RESCALE_LIMIT: one BLAS pass, two more if the sum of squares is large."""
+    v = x.ravel()  # a view: phi and the target are contiguous
+    return bool(np.dot(v, v) <= GUARD_SUMSQ
+                or -RESCALE_LIMIT <= v.min() and v.max() <= RESCALE_LIMIT)
+
+
+def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
+    """Step phi in place on op, (m, n) eigenvalues (phi in their bases) or the P^T stack,
+    a group rescaled as one and recorded against its norms (_columns): (records, phi, slog)."""
     m, n, k = phi.shape
-    d = validate_distribution(d, n)
     noisy = config.predictor_mode == "noisy"
     if noisy and (noise_rngs is None or len(noise_rngs) != m):
         raise InvalidInputError("predictor_mode='noisy' needs one noise rng per run")
     inner = config.predictor_mode == "inner_solved"
-
-    basis = _eigenbasis(tms, d, config)
     full = config.gradient_mode == "full"
     two_eta = 2.0 * config.eta
     w = d[0] if np.all(d == d[0]) else d[:, None]  # the state weights, D = diag(d)
-    if basis is None:  # BLAS forms P @ t fastest with P a view of a C-ordered P^T stack
-        p_t = np.stack([t.entries.T for t in tms])
-        apply, op, wop = np.matmul, p_t.transpose(0, 2, 1), (p_t * d).transpose(0, 2, 1)
+    if op.ndim == 3:  # BLAS forms P @ t fastest with P a view of a C-ordered P^T stack
         if full:  # 2 eta P^T and its column weights 2 eta P^T d
-            op_t, colw = two_eta * p_t, np.repeat((two_eta * (p_t @ d))[:, :, None], k, axis=2)
+            op_t, colw = two_eta * op, np.repeat((two_eta * (op @ d))[:, :, None], k, axis=2)
+        apply, op, wop = np.matmul, op.transpose(0, 2, 1), (op * d).transpose(0, 2, 1)
     else:
-        (op, vecs), apply = basis, np.multiply
+        apply, op = np.multiply, op[:, :, None]
         wop = np.repeat(w * op, k, axis=2)  # a contiguous operand multiplies fastest
         if full:  # here P^T d is the constant d
             op_t, colw = np.repeat(two_eta * op, k, axis=2), two_eta * w
-        phi = np.stack([u.T @ v for u, v in zip(vecs, phi)])
-    norms = np.array([reference_normalizer(t, k) for t in tms[::r]])
     dphi, dpt, dpp, g = (np.empty_like(phi) for _ in range(4))
     pred_t = np.empty((m, k, k))  # 2 eta pred^T, contiguous: a strided operand slows the product
 
@@ -640,9 +692,8 @@ def _lockstep(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
                 dpt *= config.eta * beta
                 tgt += dpt
             phi += g
-            # One global min and max, with no |x| buffer; past the limit, or NaN, per run.
-            if not noisy and not all(-RESCALE_LIMIT <= x.min() and x.max() <= RESCALE_LIMIT
-                                     for x in guarded):
+            # One pass over each array (_inside); past the limit, or NaN, per run.
+            if not noisy and not all(_inside(x) for x in guarded):
                 big = np.max([np.abs(x).max(axis=(1, 2)) for x in guarded], axis=0) > RESCALE_LIMIT
                 big = np.repeat(big.reshape(-1, r).any(axis=1), r)  # a group rescales as one
                 for x in guarded:
@@ -651,10 +702,7 @@ def _lockstep(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
             if step % config.record_every == 0 or step == config.iters:
                 _record_batch(records, float(step), phi, slog, c0, op, norms, apply, r)
 
-    if basis is not None:
-        phi = np.stack([u @ v for u, v in zip(vecs, phi)])
-    phi_final = _scaled(phi, slog[:, None, None])
-    return _stacked(records), phi_final
+    return _stacked(records), phi, slog
 
 
 def run_discrete(phi0, tm: TransitionMatrix, d, config: DynamicsConfig, noise_rng=None):

@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dynamics
 # Unused integrate_ode/integrate_bidir stay importable for bench/tracing.py.
 from .bidirectional import BidirState, integrate_bidir, integrate_flows_batch  # noqa: F401
-from .dynamics import (DynamicsConfig, flow_residual, integrate_ode,  # noqa: F401
+from .dynamics import (DynamicsConfig, eigen_stack, flow_residual, integrate_ode,  # noqa: F401
                        orthonormal_init, run_discrete_batch)
 from .errors import InvalidInputError, UnknownScenarioError
 from .markov import (
@@ -215,30 +215,40 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
     f_tilde, covariance_drift, max_abs_cosine, residual): the shared (T,) times
     and (runs, T) arrays, f_tilde None for single runs.  Every variant shares the
     chunk's chains and initial states; noise generators are fresh per variant.
-    The flow variants, which share a horizon, integrate in one integrate_flows_batch
-    loop.
+    A chain kind whose every variant steps in the eigenbasis (dynamics._eigenbasis)
+    is prepared once, one chain at a time (eigen_stack, which raises
+    NotSymmetricError for a chain not symmetric bitwise), so the chunk holds its
+    eigenvalues, ceilings and psi0, O(n^2 + runs n k); the others keep their chains,
+    O(runs n^2).  The flow variants, which share a horizon, integrate in one
+    integrate_flows_batch loop.
     """
     ms, k, idxs = cfg.master_seed, cfg.k, range(lo, hi)
     variants = list(_resolve(cfg).values())
     n = 3 if variants[0]["chain"] == "fixed3" else cfg.n_states  # shared by every variant
-    chains = {kind: [_make_chain(kind, n, ms, i) for i in idxs]
-              for kind in dict.fromkeys(p["chain"] for p in variants)}
-    if cfg.n_step > 1:
-        chains = {kind: [n_step_matrix(tm, cfg.n_step) for tm in tms]
-                  for kind, tms in chains.items()}
+    d = uniform_distribution(n)
+    configs = [DynamicsConfig(**{f: v for f, v in p.items() if f not in ("mode", "chain")})
+               if p["mode"] == "discrete" else None for p in variants]
+
+    def chains(kind):  # drawn one at a time
+        return (n_step_matrix(tm, cfg.n_step) if cfg.n_step > 1 else tm
+                for tm in (_make_chain(kind, n, ms, i) for i in idxs))
 
     def init(stream):
         return np.stack([orthonormal_init(n, k, stream_seed(ms, i, stream)) for i in idxs])
 
-    left, out, flows = init(STREAM_INIT_LEFT), {}, {}
-    for key, params in enumerate(variants):
-        mode, tms = params["mode"], chains[params["chain"]]
-        if mode == "discrete":
-            dcfg = DynamicsConfig(**{f: v for f, v in params.items() if f not in ("mode", "chain")})
+    left, operands, out, flows = init(STREAM_INIT_LEFT), {}, {}, {}
+    for kind in dict.fromkeys(p["chain"] for p in variants):
+        if all(c is not None and dynamics._eigenbasis((), d, c)
+               for c, p in zip(configs, variants) if p["chain"] == kind):
+            operands[kind] = eigen_stack(chains(kind), left)
+        else:
+            operands[kind] = (list(chains(kind)), left)
+    for key, (params, dcfg) in enumerate(zip(variants, configs)):
+        mode, (tms, phi0) = params["mode"], operands[params["chain"]]
+        if dcfg is not None:
             noisy = dcfg.predictor_mode == "noisy"
             rngs = [stream_rng(ms, i, STREAM_NOISE) for i in idxs] if noisy else None
-            out[key], _ = run_discrete_batch(left, tms, uniform_distribution(n), dcfg, rngs,
-                                             run_offset=lo)
+            out[key], _ = run_discrete_batch(phi0, tms, d, dcfg, rngs, run_offset=lo)
         elif mode in ("ode", "bidir_ode"):
             flows[key] = (left if mode == "ode" else BidirState(left, init(STREAM_INIT_RIGHT)), tms)
             horizon = dict(t_end=params["t_end"], n_records=params["n_records"], run_offset=lo)
@@ -348,10 +358,7 @@ def _summarize(cfg: ScenarioConfig, variants: dict, per_variant: dict, extras=No
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
     """Execute one scenario end to end and write its artifacts."""
-    if cfg.scenario not in SCENARIOS:
-        raise UnknownScenarioError(
-            f"unknown scenario {cfg.scenario!r}; available: {', '.join(sorted(SCENARIOS))}")
-    variants = _resolve(cfg)
+    variants = _resolve(cfg)  # an unknown scenario raises here
     extras = None
     per_variant: dict = {}
     if cfg.scenario == "example1_critical_points":

@@ -12,6 +12,8 @@ from selfpredict import (
     InnerSolveFailureError,
     InvalidInputError,
     NonFiniteStateError,
+    NotSymmetricError,
+    ShapeMismatchError,
     TransitionMatrix,
     covariance_solve,
     fixed_example_2x2,
@@ -224,7 +226,7 @@ class TestKernelStepOracle:
             ([gen_symmetric(n, seed + i) for i in range(m)], uniform_distribution(n)),
         ]
         for (tms, d), eigen in zip(cases, (False, True)):
-            assert (dynamics._eigenbasis(tms, d, cfg) is not None) == eigen
+            assert dynamics._eigenbasis(tms, d, cfg) == eigen
             rngs = [np.random.default_rng(i) for i in range(m)] if mode == "noisy_sigma0" else None
             _, final = run_discrete_batch(phi0, tms, d, cfg, rngs)
             for i in range(m):
@@ -599,7 +601,7 @@ EIGEN_MODES = {
 
 def eigen_and_dense(phi0, tms, d, cfg):
     """run_discrete_batch in the chains' eigenbasis and again on the dense P products."""
-    assert dynamics._eigenbasis(tms, d, cfg) is not None
+    assert dynamics._eigenbasis(tms, d, cfg)
     out = []
     for dense in (False, True):
         rngs = ([np.random.default_rng(i) for i in range(len(phi0))]
@@ -681,8 +683,9 @@ class TestEigenbasisKernel:
         phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(2)])
         uniform = uniform_distribution(n)
         skewed = np.arange(1.0, n + 1) / np.arange(1.0, n + 1).sum()
+        # eigen_stack reads each chain's eigh once, and the map back to phi once more
         cases = [
-            (chains, uniform, dict(), 2),
+            (chains, uniform, dict(), 4),
             (chains, skewed, dict(), 0),
             ([nudged, chains[1]], uniform, dict(), 0),
             (chains, uniform, dict(loss_kind="l1"), 0),
@@ -712,9 +715,124 @@ class TestEigenbasisKernel:
         phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(m)])
         run_discrete_batch(phi0, [n_step_matrix(t, 2) for t in chains], uniform_distribution(n),
                            DynamicsConfig(eta=0.1, iters=2))
-        # each squared chain's eigh is read once by its normalizer and once by the
-        # eigenbasis step; the dense step reads it only for the normalizer
-        assert len(counted) == 2 * m and len({id(t) for t in counted}) == m
+        # each squared chain's eigh is read by its normalizer, by eigen_stack and by
+        # the map back to phi; the dense step reads it only for the normalizer
+        assert len(counted) == 3 * m and len({id(t) for t in counted}) == m
+
+
+class TestPreparedStack:
+    """run_discrete_batch on eigen_stack's Spectra and psi0 in place of the chains."""
+
+    @pytest.mark.parametrize("mode", sorted(EIGEN_MODES))
+    def test_spectra_step_as_the_chains(self, mode):
+        n, m, k = 9, 3, 3
+        tms = [gen_symmetric(n, s) for s in range(m)]
+        phi0 = np.stack([orthonormal_init(n, k, s + 5) for s in range(m)])
+        d = uniform_distribution(n)
+        cfg = DynamicsConfig(iters=60, record_every=20, **EIGEN_MODES[mode])
+        spectra, psi0 = dynamics.eigen_stack(iter(tms), phi0)
+
+        def run(phi, chains):
+            rngs = [np.random.default_rng(i) for i in range(m)] if mode == "noisy" else None
+            return run_discrete_batch(phi, chains, d, cfg, rngs)
+
+        (rec_c, fin_c), (rec_s, fin_s) = run(phi0, tms), run(psi0, spectra)
+        assert rec_s.times.tobytes() == rec_c.times.tobytes()
+        for got, want in zip(rec_s.columns, rec_c.columns):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+        # the prepared run's final state stays in the eigen coordinates
+        back = np.stack([t.eigh[1] @ v for t, v in zip(tms, fin_s)])
+        assert back.tobytes() == fin_c.tobytes()
+
+    def test_chain_not_symmetric_bitwise_raises(self):
+        n = 5
+        chains = [gen_symmetric(n, s) for s in range(2)]
+        nudged = chains[0].entries.copy()
+        nudged[0, 1] = np.nextafter(nudged[0, 1], 1.0)  # flagged symmetric, not bitwise
+        nudged = TransitionMatrix.from_entries(nudged)
+        assert nudged.is_symmetric
+        phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(2)])
+        with pytest.raises(NotSymmetricError, match="run 1"):
+            dynamics.eigen_stack(iter([chains[1], nudged]), phi0)
+        with pytest.raises(NotSymmetricError, match="run 0"):
+            dynamics.eigen_stack([gen_doubly_stochastic(n, 3), chains[1]], phi0)
+
+    def test_spectra_need_the_eigen_conditions(self):
+        n, m = 5, 2
+        tms = [gen_symmetric(n, s) for s in range(m)]
+        phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(m)])
+        spectra, psi0 = dynamics.eigen_stack(tms, phi0)
+        skewed = np.arange(1.0, n + 1) / np.arange(1.0, n + 1).sum()
+        for d, kw in ((skewed, dict()), (uniform_distribution(n), dict(loss_kind="l1")),
+                      (uniform_distribution(n), dict(predictor_mode="inner_solved"))):
+            with pytest.raises(InvalidInputError, match="Spectra"):
+                run_discrete_batch(psi0, spectra, d, DynamicsConfig(iters=1, **kw))
+        with pytest.raises(ShapeMismatchError):
+            run_discrete_batch(psi0[:1], spectra, uniform_distribution(n), DynamicsConfig(iters=1))
+        with pytest.raises(ShapeMismatchError):
+            dynamics.eigen_stack(tms[:1], phi0)
+
+
+def exact_inside(x):
+    """The blow-up guard's test before the one-pass check: two global reductions."""
+    return bool(-dynamics.RESCALE_LIMIT <= x.min() and x.max() <= dynamics.RESCALE_LIMIT)
+
+
+def guard_stack(scale, nudge=False):
+    """A (2, 4, 2) stack of orthogonal columns whose entries are all +-scale."""
+    h = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
+    x = np.stack([h, -h[::-1]]) * scale  # x[1, 2, 0] = +scale
+    if nudge:
+        x[1, 2, 0] = np.nextafter(x[1, 2, 0], np.inf)  # a positive entry, one ulp further out
+    return x
+
+
+GUARD_CASES = {
+    "below": guard_stack(2.0 ** 253),  # the sum of squares, 2^510, passes the one-pass check
+    "at_limit": guard_stack(2.0 ** 256),
+    "past_limit": guard_stack(2.0 ** 256, nudge=True),
+    "many_at_half": guard_stack(2.0 ** 255),  # the check fails, yet no entry is past the limit
+}
+
+
+class TestGuardPredicate:
+    @pytest.mark.parametrize("x", [
+        *GUARD_CASES.values(), -guard_stack(2.0 ** 256, nudge=True),
+        np.where(guard_stack(1.0) > 0, np.inf, 1.0), np.where(guard_stack(1.0) > 0, -np.inf, 1.0),
+        np.where(guard_stack(1.0) > 0, np.nan, 1.0), np.full((2, 4, 2), 2.0 ** 255),
+        np.full((1, 1, 1), 2.0 ** 256), np.full((1, 1, 1), np.nextafter(2.0 ** 256, np.inf)),
+    ])
+    def test_matches_the_exact_test(self, x):
+        assert dynamics._inside(x) == exact_inside(x)
+
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    def test_rescales_as_the_exact_test(self, monkeypatch, case):
+        # eta = 1e-300 leaves every entry as it is, so the guard sees the case at each step
+        n, m = 4, 2
+        spectra, _ = dynamics.eigen_stack([gen_symmetric(n, s) for s in range(m)],
+                                          np.zeros((m, n, 2)))
+        cfg = DynamicsConfig(eta=1e-300, iters=3, record_every=1)
+        runs = []
+        for inside in (dynamics._inside, exact_inside):
+            slogs = []
+            record_batch = dynamics._record_batch
+
+            def spy(records, step, phi, slog, *rest):
+                slogs.append(slog.copy())
+                record_batch(records, step, phi, slog, *rest)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dynamics, "_inside", inside)
+                mp.setattr(dynamics, "_record_batch", spy)
+                records, final = run_discrete_batch(GUARD_CASES[case], spectra,
+                                                    uniform_distribution(n), cfg)
+            runs.append((np.array(slogs), [c for c in records.columns if c is not None], final))
+        (slog_a, cols_a, fin_a), (slog_b, cols_b, fin_b) = runs
+        assert np.array_equal(slog_a, slog_b)
+        assert (slog_a[-1] > 0).any() == (case == "past_limit")
+        for a, b in zip(cols_a, cols_b):
+            assert a.tobytes() == b.tobytes()
+        assert fin_a.tobytes() == fin_b.tobytes()
 
 
 class TestNoiseBlocks:

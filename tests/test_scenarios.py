@@ -2,6 +2,7 @@ import filecmp
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
 
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfpredict import (BidirState, InvalidInputError, MetricBundle, TrajectoryRecord,
-                         UnknownScenarioError, fixed_example_2x2, flow_residual,
-                         integrate_bidir_batch, integrate_ode_batch, orthonormal_init,
-                         stream_seed, trace_objective)
+from selfpredict import (BidirState, DynamicsConfig, InvalidInputError, MetricBundle,
+                         TrajectoryRecord, UnknownScenarioError, fixed_example_2x2,
+                         flow_residual, integrate_bidir_batch, integrate_ode_batch,
+                         n_step_matrix, orthonormal_init, run_discrete_batch, stream_rng,
+                         stream_seed, trace_objective, uniform_distribution)
 from selfpredict import dynamics, scenarios
 from selfpredict.scenarios import SCENARIOS, ScenarioConfig, run_scenario
-from selfpredict.seeding import STREAM_INIT_LEFT, STREAM_INIT_RIGHT
+from selfpredict.seeding import STREAM_INIT_LEFT, STREAM_INIT_RIGHT, STREAM_NOISE
 
 CSV_HEADER = "run_id,step_or_time,f,f_ratio,f_tilde,covariance_drift,max_abs_cosine,residual"
 
@@ -182,6 +184,54 @@ class TestMergedFlows:
                     assert np.array_equal(got, exp)
 
 
+class TestPreparedChunks:
+    @pytest.mark.parametrize("n_step", [1, 2])
+    @pytest.mark.parametrize("scenario", ["fig2_collapse", "appendix_target_beta",
+                                          "appendix_noisy_predictor", "appendix_finite_lr"])
+    @given(seed=st.integers(0, 2**31), lo=st.integers(0, 3))
+    @settings(max_examples=4, deadline=None)
+    def test_chunk_matches_the_kernel_on_full_chains(self, scenario, n_step, seed, lo):
+        n, hi = 7, lo + 4
+        cfg = ScenarioConfig(scenario, master_seed=seed, n_runs=hi, n_states=n, k=2, iters=30,
+                             record_every=10, n_step=n_step)
+        seen = []
+
+        def spy(phi0, tms, *args, **kwargs):
+            seen.append(type(tms))
+            return run_discrete_batch(phi0, tms, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios, "run_discrete_batch", spy)
+            merged = scenarios._run_chunk(cfg, lo, hi)
+        assert seen and all(t is dynamics.Spectra for t in seen)
+        d, idxs = uniform_distribution(n), range(lo, hi)
+        tms = [scenarios._make_chain("symmetric", n, seed, i) for i in idxs]
+        tms = [n_step_matrix(t, n_step) for t in tms] if n_step > 1 else tms
+        left = np.stack([orthonormal_init(n, 2, stream_seed(seed, i, STREAM_INIT_LEFT))
+                         for i in idxs])
+        for (times, *cols), params in zip(merged, scenarios._resolve(cfg).values()):
+            dcfg = DynamicsConfig(**{f: v for f, v in params.items() if f not in ("mode", "chain")})
+            rngs = ([stream_rng(seed, i, STREAM_NOISE) for i in idxs]
+                    if dcfg.predictor_mode == "noisy" else None)
+            want, _ = run_discrete_batch(left, tms, d, dcfg, rngs, run_offset=lo)
+            assert times.tobytes() == want.times.tobytes()
+            for got, exp in zip(cols, want.columns):
+                assert (got is None and exp is None) or got.tobytes() == exp.tobytes()
+
+    def test_peak_memory_stays_below_runs_chains(self):
+        # 25 chains and their eigenvectors at n = 200 are 50 n^2 floats; the prepared
+        # chunk holds one chain and its eigenvectors beside the next chain's making
+        n, runs = 200, 25
+        cfg = ScenarioConfig("appendix_target_beta", n_runs=runs, n_states=n, k=2, iters=2)
+        tracemalloc.start()
+        try:
+            scenarios._run_chunk(cfg, 0, runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n * 8, peak / (n * n * 8)
+
+
 EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 5e-324,
                                np.inf, -np.inf, np.nan, -np.nan])
 
@@ -228,11 +278,20 @@ class TestDeterminism:
         # A block of one step is the per-step draw; 150 steps cross a block boundary.
         if dense:
             monkeypatch.setattr(dynamics, "_eigenbasis", lambda *args: None)
+        stepped = []  # the chain operand's rank: (m, n) eigenvalues or the (m, n, n) P^T stack
+        lockstep = dynamics._lockstep
+
+        def spy(phi, op, *args, **kwargs):
+            stepped.append(op.ndim)
+            return lockstep(phi, op, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_lockstep", spy)
         arts = []
         for block in (dynamics.NOISE_BLOCK, 1):
             monkeypatch.setattr(dynamics, "NOISE_BLOCK", block)
             cfg = tiny(scenario, tmp_path / str(block), eta=0.01, iters=150, record_every=50)
             arts.append(run_scenario(cfg))
+        assert stepped and set(stepped) == {3 if dense else 2}
         for pa, pb in zip(artifact_files(arts[0]), artifact_files(arts[1])):
             assert filecmp.cmp(pa, pb, shallow=False), (pa, pb)
 
