@@ -22,8 +22,10 @@ Dormand-Prince 5(4) in rk45 (_integrate); a run's records do not depend on the
 runs beside it, except that a single run integrated beside pairs rides as a
 twin pair, which moves its records by integrator rounding.  A run's live target
 is its partner (_partner): itself, or the other member of a bidirectional pair.
-Predictors come from covariance_solve_batch: certified inverse, else eigh
-pseudoinverse.
+Every driver takes runs or pairs (BidirState); _rep_stack lays m pairs out as
+2m runs, members adjacent, left on P and right on P^T, and _form splits a final
+stack back.  Predictors come from covariance_solve_batch: certified inverse,
+else eigh pseudoinverse.
 
 Under uniform d, the squared loss and a closed-form predictor (_eigenbasis),
 run_discrete_batch steps psi = U^T phi against the eigenvalues of a chain
@@ -52,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateCovarianceError, InnerSolveFailureError, InvalidInputError,
-                     NonFiniteStateError, NotSymmetricError, ShapeMismatchError)
+                     NonFiniteStateError, NotDoublyStochasticError, NotSymmetricError,
+                     ShapeMismatchError)
 from .markov import TransitionMatrix, validate_distribution
 from .metrics import MetricBundle, _check_rep, _matrix, _max_abs_cosine, _norm, reference_normalizer
 from .rk45 import solve_ivp
@@ -63,6 +66,7 @@ RESCALE_LIMIT = 2.0 ** 256
 RESCALE_EXP = 256.0
 GUARD_SUMSQ = 2.0 ** 510  # a sum of squares up to this, rounding included, keeps |x| < 2**256
 NOISE_BLOCK = 64  # steps of predictor noise drawn per generator call
+UNIFORM_TOL = 1e-12  # a pair's d may differ from uniform by this much
 
 GRADIENT_MODES = ("semi", "full")
 PREDICTOR_MODES = ("optimal", "noisy", "inner_solved")
@@ -159,6 +163,18 @@ class Spectra:
 
     values: np.ndarray
     norms: np.ndarray
+
+
+@dataclass(frozen=True)
+class BidirState:
+    """The two representations of a pair: left predicts forward, right predicts backward."""
+
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.left.shape[1]
 
 
 def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
@@ -399,22 +415,22 @@ def flow_residual(phi, p) -> float:
 
 def integrate_ode_batch(phi0_stack, tms, t_end: float = 100.0, n_records: int = 100,
                         rel_tol: float = 1e-9, abs_tol: float = 1e-9, run_offset: int = 0):
-    """Integrate the flow for a stack of runs (phi0_stack, tms as in run_discrete_batch).
+    """Integrate the flow for a stack of runs or pairs (phi0_stack, tms as in run_discrete_batch).
 
-    Returns the m runs' records (Trajectories) on a uniform grid of n_records + 1
-    points over [0, t_end] and the (m, n, k) states at t_end; run_offset labels errors.
+    Returns the m records (Trajectories) on a uniform grid of n_records + 1 points
+    over [0, t_end] and the final state in phi0_stack's form; run_offset labels errors.
+    A pair's f_ratio, f_tilde over the singular value ceiling, goes to one on this flow.
     """
-    return _integrate([(phi0_stack, tms, 1)], t_end, n_records, rel_tol, abs_tol, run_offset,
+    return _integrate([(phi0_stack, tms)], t_end, n_records, rel_tol, abs_tol, run_offset,
                       solve_ivp)[0]
 
 
 def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
-    """integrate_ode_batch for flows, a list of (phi0_stack, tms, r) stacks of r-run
-    groups (see _partner), in one loop of solve (the caller's solve_ivp); returns
-    each stack's (records, final stack).
+    """integrate_ode_batch for flows, a list of (state0, tms) entries, in one loop of
+    solve (the caller's solve_ivp); returns each entry's (records, final state).
 
-    A group is one row of solve, so a pair shares one step control.  Beside pairs,
-    a single run rides as a twin pair, both members on its chain and each the
+    A run or a pair is one row of solve, so a pair shares one step control.  Beside
+    pairs, a single run rides as a twin pair, both members on its chain and each the
     other's partner, so every row holds as many members.  A row's chains are a
     per-run operand of solve, so they leave the loop with the row.
     """
@@ -422,7 +438,9 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
         raise InvalidInputError("t_end must be positive and finite")
     if n_records < 1:
         raise InvalidInputError("n_records must be at least 1")
-    flows = [(*_rep_stack(phi, tms), r) for phi, tms, r in flows]
+    if any(isinstance(tms, Spectra) for _, tms in flows):
+        raise InvalidInputError("flows step on their chains, not on their Spectra")
+    flows = [_rep_stack(*flow) for flow in flows]
     flows = [(phi, tms, np.stack([t.entries for t in tms]), r) for phi, tms, r in flows]
     if len({phi.shape[1:] for phi, *_ in flows}) > 1:
         raise ShapeMismatchError("every flow must share the representation shape")
@@ -450,18 +468,17 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
         c0 = phi0.swapaxes(-1, -2) @ phi0
         cols = _columns(v, np.zeros(v.shape[:2]), c0[:, None], a[:, None], norms[:, None],
                         np.matmul, r)
-        out.append((Trajectories(t_eval, cols), v[:, -1]))
+        out.append((Trajectories(t_eval, cols), _form(v[:, -1], r)))
     return out
 
 
 def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = 100.0, n_records: int = 100,
                   rel_tol: float = 1e-9, abs_tol: float = 1e-9):
-    """Single-run wrapper around integrate_ode_batch; returns (records, phi_final)."""
-    if not isinstance(tm, TransitionMatrix):
-        raise InvalidInputError("integrate_ode needs a TransitionMatrix")
-    records, final = integrate_ode_batch(_check_rep(phi0, tm.n)[None], tm, t_end, n_records,
+    """Single-run wrapper around integrate_ode_batch for one (n, k) run or one pair
+    (a BidirState); returns (records, final state in phi0's form)."""
+    records, final = integrate_ode_batch(_one(phi0, tm, "integrate_ode"), tm, t_end, n_records,
                                          rel_tol, abs_tol)
-    return records[0], final[0]
+    return records[0], _each(final, lambda v: v[0])
 
 
 def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
@@ -531,9 +548,19 @@ def _stacked(records) -> Trajectories:
                                                for c in cols))
 
 
-def _rep_stack(phi0_stack, tms):
-    """Checked (m, n, k) float copy of a stack and its m chains (or their Spectra)."""
-    phi = np.array(phi0_stack, dtype=float)
+def _rep_stack(state0, tms):
+    """Checked (m r, n, k) float copy of state0, its m r chains (or, for runs, their Spectra)
+    and r: 1 for an (m, n, k) stack, 2 for a BidirState of two, whose m pairs are laid out
+    as 2m runs, members adjacent, on P and P^T (_pair_chains)."""
+    if isinstance(state0, BidirState):
+        if isinstance(tms, Spectra):
+            raise InvalidInputError("pairs step on their chains, not on their Spectra")
+        left, tms, _ = _rep_stack(state0.left, tms)
+        right, *_ = _rep_stack(state0.right, tms)
+        if left.shape != right.shape:
+            raise ShapeMismatchError(f"left {left.shape} and right {right.shape} stacks differ")
+        return np.stack([left, right], axis=1).reshape(-1, *left.shape[1:]), _pair_chains(tms), 2
+    phi = np.array(state0, dtype=float)
     if phi.ndim != 3:
         raise InvalidInputError(f"phi0_stack must be (m, n, k), got shape {phi.shape}")
     m, n, k = phi.shape
@@ -542,7 +569,7 @@ def _rep_stack(phi0_stack, tms):
     if isinstance(tms, Spectra) and (tms.values.shape, tms.norms.shape) != ((m, n), (m,)):
         raise ShapeMismatchError(f"Spectra of shape {tms.values.shape} for {m} runs, {n} states")
     if isinstance(tms, Spectra):
-        return phi, tms
+        return phi, tms, 1
     tms = [tms] * m if isinstance(tms, TransitionMatrix) else list(tms)
     if len(tms) != m:
         raise ShapeMismatchError(f"got {len(tms)} chains for {m} runs")
@@ -550,7 +577,55 @@ def _rep_stack(phi0_stack, tms):
         raise InvalidInputError("tms must contain TransitionMatrix instances")
     if any(t.n != n for t in tms):
         raise ShapeMismatchError("every chain must match the representation row count")
-    return phi, tms
+    return phi, tms, 1
+
+
+def _form(final, r):
+    """A driver's final stack of r-run groups in its input's form: the stack, or a BidirState."""
+    return BidirState(final[0::2], final[1::2]) if r == 2 else final
+
+
+def _each(x, fn):
+    """fn of a run's (or stack's) state x, or the BidirState of fn of each member."""
+    return BidirState(fn(x.left), fn(x.right)) if isinstance(x, BidirState) else fn(x)
+
+
+def _one(state0, tm, name):
+    """One run, or one pair, checked against the chain tm, as a stack of one."""
+    if not isinstance(tm, TransitionMatrix):
+        raise InvalidInputError(f"{name} needs a TransitionMatrix")
+    st = _check_state(state0, tm.n) if isinstance(state0, BidirState) else _check_rep(state0, tm.n)
+    return _each(st, lambda v: v[None])
+
+
+def _check_state(state: BidirState, n: int) -> BidirState:
+    if np.shape(state.left) != np.shape(state.right):
+        raise ShapeMismatchError(
+            f"left and right must share a shape, got {np.shape(state.left)} and {np.shape(state.right)}")
+    return BidirState(_check_rep(state.left, n, "left"), _check_rep(state.right, n, "right"))
+
+
+def _pair_chains(tms) -> list:
+    """P and P^T for each doubly stochastic chain: a stacked pair's left and right chains."""
+    for t in tms:
+        _require_doubly_stochastic(t)
+    return [c for t in tms for c in
+            (t, t if t.is_bitwise_symmetric else TransitionMatrix.from_entries(t.entries.T))]
+
+
+def _require_doubly_stochastic(tm: TransitionMatrix) -> None:
+    if not isinstance(tm, TransitionMatrix):
+        raise InvalidInputError("expected a TransitionMatrix")
+    if not tm.is_doubly_stochastic:
+        raise NotDoublyStochasticError(
+            "bidirectional dynamics need unit column sums so the reversed chain is stochastic")
+
+
+def _require_uniform(d, n: int) -> np.ndarray:
+    v = validate_distribution(d, n)
+    if np.abs(v - 1.0 / n).max() > UNIFORM_TOL:
+        raise InvalidInputError("bidirectional dynamics are defined for the uniform distribution")
+    return v
 
 
 def _eigenbasis(tms, d, config: DynamicsConfig) -> bool:
@@ -578,23 +653,23 @@ def eigen_stack(tms, phi0_stack):
 
 def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
                        noise_rngs=None, run_offset: int = 0):
-    """Train a stack of runs in lockstep and collect per-run records.
+    """Train a stack of runs, or of pairs, in lockstep and collect their records.
 
-    phi0_stack is (m, n, k); tms is one TransitionMatrix shared by every
-    run, a sequence of m of them, or their Spectra, with both stacks then in
-    eigen coordinates (eigen_stack).  noise_rngs supplies one generator per
-    run when predictor_mode="noisy".  run_offset only labels error
-    messages.  Returns (records, phi_final) where records (Trajectories) holds
-    the m runs' record lists and phi_final is the (m, n, k) stack after the last
-    step, with any blow-up rescaling folded back in (divergent runs report inf).
+    phi0_stack is (m, n, k), or a BidirState of two such stacks for m pairs; tms is
+    one TransitionMatrix shared by every run, a sequence of m of them, or, for runs,
+    their Spectra, with both stacks then in eigen coordinates (eigen_stack).
+    noise_rngs supplies one generator per run when predictor_mode="noisy".
+    run_offset only labels error messages.  Returns (records, final) where records
+    (Trajectories) holds the m record lists and final is the state after the last
+    step in phi0_stack's form, with any blow-up rescaling folded back in (divergent
+    runs report inf).  A pair needs doubly stochastic chains, uniform d, the semi
+    gradient, optimal predictor, squared loss and no target; its members step as one.
     """
-    return _discrete(phi0_stack, tms, d, config, noise_rngs, run_offset)
-
-
-def _discrete(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
-    """run_discrete_batch for a stack of r-run groups (see _partner)."""
-    phi, tms = _rep_stack(phi0_stack, tms)
-    d = validate_distribution(d, phi.shape[1])
+    phi, tms, r = _rep_stack(phi0_stack, tms)
+    d = (validate_distribution if r == 1 else _require_uniform)(d, phi.shape[1])
+    if r == 2 and (config.gradient_mode, config.predictor_mode, config.loss_kind,
+                   config.target_beta) != ("semi", "optimal", "squared", None):
+        raise InvalidInputError("pairs support semi gradient, optimal predictor, squared loss only")
     prepared = isinstance(tms, Spectra)
     eigen = _eigenbasis(() if prepared else tms, d, config)
     if prepared and not eigen:
@@ -608,7 +683,7 @@ def _discrete(phi0_stack, tms, d, config, noise_rngs=None, run_offset=0, r=1):
     records, phi, slog = _lockstep(phi, op, norms, d, config, noise_rngs, run_offset, r)
     if eigen and not prepared:
         phi = np.stack([t.eigh[1] @ v for t, v in zip(tms, phi)])
-    return records, _scaled(phi, slog[:, None, None])
+    return records, _form(_scaled(phi, slog[:, None, None]), r)
 
 
 def _inside(x) -> bool:
@@ -706,10 +781,8 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
 
 
 def run_discrete(phi0, tm: TransitionMatrix, d, config: DynamicsConfig, noise_rng=None):
-    """Single-run wrapper around run_discrete_batch."""
-    if not isinstance(tm, TransitionMatrix):
-        raise InvalidInputError("run_discrete needs a TransitionMatrix")
-    v0 = _check_rep(phi0, tm.n)
+    """Single-run wrapper around run_discrete_batch for one (n, k) run or one pair
+    (a BidirState); returns (records, final state in phi0's form)."""
     rngs = [noise_rng] if noise_rng is not None else None
-    records, final = run_discrete_batch(v0[None, :, :], tm, d, config, rngs)
-    return records[0], final[0]
+    records, final = run_discrete_batch(_one(phi0, tm, "run_discrete"), tm, d, config, rngs)
+    return records[0], _each(final, lambda v: v[0])

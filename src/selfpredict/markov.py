@@ -32,6 +32,20 @@ FLAG_TOL = 1e-12
 SIGN_TOL = 1e-12
 
 
+def _nonnegative_square(raw) -> np.ndarray:
+    """A float copy of raw, checked: a finite nonnegative square matrix of at least one state."""
+    a = np.array(raw, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise InvalidInputError("matrix must have at least one state")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("matrix entries must be finite")
+    if np.any(a < 0):
+        raise InvalidInputError("matrix entries must be nonnegative")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-stochastic matrix with precomputed structural flags."""
@@ -74,15 +88,7 @@ class TransitionMatrix:
         Requires a finite square matrix with nonnegative entries whose rows
         sum to one within 1e-12.  The stored array is a read-only copy.
         """
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise InvalidInputError("matrix must have at least one state")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("matrix entries must be finite")
-        if np.any(a < 0):
-            raise InvalidInputError("matrix entries must be nonnegative")
+        a = _nonnegative_square(entries)
         row_err = np.abs(a.sum(axis=1) - 1.0).max()
         if row_err > STOCHASTIC_TOL:
             raise InvalidInputError(f"rows must sum to 1 within {STOCHASTIC_TOL}, worst error {row_err:.3e}")
@@ -107,13 +113,7 @@ def sinkhorn_normalize(raw, tol: float = 1e-12, max_iters: int = 100_000) -> Tra
 
 def _sinkhorn(raw, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:
     """sinkhorn_normalize's projected array, not yet wrapped and validated."""
-    a = np.array(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matrix entries must be finite")
-    if np.any(a < 0):
-        raise InvalidInputError("matrix entries must be nonnegative")
+    a = _nonnegative_square(raw)
     rows = a.sum(axis=1, keepdims=True)
     if np.any(rows == 0.0) or np.any(a.sum(axis=0) == 0.0):
         raise InvalidInputError("matrix must have no all-zero row or column")

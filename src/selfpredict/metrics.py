@@ -83,10 +83,10 @@ def reference_normalizer(tm: TransitionMatrix, k: int) -> float:
 
     Symmetric chains use the eigenvalue ceiling, everything else the
     singular value ceiling, matching how ratio columns are defined in
-    scenario output.
+    scenario output; as a symmetric chain's two ceilings coincide (normalizers),
+    that is svd_norm either way.
     """
-    norms = normalizers(tm, k)
-    return norms.eigen_norm if norms.eigen_norm is not None else norms.svd_norm
+    return normalizers(tm, k).svd_norm
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,8 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise InvalidInputError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.n_runs < 1:
             raise InvalidInputError("n_runs must be at least 1")
         if self.n_states < 2:

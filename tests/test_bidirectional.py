@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from selfpredict import dynamics
+from selfpredict import bidirectional, dynamics
 from selfpredict import (
     BidirState,
     DynamicsConfig,
@@ -13,9 +13,14 @@ from selfpredict import (
     bidir_optimal_predictors,
     fixed_example_3x3,
     gen_doubly_stochastic,
+    gen_symmetric,
     integrate_bidir,
+    integrate_bidir_batch,
     integrate_ode,
+    integrate_ode_batch,
     orthonormal_init,
+    run_discrete,
+    run_discrete_batch,
     run_discrete_bidir,
     spectral,
     stream_seed,
@@ -231,3 +236,107 @@ class TestDiscrete:
         tm = gen_doubly_stochastic(4, 0)
         with pytest.raises(InvalidInputError):
             run_discrete_bidir(paired_state(4, 2, 0), tm, uniform_distribution(4), cfg)
+
+
+def stacked_pairs(n, k, m, seed):
+    """BidirState of (m, n, k) stacks: the pairs paired_state(n, k, seed + i)."""
+    pairs = [paired_state(n, k, seed + i) for i in range(m)]
+    return BidirState(np.stack([p.left for p in pairs]), np.stack([p.right for p in pairs]))
+
+
+class TestOneDriver:
+    """The pair is an input of the single dynamics' drivers."""
+
+    def test_the_pair_names_are_the_single_drivers(self):
+        assert run_discrete_bidir is run_discrete
+        assert integrate_bidir is integrate_ode
+        assert integrate_bidir_batch is integrate_ode_batch
+        assert bidirectional.BidirState is dynamics.BidirState is BidirState
+
+    @pytest.mark.parametrize("gen", [gen_symmetric, gen_doubly_stochastic])  # eigen, dense
+    def test_a_stack_of_pairs_is_bitwise_its_pairs_alone(self, gen):
+        n, k, m = 6, 2, 4
+        tms = [gen(n, 30 + i) for i in range(m)]
+        st0 = stacked_pairs(n, k, m, 40)
+        d = uniform_distribution(n)
+        cfg = DynamicsConfig(eta=0.3, iters=200, record_every=25)
+        records, final = run_discrete_batch(st0, tms, d, cfg)
+        assert len(records) == m and final.left.shape == final.right.shape == (m, n, k)
+        for i in range(m):
+            alone, final_alone = run_discrete_bidir(BidirState(st0.left[i], st0.right[i]),
+                                                    tms[i], d, cfg)
+            assert records[i] == alone
+            assert np.array_equal(final.left[i], final_alone.left)
+            assert np.array_equal(final.right[i], final_alone.right)
+
+    def test_chains_and_flows_may_come_as_iterators(self):
+        n, k, m = 4, 2, 3
+        tms = [gen_doubly_stochastic(n, 60 + i) for i in range(m)]
+        st0 = stacked_pairs(n, k, m, 70)
+        d, cfg = uniform_distribution(n), DynamicsConfig(eta=0.3, iters=20, record_every=5)
+        records, final = run_discrete_batch(st0, tms, d, cfg)
+        records_it, final_it = run_discrete_batch(st0, iter(tms), d, cfg)
+        assert records_it == records and np.array_equal(final_it.left, final.left)
+        flow = integrate_ode_batch(st0, tms, t_end=2.0, n_records=4)
+        flow_it = integrate_ode_batch(st0, (t for t in tms), t_end=2.0, n_records=4)
+        assert flow_it[0] == flow[0] and np.array_equal(flow_it[1].right, flow[1].right)
+        flows = [(st0, tms), (st0.left, tms)]
+        out = bidirectional.integrate_flows_batch(flows, t_end=2.0, n_records=4)
+        out_it = bidirectional.integrate_flows_batch(iter(flows), t_end=2.0, n_records=4)
+        assert len(out_it) == 2 and all(a[0] == b[0] for a, b in zip(out_it, out))
+
+    def test_a_pair_takes_d_within_1e_12_of_uniform(self):
+        n = 6
+        tms = [gen_doubly_stochastic(n, 1)]
+        st0 = stacked_pairs(n, 2, 1, 1)
+        cfg = DynamicsConfig(eta=0.1, iters=5)
+        for off, ok in ((1e-13, True), (1e-11, False)):
+            d = uniform_distribution(n) + off * np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+            if ok:
+                run_discrete_batch(st0, tms, d, cfg)
+            else:
+                with pytest.raises(InvalidInputError, match="uniform"):
+                    run_discrete_batch(st0, tms, d, cfg)
+
+    @pytest.mark.parametrize("case", ["spectra", "nonuniform", "full", "noisy", "l1", "target"])
+    def test_the_discrete_driver_rejects_what_a_pair_cannot_train(self, case):
+        n, m = 6, 2
+        tms = [gen_symmetric(n, i) for i in range(m)]
+        st0 = stacked_pairs(n, 2, m, 0)
+        d, cfg = uniform_distribution(n), DynamicsConfig(eta=0.1, iters=5)
+        if case == "spectra":
+            tms, _ = dynamics.eigen_stack(tms, st0.left)
+        elif case == "nonuniform":
+            d = np.random.default_rng(0).dirichlet(np.ones(n))
+        else:
+            cfg = dict(full=DynamicsConfig(gradient_mode="full"),
+                       noisy=DynamicsConfig(predictor_mode="noisy", sigma=0.1),
+                       l1=DynamicsConfig(loss_kind="l1"),
+                       target=DynamicsConfig(target_beta=1.0))[case]
+        with pytest.raises(InvalidInputError):
+            run_discrete_batch(st0, tms, d, cfg)
+
+    def test_the_flows_need_chains_not_spectra(self):
+        tms = [gen_symmetric(6, i) for i in range(2)]
+        st0 = stacked_pairs(6, 2, 2, 0)
+        spectra, psi0 = dynamics.eigen_stack(tms, st0.left)
+        for call in (lambda: integrate_ode_batch(psi0, spectra),
+                     lambda: integrate_ode_batch(st0, spectra),
+                     lambda: bidirectional.integrate_flows_batch([(psi0, spectra), (st0, tms)])):
+            with pytest.raises(InvalidInputError, match="Spectra"):
+                call()
+
+    def test_every_driver_needs_a_doubly_stochastic_chain_for_a_pair(self):
+        tm = TransitionMatrix.from_entries([[0.2, 0.8], [0.5, 0.5]])
+        pair = paired_state(2, 1, 0)
+        stack = BidirState(pair.left[None], pair.right[None])
+        d, cfg = uniform_distribution(2), DynamicsConfig(eta=0.1, iters=5)
+        calls = [lambda: run_discrete(pair, tm, d, cfg),
+                 lambda: run_discrete_batch(stack, [tm], d, cfg),
+                 lambda: integrate_ode(pair, tm),
+                 lambda: integrate_ode_batch(stack, tm),
+                 lambda: bidirectional.integrate_flows_batch([(stack.left, [tm]), (stack, [tm])])]
+        for call in calls:
+            with pytest.raises(NotDoublyStochasticError):
+                call()
+        run_discrete(pair.left, tm, d, cfg)  # a single run on the same chain trains

@@ -82,6 +82,11 @@ class TestSinkhorn:
         with pytest.raises(InvalidInputError):
             sinkhorn_normalize(np.ones((2, 3)))
 
+    def test_rejects_an_empty_matrix(self):
+        # checked with TransitionMatrix.from_entries's checks, before any reduction
+        with pytest.raises(InvalidInputError, match="at least one state"):
+            sinkhorn_normalize(np.zeros((0, 0)))
+
     def test_iteration_cap_raises(self):
         raw = np.random.default_rng(0).random((6, 6))
         with pytest.raises(NonConvergenceError):

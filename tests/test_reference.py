@@ -84,9 +84,16 @@ def test_single_runs_match_reference(data, mode, kind, uniform, n, seed):
         assert_state_matches(final[i], phi)
 
 
+# Both members of a pair are semi-gradient learners, so the pair draws eta as the
+# semi mode does.  Larger steps let some pairs diverge (n=3 and eta=2, where
+# 2 eta / n = 4/3, is one case): the residual reaches 1e12, and there the numpy
+# reference sits further from 60-digit arithmetic than the kernel does, by more
+# than the bound.  test_divergent_pair_is_guarded checks a diverging pair against
+# 60-digit arithmetic instead.
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(["symmetric", "doubly_stochastic"]),
-       n=st.integers(3, 8), eta=st.floats(0.05, 2.0), seed=st.integers(0, 2**31))
+       n=st.integers(3, 8), eta=st.floats(SINGLE_MODES["semi"][1] / 50, SINGLE_MODES["semi"][1]),
+       seed=st.integers(0, 2**31))
 def test_pairs_match_reference(data, kind, n, eta, seed):
     k, iters, record_every = horizon(data, n)
     tm = chain(kind, n, seed)

@@ -26,7 +26,7 @@ from selfpredict import (
     integrate_ode_batch,
     orthonormal_init,
 )
-from selfpredict import bidirectional, dynamics, rk45, scenarios
+from selfpredict import dynamics, rk45, scenarios
 from selfpredict.dynamics import _flow
 from selfpredict.scenarios import ScenarioConfig, run_scenario
 from selfpredict.seeding import STREAM_INIT_LEFT, STREAM_INIT_RIGHT, stream_seed
@@ -112,24 +112,28 @@ def test_single_run_is_bitwise_the_same_alone_and_in_a_stack(monkeypatch):
     left = scale * np.stack([orthonormal_init(n, k, 10 + s) for s in range(m)])
     right = scale * np.stack([orthonormal_init(n, k, 20 + s) for s in range(m)])
     for t_end in (4.0, 30.0):
-        single, pair = (counted_steps(monkeypatch, mod) for mod in (dynamics, bidirectional))
+        # Both flows integrate through dynamics.solve_ivp, so each is counted in turn.
+        single = counted_steps(monkeypatch, dynamics)
         stacked, final = integrate_ode_batch(left, tms, t_end=t_end, n_records=15)
-        paired, final_pairs = integrate_bidir_batch(BidirState(left, right), tms, t_end=t_end,
-                                                    n_records=15)
         for i in range(m):
             alone, final_alone = integrate_ode(left[i], tms[i], t_end=t_end, n_records=15)
             assert stacked[i] == alone
             assert np.array_equal(final[i], final_alone)
+        monkeypatch.undo()
+        pair = counted_steps(monkeypatch, dynamics)
+        paired, final_pairs = integrate_bidir_batch(BidirState(left, right), tms, t_end=t_end,
+                                                    n_records=15)
+        for i in range(m):
             alone, final_alone = integrate_bidir(BidirState(left[i], right[i]), tms[i],
                                                  t_end=t_end, n_records=15)
             assert paired[i] == alone
             assert np.array_equal(final_pairs.left[i], final_alone.left)
             assert np.array_equal(final_pairs.right[i], final_alone.right)
+        monkeypatch.undo()
         for nfevs in (single, pair):  # the stack's call, then one call per run alone
             alone = nfevs[1:]
             assert len(alone) == m and len(set(alone)) >= 3  # runs finish before and after others
             assert nfevs[0] == max(alone)  # the stack steps until its slowest run finishes
-        monkeypatch.undo()
 
 
 def test_rhs_calls_equal_nfev(monkeypatch):

@@ -447,6 +447,23 @@ class TestCli:
         assert code == 2
         assert json.loads(err)["error"] == "InvalidInputError"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2_before_any_work(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        argv = ["--scenario", "fig4_trace_ratio", "--runs", "2", "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"master_seed": -1}))
+            argv += ["--config", str(cfg_path)]
+        code, stdout, err = self.run_cli(argv, capsys)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert "master_seed" in payload["message"]
+        assert stdout == "" and not out.exists()
+
     def test_non_finite_noisy_run_exits_1(self, tmp_path, capsys):
         # eta=50, sigma=1 overflows the unguarded noisy run; it used to write NaN rows
         code, out, err = self.run_cli(
