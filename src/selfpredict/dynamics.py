@@ -6,8 +6,10 @@ the loss compares the predictor applied to the input embedding against the
 frozen successor embedding.  Stepping phi on the semi-gradient of that loss
 (the target embedding does not propagate gradients) while the predictor is
 held at its least-squares optimum produces the dynamics studied here, along
-with several ablations: the full gradient, a slow-moving target, predictor
-noise, and alternative pairwise losses.
+with several ablations: the full gradient, a slow-moving target and predictor
+noise.  The drivers train the squared loss; the single-step functions
+(prediction_loss, semi_gradient_step, solve_predictor) also take the l1 and
+cosine losses.
 
 Conventions shared by every routine in this module:
 
@@ -27,21 +29,22 @@ Every driver takes runs or pairs (BidirState); _rep_stack lays m pairs out as
 stack back.  Predictors come from covariance_solve_batch: certified inverse,
 else eigh pseudoinverse.
 
-Under uniform d, the squared loss and a closed-form predictor (_eigenbasis),
-run_discrete_batch steps psi = U^T phi against the eigenvalues of a chain
-P = U diag(lam) U^T equal to its transpose bitwise (O(nk), not O(n^2 k)); only
-rounding differs from dense P.  eigen_stack prepares them chain by chain, so streamed
-chains cost O(n^2 + m n k), not O(m n^2), and its output steps with no basis map.
+Under uniform d (_eigenbasis), run_discrete_batch steps psi = U^T phi against
+the eigenvalues of a chain P = U diag(lam) U^T equal to its transpose bitwise
+(O(nk), not O(n^2 k)); only rounding differs from dense P.  eigen_stack prepares
+them chain by chain, so streamed chains cost O(n^2 + m n k), not O(m n^2), and
+its output steps with no basis map.
 
-Blow-up handling: with the losses here the semi-gradient update with an
+Blow-up handling: with the squared loss the semi-gradient update with an
 optimal predictor is degree-1 homogeneous in phi (in both members of a pair
 jointly), so divergent runs, and both members of a pair together, are
 rescaled by an exact power of two whenever entries pass 2**256 and the
 accumulated exponent is folded back into reported metrics with ldexp.  Cosines
 are unaffected; a reported value is inf only where the true one is not
 representable, or where a working product overflowed first.  Noisy predictors
-break homogeneity and skip the guard; a noisy run that overflows ends in
-NonFiniteStateError from the predictor solve.
+break homogeneity and skip the guard.  A run that overflows all the same, noisy
+or grown past one rescale in a single step, ends in NonFiniteStateError, from
+the next predictor solve or after the last step.
 """
 
 from __future__ import annotations
@@ -69,8 +72,21 @@ NOISE_BLOCK = 64  # steps of predictor noise drawn per generator call
 UNIFORM_TOL = 1e-12  # a pair's d may differ from uniform by this much
 
 GRADIENT_MODES = ("semi", "full")
-PREDICTOR_MODES = ("optimal", "noisy", "inner_solved")
+PREDICTOR_MODES = ("optimal", "noisy")
 LOSS_KINDS = ("squared", "l1", "cosine_eps")
+
+
+def _require_ints(cfg, lows: dict, optional=()) -> None:
+    """InvalidInputError unless each field of cfg named in lows is an int or a numpy integer
+    (not a bool) of at least its low, or, for a field in optional, None."""
+    for name, low in lows.items():
+        v = getattr(cfg, name)
+        if v is None and name in optional:
+            continue
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise InvalidInputError(f"{name} must be an integer, got {v!r}")
+        if v < low:
+            raise InvalidInputError(f"{name} must be at least {low}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -88,37 +104,29 @@ class DynamicsConfig:
     record_every: int = 100
     gradient_mode: str = "semi"
     predictor_mode: str = "optimal"
-    loss_kind: str = "squared"
     sigma: float = 0.0
-    epsilon: float = 1e-8
     target_beta: float | None = None
+    # Not a field: every run trains on the squared loss.  bench/tracing.py reads it
+    # (ROADMAP item 1, bench-only names).
+    loss_kind = "squared"
 
     def __post_init__(self):
+        _require_ints(self, dict(iters=1, record_every=1))
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise InvalidInputError(f"eta must be positive and finite, got {self.eta}")
-        if self.iters < 1:
-            raise InvalidInputError("iters must be at least 1")
-        if self.record_every < 1:
-            raise InvalidInputError("record_every must be at least 1")
         if self.gradient_mode not in GRADIENT_MODES:
             raise InvalidInputError(f"gradient_mode must be one of {GRADIENT_MODES}")
         if self.predictor_mode not in PREDICTOR_MODES:
             raise InvalidInputError(f"predictor_mode must be one of {PREDICTOR_MODES}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise InvalidInputError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.sigma < 0 or not np.isfinite(self.sigma):
             raise InvalidInputError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if self.sigma > 0 and self.predictor_mode != "noisy":
             raise InvalidInputError("sigma > 0 requires predictor_mode='noisy'")
-        if self.epsilon <= 0:
-            raise InvalidInputError("epsilon must be positive")
         if self.target_beta is not None:
             if self.target_beta < 0 or not np.isfinite(self.target_beta):
                 raise InvalidInputError("target_beta must be nonnegative and finite")
             if self.gradient_mode == "full":
                 raise InvalidInputError("a separate target is undefined for the full gradient")
-        if self.gradient_mode == "full" and self.loss_kind != "squared":
-            raise InvalidInputError("the full gradient is implemented for the squared loss only")
 
 
 @dataclass(frozen=True)
@@ -201,9 +209,14 @@ def covariance_solve_batch(cov, rhs, run_offset: int = 0, step=None) -> np.ndarr
     through it, the rest through eigh, which raises NonFiniteStateError or
     DegenerateCovarianceError naming run run_offset + index (and step).
     """
-    x, ok = np.empty_like(rhs), np.zeros(len(cov), dtype=bool)
-    with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
-        inv = np.linalg.inv(cov)
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(cov)
+        except np.linalg.LinAlgError:  # run by run: a singular run's inverse is NaN alone
+            inv = np.full_like(cov, np.nan)
+            for i, c in enumerate(cov):
+                with suppress(np.linalg.LinAlgError):
+                    inv[i] = np.linalg.inv(c)
         x = inv @ rhs
         bound = np.einsum("mii->m", cov) * np.sqrt(np.einsum("mij,mij->m", inv, inv))
         ok = (bound * (CERTIFY_MARGIN * COV_CUTOFF) < 1.0) & np.isfinite(x.sum(axis=(-2, -1)))
@@ -628,11 +641,10 @@ def _require_uniform(d, n: int) -> np.ndarray:
     return v
 
 
-def _eigenbasis(tms, d, config: DynamicsConfig) -> bool:
-    """Whether run_discrete_batch steps in the eigenbasis, not on dense P: d uniform, the
-    loss squared, the predictor closed-form and every chain in tms symmetric bitwise."""
-    return bool(config.loss_kind == "squared" and config.predictor_mode != "inner_solved"
-                and np.all(d == d[0]) and all(t.is_bitwise_symmetric for t in tms))
+def _eigenbasis(tms, d) -> bool:
+    """Whether run_discrete_batch steps in the eigenbasis, not on dense P: d uniform and
+    every chain in tms symmetric bitwise."""
+    return bool(np.all(d == d[0]) and all(t.is_bitwise_symmetric for t in tms))
 
 
 def eigen_stack(tms, phi0_stack):
@@ -663,17 +675,17 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     (Trajectories) holds the m record lists and final is the state after the last
     step in phi0_stack's form, with any blow-up rescaling folded back in (divergent
     runs report inf).  A pair needs doubly stochastic chains, uniform d, the semi
-    gradient, optimal predictor, squared loss and no target; its members step as one.
+    gradient, optimal predictor and no target; its members step as one.
     """
     phi, tms, r = _rep_stack(phi0_stack, tms)
     d = (validate_distribution if r == 1 else _require_uniform)(d, phi.shape[1])
-    if r == 2 and (config.gradient_mode, config.predictor_mode, config.loss_kind,
-                   config.target_beta) != ("semi", "optimal", "squared", None):
-        raise InvalidInputError("pairs support semi gradient, optimal predictor, squared loss only")
+    if r == 2 and (config.gradient_mode, config.predictor_mode,
+                   config.target_beta) != ("semi", "optimal", None):
+        raise InvalidInputError("pairs train on the semi gradient, optimal predictor, no target")
     prepared = isinstance(tms, Spectra)
-    eigen = _eigenbasis(() if prepared else tms, d, config)
+    eigen = _eigenbasis(() if prepared else tms, d)
     if prepared and not eigen:
-        raise InvalidInputError("Spectra need uniform d, squared loss and closed-form predictor")
+        raise InvalidInputError("Spectra need uniform d")
     if eigen:
         spectra, phi = (tms, phi) if prepared else eigen_stack(tms, phi)
         op, norms = spectra.values, spectra.norms[::r]
@@ -700,7 +712,6 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     noisy = config.predictor_mode == "noisy"
     if noisy and (noise_rngs is None or len(noise_rngs) != m):
         raise InvalidInputError("predictor_mode='noisy' needs one noise rng per run")
-    inner = config.predictor_mode == "inner_solved"
     full = config.gradient_mode == "full"
     two_eta = 2.0 * config.eta
     w = d[0] if np.all(d == d[0]) else d[:, None]  # the state weights, D = diag(d)
@@ -719,10 +730,9 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     beta = config.target_beta
     tgt = phi.copy() if beta is not None else None
     guarded = (phi,) if tgt is None else (phi, tgt)
-    t_mat = phi if tgt is None else tgt  # a single run's target
     # Each run's target for the chain product, with wop and dpt in its layout: views
     # that stay current, as phi and tgt are updated in place.
-    target = _partner(t_mat, r)
+    target = _partner(phi if tgt is None else tgt, r)
     wop_g, dpt_g = (x.reshape(*target.shape[:-2], n, -1) for x in (wop, dpt))
     slog = np.zeros(m)
     phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
@@ -730,38 +740,28 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     records: list = []
     _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
 
-    # A noisy run has no guard; its overflow reaches the solve, which raises.
-    with np.errstate(**(dict(over="ignore", invalid="ignore") if noisy else {})):
+    # A noisy run has no guard, and a step can grow a run past the guard's one rescale;
+    # either overflow reaches the next solve, or the check after the loop, which raise.
+    with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, config.iters + 1):
             apply(wop_g, target, out=dpt_g)
             np.multiply(phi, w, out=dphi)  # a second buffer keeps the Gram off the syrk path
-            if inner:
-                pred = np.stack([
-                    solve_predictor(phi[i], op[i], d, config.loss_kind,
-                                    config.epsilon, phi_target=t_mat[i]) for i in range(m)])
-            else:
-                pred = covariance_solve_batch(phi_t @ dphi, phi_t @ dpt, run_offset, step)
-                if noisy:  # a generator's stream is the same however many steps a call draws
-                    if (step - 1) % NOISE_BLOCK == 0:
-                        b = min(NOISE_BLOCK, config.iters - step + 1)
-                        noise = np.stack([r.standard_normal((b, k, k)) for r in noise_rngs])
-                    pred += config.sigma * noise[:, (step - 1) % NOISE_BLOCK]
-            if config.loss_kind == "squared":
-                # g = (D P t - D phi pred) 2 eta pred^T [+ 2 eta (P^T D phi pred - colw phi)]
-                np.matmul(dphi, pred, out=dpp)
-                np.subtract(dpt, dpp, out=dpt)
-                np.multiply(pred.transpose(0, 2, 1), two_eta, out=pred_t)
-                np.matmul(dpt, pred_t, out=g)
-                if full:
-                    apply(op_t, dpp, out=dpt)
-                    np.multiply(phi, colw, out=dphi)
-                    dpt -= dphi
-                    g += dpt
-            else:
-                for i in range(m):
-                    _, gz = _pair_loss_grad(phi[i] @ pred[i], t_mat[i], d[:, None] * op[i],
-                                            config.loss_kind, config.epsilon)
-                    g[i] = -config.eta * (gz @ pred[i].T)
+            pred = covariance_solve_batch(phi_t @ dphi, phi_t @ dpt, run_offset, step)
+            if noisy:  # a generator's stream is the same however many steps a call draws
+                if (step - 1) % NOISE_BLOCK == 0:
+                    b = min(NOISE_BLOCK, config.iters - step + 1)
+                    noise = np.stack([r.standard_normal((b, k, k)) for r in noise_rngs])
+                pred += config.sigma * noise[:, (step - 1) % NOISE_BLOCK]
+            # g = (D P t - D phi pred) 2 eta pred^T [+ 2 eta (P^T D phi pred - colw phi)]
+            np.matmul(dphi, pred, out=dpp)
+            np.subtract(dpt, dpp, out=dpt)
+            np.multiply(pred.transpose(0, 2, 1), two_eta, out=pred_t)
+            np.matmul(dpt, pred_t, out=g)
+            if full:
+                apply(op_t, dpp, out=dpt)
+                np.multiply(phi, colw, out=dphi)
+                dpt -= dphi
+                g += dpt
             if beta is not None:
                 np.subtract(phi, tgt, out=dpt)
                 dpt *= config.eta * beta
@@ -777,6 +777,9 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
             if step % config.record_every == 0 or step == config.iters:
                 _record_batch(records, float(step), phi, slog, c0, op, norms, apply, r)
 
+    bad = np.flatnonzero(~np.isfinite(phi).all(axis=(1, 2)))
+    if len(bad):  # the last step's overflow has no next solve to raise it
+        raise NonFiniteStateError(f"non-finite state in run {run_offset + bad[0]} at step {step}")
     return _stacked(records), phi, slog
 
 

@@ -92,7 +92,8 @@ class TransitionMatrix:
         row_err = np.abs(a.sum(axis=1) - 1.0).max()
         if row_err > STOCHASTIC_TOL:
             raise InvalidInputError(f"rows must sum to 1 within {STOCHASTIC_TOL}, worst error {row_err:.3e}")
-        sym = bool(np.abs(a - a.T).max() <= FLAG_TOL)
+        diff = a - a.T
+        sym = bool(np.abs(diff, out=diff).max() <= FLAG_TOL)
         ds = bool(np.abs(a.sum(axis=0) - 1.0).max() <= FLAG_TOL)
         a.setflags(write=False)
         return cls(a, sym, ds)
@@ -165,7 +166,9 @@ def gen_symmetric(n: int, seed: int) -> TransitionMatrix:
         raise InvalidInputError("n must be at least 1")
     rng = np.random.default_rng(seed)
     base = _sinkhorn(rng.random((n, n)))
-    return TransitionMatrix.from_entries(0.5 * (base + base.T))
+    base += base.T  # in place: the same bits as 0.5 * (base + base.T), one n x n array fewer
+    base *= 0.5
+    return TransitionMatrix.from_entries(base)
 
 
 def fixed_example_2x2() -> TransitionMatrix:

@@ -108,28 +108,17 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.master_seed < 0:
-            raise InvalidInputError(f"master_seed must be nonnegative, got {self.master_seed}")
-        if self.n_runs < 1:
-            raise InvalidInputError("n_runs must be at least 1")
-        if self.n_states < 2:
-            raise InvalidInputError("n_states must be at least 2")
-        if not 1 <= self.k <= self.n_states:
+        dynamics._require_ints(self, dict(master_seed=0, n_runs=1, n_states=2, k=1, workers=1,
+                                          n_step=1, iters=1, n_records=1, record_every=1),
+                               optional=("iters", "n_records", "record_every"))
+        if self.k > self.n_states:
             raise InvalidInputError(f"need 1 <= k <= n_states, got k={self.k}")
-        if self.workers < 1:
-            raise InvalidInputError("workers must be at least 1")
-        if self.n_step < 1:
-            raise InvalidInputError("n_step must be at least 1")
         for name in ("eta", "sigma", "t_end"):
             v = getattr(self, name)
             if v is not None and (not np.isfinite(v) or v <= 0):
                 raise InvalidInputError(f"{name} must be positive and finite when given")
         if self.beta is not None and (not np.isfinite(self.beta) or self.beta < 0):
             raise InvalidInputError("beta must be nonnegative and finite when given")
-        for name in ("iters", "n_records", "record_every"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise InvalidInputError(f"{name} must be at least 1 when given")
 
 
 @dataclass(frozen=True)
@@ -240,8 +229,8 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
 
     left, operands, out, flows = init(STREAM_INIT_LEFT), {}, {}, {}
     for kind in dict.fromkeys(p["chain"] for p in variants):
-        if all(c is not None and dynamics._eigenbasis((), d, c)
-               for c, p in zip(configs, variants) if p["chain"] == kind):
+        if dynamics._eigenbasis((), d) and all(
+                c is not None for c, p in zip(configs, variants) if p["chain"] == kind):
             operands[kind] = eigen_stack(chains(kind), left)
         else:
             operands[kind] = (list(chains(kind)), left)

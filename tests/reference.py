@@ -5,7 +5,8 @@ predictor, one plain update per step: no blow-up guard, no eigenbasis, no
 preallocated buffers and no batching.  The records use the textbook formulas
 (the explicit tangent projector, the singular value ceiling from a full SVD),
 so they check run_discrete_batch and run_discrete_bidir from the outside.
-Only the squared loss with a closed-form predictor is covered.
+They cover the squared loss with a closed-form predictor, which is all the
+drivers train.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -199,6 +201,21 @@ class TestCovarianceSolveBatch:
         with pytest.raises(NonFiniteStateError, match="run 1"):
             dynamics.covariance_solve_batch(np.stack([np.eye(2)] * 4), rhs)
 
+    def test_a_singular_run_leaves_the_others_bitwise(self):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((6, 3, 3))
+        cov, rhs = g @ g.swapaxes(-1, -2), rng.standard_normal((6, 3, 2))
+        singular = cov.copy()
+        singular[2] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(singular)  # the stacked inverse fails for every run
+        got = dynamics.covariance_solve_batch(singular, rhs)
+        want = dynamics.covariance_solve_batch(cov, rhs)
+        others = [0, 1, 3, 4, 5]
+        assert got[others].tobytes() == want[others].tobytes()
+        alone = dynamics.covariance_solve_batch(singular[2:3], rhs[2:3])
+        assert got[2].tobytes() == alone[0].tobytes()
+
     def test_zero_covariance_names_run(self):
         cov = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
         with pytest.raises(DegenerateCovarianceError, match="run 11"):
@@ -226,7 +243,7 @@ class TestKernelStepOracle:
             ([gen_symmetric(n, seed + i) for i in range(m)], uniform_distribution(n)),
         ]
         for (tms, d), eigen in zip(cases, (False, True)):
-            assert dynamics._eigenbasis(tms, d, cfg) == eigen
+            assert dynamics._eigenbasis(tms, d) == eigen
             rngs = [np.random.default_rng(i) for i in range(m)] if mode == "noisy_sigma0" else None
             _, final = run_discrete_batch(phi0, tms, d, cfg, rngs)
             for i in range(m):
@@ -245,6 +262,19 @@ class TestNonFiniteState:
                              predictor_mode="noisy", sigma=1.0)
         with pytest.raises(NonFiniteStateError, match="run 0 at step"):
             run_discrete(phi, tm, d, cfg, noise_rng=np.random.default_rng(0))
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # the state overflows at step 9 (eta=1e100) or 2 (1e308) of 50, or at the last step
+    @pytest.mark.parametrize("eta, iters", [(1e100, 50), (1e308, 50), (1e308, 1)])
+    @pytest.mark.parametrize("uniform", [True, False])  # eigenbasis, dense
+    def test_a_step_past_the_guard_raises_without_a_warning(self, eta, iters, uniform):
+        # one step outgrows the guard's 2**-256 rescale
+        n = 20
+        d = uniform_distribution(n) if uniform else np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+        with pytest.raises(NonFiniteStateError, match="run 0 at step"):
+            run_discrete(orthonormal_init(n, 2, 1), gen_symmetric(n, 0), d,
+                         DynamicsConfig(eta=eta, iters=iters))
 
 
 class TestExactIdentities:
@@ -601,7 +631,7 @@ EIGEN_MODES = {
 
 def eigen_and_dense(phi0, tms, d, cfg):
     """run_discrete_batch in the chains' eigenbasis and again on the dense P products."""
-    assert dynamics._eigenbasis(tms, d, cfg)
+    assert dynamics._eigenbasis(tms, d)
     out = []
     for dense in (False, True):
         rngs = ([np.random.default_rng(i) for i in range(len(phi0))]
@@ -684,18 +714,11 @@ class TestEigenbasisKernel:
         uniform = uniform_distribution(n)
         skewed = np.arange(1.0, n + 1) / np.arange(1.0, n + 1).sum()
         # eigen_stack reads each chain's eigh once, and the map back to phi once more
-        cases = [
-            (chains, uniform, dict(), 4),
-            (chains, skewed, dict(), 0),
-            ([nudged, chains[1]], uniform, dict(), 0),
-            (chains, uniform, dict(loss_kind="l1"), 0),
-            (chains, uniform, dict(loss_kind="cosine_eps"), 0),
-            (chains, uniform, dict(predictor_mode="inner_solved"), 0),
-        ]
-        for tms, d, kw, expected in cases:
+        for case, (tms, d, expected) in enumerate([(chains, uniform, 4), (chains, skewed, 0),
+                                                   ([nudged, chains[1]], uniform, 0)]):
             counted.clear()
-            run_discrete_batch(phi0, tms, d, DynamicsConfig(eta=0.1, iters=2, **kw))
-            assert len(counted) == expected, kw
+            run_discrete_batch(phi0, tms, d, DynamicsConfig(eta=0.1, iters=2))
+            assert len(counted) == expected, case
 
 
     def test_n_step_powers_keep_the_eigenbasis(self, monkeypatch):
@@ -763,14 +786,45 @@ class TestPreparedStack:
         phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(m)])
         spectra, psi0 = dynamics.eigen_stack(tms, phi0)
         skewed = np.arange(1.0, n + 1) / np.arange(1.0, n + 1).sum()
-        for d, kw in ((skewed, dict()), (uniform_distribution(n), dict(loss_kind="l1")),
-                      (uniform_distribution(n), dict(predictor_mode="inner_solved"))):
-            with pytest.raises(InvalidInputError, match="Spectra"):
-                run_discrete_batch(psi0, spectra, d, DynamicsConfig(iters=1, **kw))
+        with pytest.raises(InvalidInputError, match="Spectra"):
+            run_discrete_batch(psi0, spectra, skewed, DynamicsConfig(iters=1))
         with pytest.raises(ShapeMismatchError):
             run_discrete_batch(psi0[:1], spectra, uniform_distribution(n), DynamicsConfig(iters=1))
         with pytest.raises(ShapeMismatchError):
             dynamics.eigen_stack(tms[:1], phi0)
+
+
+STACK_MODES = {**EIGEN_MODES, "divergent": dict(eta=10.0)}
+
+
+class TestStackIndependence:
+    """A run's records and final state do not depend on the runs stacked beside it."""
+
+    @given(data=st.data(), m=st.integers(2, 6), mode=st.sampled_from(sorted(STACK_MODES)),
+           symmetric=st.booleans(), seed=st.integers(0, 2**31))
+    @settings(max_examples=30, deadline=None)
+    def test_a_runs_records_do_not_depend_on_its_stack(self, data, m, mode, symmetric, seed):
+        # symmetric chains step in the eigenbasis, doubly stochastic ones on dense P
+        n, k = 6, 2
+        gen = gen_symmetric if symmetric else gen_doubly_stochastic
+        tms = [gen(n, seed + i) for i in range(m)]
+        phi0 = np.stack([orthonormal_init(n, k, seed + 10 + i) for i in range(m)])
+        d, cfg = uniform_distribution(n), DynamicsConfig(iters=200, record_every=25,
+                                                         **STACK_MODES[mode])
+
+        def run(lo, hi):
+            rngs = ([np.random.default_rng(seed + i) for i in range(lo, hi)]
+                    if cfg.predictor_mode == "noisy" else None)
+            return run_discrete_batch(phi0[lo:hi], tms[lo:hi], d, cfg, rngs)
+
+        records, final = run(0, m)
+        cuts = sorted(data.draw(st.sets(st.integers(1, m - 1), min_size=1), label="cuts"))
+        for lo, hi in zip([0, *cuts], [*cuts, m]):
+            part, part_final = run(lo, hi)
+            assert part.times.tobytes() == records.times.tobytes()
+            for got, want in zip(part.columns, records.columns):
+                assert (got is None and want is None) or got.tobytes() == want[lo:hi].tobytes()
+            assert part_final.tobytes() == final[lo:hi].tobytes()
 
 
 def exact_inside(x):
@@ -959,17 +1013,22 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             DynamicsConfig(predictor_mode="psychic")
         with pytest.raises(InvalidInputError):
-            DynamicsConfig(loss_kind="huber")
-        with pytest.raises(InvalidInputError):
             DynamicsConfig(sigma=0.1)
-        with pytest.raises(InvalidInputError):
-            DynamicsConfig(epsilon=0.0)
         with pytest.raises(InvalidInputError):
             DynamicsConfig(target_beta=-1.0)
         with pytest.raises(InvalidInputError):
             DynamicsConfig(gradient_mode="full", target_beta=1.0)
-        with pytest.raises(InvalidInputError):
-            DynamicsConfig(gradient_mode="full", loss_kind="l1")
+
+    def test_the_kernel_trains_the_squared_loss_with_a_closed_form_predictor(self):
+        assert len(dataclasses.fields(DynamicsConfig)) == 7
+        assert dynamics.PREDICTOR_MODES == ("optimal", "noisy")
+        for kw in (dict(loss_kind="l1"), dict(epsilon=1e-8)):
+            with pytest.raises(TypeError):
+                DynamicsConfig(**kw)
+        with pytest.raises(InvalidInputError, match="predictor_mode"):
+            DynamicsConfig(predictor_mode="inner_solved")
+        assert DynamicsConfig().loss_kind == "squared"
+        assert "loss_kind" not in dataclasses.asdict(DynamicsConfig())
 
 
 def test_trace_objective_consistency_along_run():

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selfpredict import markov
 from selfpredict import (
     InvalidInputError,
     NonConvergenceError,
@@ -128,6 +130,22 @@ class TestGenerators:
         tm = gen_symmetric(15, 9)
         assert np.array_equal(tm.entries, tm.entries.T)
         assert tm.is_symmetric and tm.is_doubly_stochastic
+
+    @pytest.mark.parametrize("n", [20, 160, 201])
+    def test_symmetric_is_the_average_with_the_transpose(self, n):
+        base = markov._sinkhorn(np.random.default_rng(n).random((n, n)))
+        assert gen_symmetric(n, n).entries.tobytes() == (0.5 * (base + base.T)).tobytes()
+
+    def test_symmetric_holds_few_square_arrays(self):
+        n = 200
+        gen_symmetric(n, 0)  # first-call allocations are not the generator's
+        tracemalloc.start()
+        try:
+            gen_symmetric(n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 8, peak / (n * n * 8)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))

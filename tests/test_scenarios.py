@@ -371,6 +371,18 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             tiny("fig2_collapse", tmp_path, k=6)
 
+    def test_integer_fields_take_integers_only(self, tmp_path):
+        tiny("fig2_collapse", tmp_path, n_runs=np.int64(2), k=np.int32(1), iters=np.int64(5),
+             record_every=None)
+        DynamicsConfig(iters=np.int64(3), record_every=np.int64(1))
+        for kw in (dict(k=1.5), dict(n_runs=2.0), dict(master_seed=1.5), dict(n_step=1.5),
+                   dict(workers=True), dict(record_every=2.5), dict(iters="10")):
+            with pytest.raises(InvalidInputError, match=next(iter(kw))):
+                tiny("fig2_collapse", tmp_path, **kw)
+        for kw in (dict(iters=10.0), dict(record_every=np.float64(2.0))):
+            with pytest.raises(InvalidInputError, match=next(iter(kw))):
+                DynamicsConfig(**kw)
+
     def test_fig5_width_capped_by_fixed_chain(self, tmp_path):
         # n_states is ignored for the fixed chain but k must still fit it
         with pytest.raises(InvalidInputError):
@@ -462,6 +474,19 @@ class TestCli:
         payload = json.loads(err)
         assert payload["error"] == "InvalidInputError"
         assert "master_seed" in payload["message"]
+        assert stdout == "" and not out.exists()
+
+    def test_a_fractional_record_cadence_exits_2_before_any_work(self, tmp_path, capsys):
+        # step % 2.5 == 0 used to record steps 5 and 10 and echo 2.5 in summary.json
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"scenario": "fig2_collapse", "n_runs": 2, "n_states": 4,
+                                        "iters": 10, "record_every": 2.5, "out_dir": str(out)}))
+        code, stdout, err = self.run_cli(["--config", str(cfg_path)], capsys)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert "record_every" in payload["message"]
         assert stdout == "" and not out.exists()
 
     def test_non_finite_noisy_run_exits_1(self, tmp_path, capsys):
