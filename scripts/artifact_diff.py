@@ -22,6 +22,9 @@ Each tree runs the same 38-file set through `python -m selfpredict`:
 Every file is compared byte for byte.  For a CSV that differs, the largest
 absolute difference of each numeric column is printed.  The exit status is 0
 when both trees wrote the same files with the same bytes, and 1 otherwise.
+
+First, the line count of each module of both packages is printed (as wc -l
+counts them), with the totals and the difference between the trees.
 """
 
 from __future__ import annotations
@@ -57,6 +60,20 @@ def write_artifacts(src: Path, out: Path) -> None:
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise SystemExit(f"{src}: {' '.join(flags)} exited {proc.returncode}:\n{proc.stderr}")
+
+
+def line_counts(src: Path) -> dict:
+    """Lines of each module of src's selfpredict package, by file name."""
+    return {p.name: p.read_bytes().count(b"\n") for p in (src / "selfpredict").glob("*.py")}
+
+
+def report_lines(old: Path, new: Path) -> None:
+    """Print each module's line count in both trees, the totals and the differences."""
+    a, b = line_counts(old), line_counts(new)
+    print(f"{'module':<20} {'old':>6} {'new':>6} {'diff':>6}")
+    for name in sorted(a.keys() | b.keys()) + [None]:
+        x, y = (sum(c.values()) if name is None else c.get(name, 0) for c in (a, b))
+        print(f"{name or 'total':<20} {x:>6} {y:>6} {y - x:>+6}")
 
 
 def files(root: Path) -> set:
@@ -104,6 +121,7 @@ def main(argv=None) -> int:
     for src in (args.old, args.new):
         if not (src / "selfpredict" / "__init__.py").is_file():
             p.error(f"{src} holds no selfpredict package")
+    report_lines(args.old, args.new)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for label, src in (("old", args.old), ("new", args.new)):

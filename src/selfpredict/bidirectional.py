@@ -28,8 +28,7 @@ import numpy as np
 from .markov import TransitionMatrix
 from .metrics import normalizers  # noqa: F401 (bench/tracing.py wraps it)
 from . import dynamics
-from .dynamics import (BidirState, _check_state, _flow, _integrate, _require_doubly_stochastic,
-                       _require_uniform)
+from .dynamics import BidirState, _each, _flow, _integrate, _rep_stack, _require_uniform
 from .dynamics import (integrate_ode as integrate_bidir,  # noqa: F401 (the drivers' pair names)
                        integrate_ode_batch as integrate_bidir_batch,
                        run_discrete as run_discrete_bidir)
@@ -47,16 +46,14 @@ def bidir_optimal_predictors(state: BidirState, tm: TransitionMatrix, d):
     collapse to fwd = left^T P right, and the backward predictor is its
     transpose, returned as exactly that by construction.
     """
-    _require_doubly_stochastic(tm)
-    st = _check_state(state, tm.n)
+    (left, right), (tm, _), _ = _rep_stack(_each(state, lambda v: np.asarray(v)[None]), [tm])
     _require_uniform(d, tm.n)
-    k = st.k
-    for name, v in (("left", st.left), ("right", st.right)):
-        err = np.abs(v.T @ v - np.eye(k)).max()
+    for name, v in (("left", left), ("right", right)):
+        err = np.abs(v.T @ v - np.eye(v.shape[1])).max()
         if err > ORTHONORMAL_TOL:
             raise InvalidInputError(
                 f"{name} representation deviates from orthonormal by {err:.3e}")
-    fwd = st.left.T @ tm.entries @ st.right
+    fwd = left.T @ tm.entries @ right
     return fwd, fwd.T.copy()
 
 
@@ -67,10 +64,8 @@ def bidir_ode_rhs(state: BidirState, tm: TransitionMatrix) -> BidirState:
     fwd = L^T P R (the backward predictor is fwd^T, hence the bare fwd in
     the second leg): the single flow of each member against the other.
     """
-    _require_doubly_stochastic(tm)
-    st = _check_state(state, tm.n)
-    pair = np.stack([st.left, st.right])
-    return BidirState(*_flow(np.stack([tm.entries, tm.entries.T]), pair, pair[::-1]))
+    pair, tms, _ = _rep_stack(_each(state, lambda v: np.asarray(v)[None]), [tm])
+    return BidirState(*_flow(np.stack([t.entries for t in tms]), pair, pair[::-1]))
 
 
 def integrate_flows_batch(flows, t_end: float = 100.0, n_records: int = 100,

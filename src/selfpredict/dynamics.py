@@ -42,9 +42,10 @@ rescaled by an exact power of two whenever entries pass 2**256 and the
 accumulated exponent is folded back into reported metrics with ldexp.  Cosines
 are unaffected; a reported value is inf only where the true one is not
 representable, or where a working product overflowed first.  Noisy predictors
-break homogeneity and skip the guard.  A run that overflows all the same, noisy
-or grown past one rescale in a single step, ends in NonFiniteStateError, from
-the next predictor solve or after the last step.
+break homogeneity and skip the guard.  A run still past the limit after its
+rescale (grown past one rescale in a single step) ends in NonFiniteStateError at
+that step; a noisy run that overflows ends in one from the next predictor solve
+or after the last step.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import (DegenerateCovarianceError, InnerSolveFailureError, InvalidInputError,
                      NonFiniteStateError, NotDoublyStochasticError, NotSymmetricError,
-                     ShapeMismatchError)
+                     ShapeMismatchError, require_number)
 from .markov import TransitionMatrix, validate_distribution
 from .metrics import MetricBundle, _check_rep, _matrix, _max_abs_cosine, _norm, reference_normalizer
 from .rk45 import solve_ivp
@@ -74,19 +75,6 @@ UNIFORM_TOL = 1e-12  # a pair's d may differ from uniform by this much
 GRADIENT_MODES = ("semi", "full")
 PREDICTOR_MODES = ("optimal", "noisy")
 LOSS_KINDS = ("squared", "l1", "cosine_eps")
-
-
-def _require_ints(cfg, lows: dict, optional=()) -> None:
-    """InvalidInputError unless each field of cfg named in lows is an int or a numpy integer
-    (not a bool) of at least its low, or, for a field in optional, None."""
-    for name, low in lows.items():
-        v = getattr(cfg, name)
-        if v is None and name in optional:
-            continue
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise InvalidInputError(f"{name} must be an integer, got {v!r}")
-        if v < low:
-            raise InvalidInputError(f"{name} must be at least {low}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -111,22 +99,19 @@ class DynamicsConfig:
     loss_kind = "squared"
 
     def __post_init__(self):
-        _require_ints(self, dict(iters=1, record_every=1))
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise InvalidInputError(f"eta must be positive and finite, got {self.eta}")
+        for name in ("iters", "record_every"):
+            require_number(getattr(self, name), name, 1, integer=True)
+        require_number(self.eta, "eta", 0, above=True)
+        require_number(self.sigma, "sigma", 0)
+        require_number(self.target_beta, "target_beta", 0, optional=True)
         if self.gradient_mode not in GRADIENT_MODES:
             raise InvalidInputError(f"gradient_mode must be one of {GRADIENT_MODES}")
         if self.predictor_mode not in PREDICTOR_MODES:
             raise InvalidInputError(f"predictor_mode must be one of {PREDICTOR_MODES}")
-        if self.sigma < 0 or not np.isfinite(self.sigma):
-            raise InvalidInputError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if self.sigma > 0 and self.predictor_mode != "noisy":
             raise InvalidInputError("sigma > 0 requires predictor_mode='noisy'")
-        if self.target_beta is not None:
-            if self.target_beta < 0 or not np.isfinite(self.target_beta):
-                raise InvalidInputError("target_beta must be nonnegative and finite")
-            if self.gradient_mode == "full":
-                raise InvalidInputError("a separate target is undefined for the full gradient")
+        if self.target_beta is not None and self.gradient_mode == "full":
+            raise InvalidInputError("a separate target is undefined for the full gradient")
 
 
 @dataclass(frozen=True)
@@ -179,10 +164,6 @@ class BidirState:
 
     left: np.ndarray
     right: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.left.shape[1]
 
 
 def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
@@ -271,8 +252,7 @@ def optimal_predictor(phi, p, d, phi_target=None) -> np.ndarray:
 
 def noisy_predictor(phi, p, d, sigma: float, rng: np.random.Generator, phi_target=None) -> np.ndarray:
     """Optimal predictor plus iid Gaussian noise of scale sigma."""
-    if sigma < 0:
-        raise InvalidInputError("sigma must be nonnegative")
+    require_number(sigma, "sigma", 0)
     pred = optimal_predictor(phi, p, d, phi_target)
     return pred + sigma * rng.standard_normal(pred.shape)
 
@@ -447,10 +427,9 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
     other's partner, so every row holds as many members.  A row's chains are a
     per-run operand of solve, so they leave the loop with the row.
     """
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise InvalidInputError("t_end must be positive and finite")
-    if n_records < 1:
-        raise InvalidInputError("n_records must be at least 1")
+    for name, value in (("t_end", t_end), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        require_number(value, name, 0, above=True)
+    require_number(n_records, "n_records", 1, integer=True)
     if any(isinstance(tms, Spectra) for _, tms in flows):
         raise InvalidInputError("flows step on their chains, not on their Spectra")
     flows = [_rep_stack(*flow) for flow in flows]
@@ -489,9 +468,7 @@ def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = 100.0, n_records: i
                   rel_tol: float = 1e-9, abs_tol: float = 1e-9):
     """Single-run wrapper around integrate_ode_batch for one (n, k) run or one pair
     (a BidirState); returns (records, final state in phi0's form)."""
-    records, final = integrate_ode_batch(_one(phi0, tm, "integrate_ode"), tm, t_end, n_records,
-                                         rel_tol, abs_tol)
-    return records[0], _each(final, lambda v: v[0])
+    return _single(integrate_ode_batch, phi0, tm, t_end, n_records, rel_tol, abs_tol)
 
 
 def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
@@ -574,11 +551,7 @@ def _rep_stack(state0, tms):
             raise ShapeMismatchError(f"left {left.shape} and right {right.shape} stacks differ")
         return np.stack([left, right], axis=1).reshape(-1, *left.shape[1:]), _pair_chains(tms), 2
     phi = np.array(state0, dtype=float)
-    if phi.ndim != 3:
-        raise InvalidInputError(f"phi0_stack must be (m, n, k), got shape {phi.shape}")
-    m, n, k = phi.shape
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    m, n, k = _stack_shape(phi)
     if isinstance(tms, Spectra) and (tms.values.shape, tms.norms.shape) != ((m, n), (m,)):
         raise ShapeMismatchError(f"Spectra of shape {tms.values.shape} for {m} runs, {n} states")
     if isinstance(tms, Spectra):
@@ -603,35 +576,32 @@ def _each(x, fn):
     return BidirState(fn(x.left), fn(x.right)) if isinstance(x, BidirState) else fn(x)
 
 
-def _one(state0, tm, name):
-    """One run, or one pair, checked against the chain tm, as a stack of one."""
+def _single(driver, state0, tm, *args):
+    """driver (run_discrete_batch or integrate_ode_batch) on one (n, k) run, or one pair
+    (a BidirState), and its chain tm, as a stack of one: (records, final state) of it."""
     if not isinstance(tm, TransitionMatrix):
-        raise InvalidInputError(f"{name} needs a TransitionMatrix")
-    st = _check_state(state0, tm.n) if isinstance(state0, BidirState) else _check_rep(state0, tm.n)
-    return _each(st, lambda v: v[None])
+        raise InvalidInputError("a single run or pair needs one TransitionMatrix")
+    records, final = driver(_each(state0, lambda v: _check_rep(v, tm.n)[None]), tm, *args)
+    return records[0], _each(final, lambda v: v[0])
 
 
-def _check_state(state: BidirState, n: int) -> BidirState:
-    if np.shape(state.left) != np.shape(state.right):
-        raise ShapeMismatchError(
-            f"left and right must share a shape, got {np.shape(state.left)} and {np.shape(state.right)}")
-    return BidirState(_check_rep(state.left, n, "left"), _check_rep(state.right, n, "right"))
+def _stack_shape(phi: np.ndarray) -> tuple:
+    """(m, n, k) of an (m, n, k) stack of m >= 1 runs with 1 <= k <= n, else InvalidInputError."""
+    if phi.ndim != 3:
+        raise InvalidInputError(f"phi0_stack must be (m, n, k), got shape {phi.shape}")
+    m, n, k = phi.shape
+    if m < 1 or not 1 <= k <= n:
+        raise InvalidInputError(f"need m >= 1 runs and 1 <= k <= n, got shape {phi.shape}")
+    return phi.shape
 
 
 def _pair_chains(tms) -> list:
     """P and P^T for each doubly stochastic chain: a stacked pair's left and right chains."""
-    for t in tms:
-        _require_doubly_stochastic(t)
-    return [c for t in tms for c in
-            (t, t if t.is_bitwise_symmetric else TransitionMatrix.from_entries(t.entries.T))]
-
-
-def _require_doubly_stochastic(tm: TransitionMatrix) -> None:
-    if not isinstance(tm, TransitionMatrix):
-        raise InvalidInputError("expected a TransitionMatrix")
-    if not tm.is_doubly_stochastic:
+    if not all(t.is_doubly_stochastic for t in tms):
         raise NotDoublyStochasticError(
             "bidirectional dynamics need unit column sums so the reversed chain is stochastic")
+    return [c for t in tms for c in
+            (t, t if t.is_bitwise_symmetric else TransitionMatrix.from_entries(t.entries.T))]
 
 
 def _require_uniform(d, n: int) -> np.ndarray:
@@ -650,15 +620,20 @@ def _eigenbasis(tms, d) -> bool:
 def eigen_stack(tms, phi0_stack):
     """(Spectra, psi0 = U^T phi0) of chains P = U diag(lam) U^T (any iterable, read one
     chain at a time) and an (m, n, k) stack.  A chain not symmetric bitwise raises
-    NotSymmetricError, as its eigh is not the basis the kernel steps in."""
-    runs = []
-    for tm, phi in zip(tms, phi0_stack):
+    NotSymmetricError, as its eigh is not the basis the kernel steps in; chains that do
+    not match the runs one to one, in number or in n, raise ShapeMismatchError."""
+    phi0_stack = np.asarray(phi0_stack, dtype=float)
+    m, n, k = _stack_shape(phi0_stack)
+    chains, runs = iter(tms), []
+    for phi, tm in zip(phi0_stack, chains):  # the stack first: no chain is read past the last run
         if not (isinstance(tm, TransitionMatrix) and tm.is_bitwise_symmetric):
             raise NotSymmetricError(f"run {len(runs)}: the chain is not symmetric bitwise")
+        if tm.n != n:
+            raise ShapeMismatchError(f"run {len(runs)}: a chain of {tm.n} states for {n} rows")
         w, u = tm.eigh
-        runs.append((w, reference_normalizer(tm, phi.shape[-1]), u.T @ phi))
-    if len(runs) != len(phi0_stack):
-        raise ShapeMismatchError(f"got {len(runs)} chains for {len(phi0_stack)} runs")
+        runs.append((w, reference_normalizer(tm, k), u.T @ phi))
+    if len(runs) != m or next(chains, None) is not None:
+        raise ShapeMismatchError(f"got {'more than ' * (len(runs) == m)}{len(runs)} chains for {m} runs")
     lam, norms, psi = zip(*runs)
     return Spectra(np.stack(lam), np.array(norms)), np.stack(psi)
 
@@ -740,8 +715,8 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     records: list = []
     _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
 
-    # A noisy run has no guard, and a step can grow a run past the guard's one rescale;
-    # either overflow reaches the next solve, or the check after the loop, which raise.
+    # A noisy run has no guard: its overflow reaches the next solve, or the check after
+    # the loop, which raise.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, config.iters + 1):
             apply(wop_g, target, out=dpt_g)
@@ -769,8 +744,12 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
             phi += g
             # One pass over each array (_inside); past the limit, or NaN, per run.
             if not noisy and not all(_inside(x) for x in guarded):
-                big = np.max([np.abs(x).max(axis=(1, 2)) for x in guarded], axis=0) > RESCALE_LIMIT
-                big = np.repeat(big.reshape(-1, r).any(axis=1), r)  # a group rescales as one
+                top = np.max([np.abs(x).max(axis=(1, 2)) for x in guarded], axis=0)
+                over = np.flatnonzero(top > RESCALE_LIMIT * 2.0 ** RESCALE_EXP)  # past one rescale
+                if len(over):
+                    raise NonFiniteStateError(
+                        f"run {run_offset + over[0]} at step {step} outgrew the blow-up guard")
+                big = np.repeat((top > RESCALE_LIMIT).reshape(-1, r).any(axis=1), r)  # a group as one
                 for x in guarded:
                     x[big] *= 2.0 ** -RESCALE_EXP
                 slog[big] += RESCALE_EXP
@@ -786,6 +765,5 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
 def run_discrete(phi0, tm: TransitionMatrix, d, config: DynamicsConfig, noise_rng=None):
     """Single-run wrapper around run_discrete_batch for one (n, k) run or one pair
     (a BidirState); returns (records, final state in phi0's form)."""
-    rngs = [noise_rng] if noise_rng is not None else None
-    records, final = run_discrete_batch(_one(phi0, tm, "run_discrete"), tm, d, config, rngs)
-    return records[0], _each(final, lambda v: v[0])
+    return _single(run_discrete_batch, phi0, tm, d, config,
+                   [noise_rng] if noise_rng is not None else None)

@@ -1,6 +1,10 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and require_number, the one check of
+every numeric argument (config fields, generator sizes, flow horizons and tolerances)."""
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class SelfPredictError(Exception):
@@ -45,3 +49,23 @@ class StepSizeUnderflowError(SelfPredictError, RuntimeError):
 
 class UnknownScenarioError(SelfPredictError, ValueError):
     """A scenario name is not in the catalog."""
+
+
+def require_number(value, name: str, low, *, integer: bool = False, above: bool = False,
+                   optional: bool = False):
+    """value, checked: an integer (int or numpy integer) if integer, else any real number;
+    never a bool; finite as a float; at least low, or above it if above; None only if
+    optional.  Anything else raises InvalidInputError naming the argument name."""
+    if value is None and optional:
+        return value
+    try:
+        ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
+              and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # no repr either: a long enough int has none
+        raise InvalidInputError(f"{name} must be finite, got an int beyond the float range") from None
+    if not ok:
+        raise InvalidInputError(
+            f"{name} must be {'an integer' if integer else 'a finite real number'}, got {value!r}")
+    if not (value > low if above else value >= low):
+        raise InvalidInputError(f"{name} must be {'above' if above else 'at least'} {low}, got {value}")
+    return value

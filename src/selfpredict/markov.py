@@ -21,11 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    NonConvergenceError,
-    NotSymmetricError,
-)
+from .errors import InvalidInputError, NonConvergenceError, NotSymmetricError, require_number
 
 STOCHASTIC_TOL = 1e-12
 FLAG_TOL = 1e-12
@@ -142,8 +138,7 @@ def gen_doubly_stochastic(n: int, seed: int, alpha="random") -> TransitionMatrix
     seeded generator is fixed (raw matrix, permutation, then alpha) so the
     output is reproducible per (n, seed).
     """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
+    require_number(n, "n", 1, integer=True)
     rng = np.random.default_rng(seed)
     base = _sinkhorn(rng.random((n, n)))
     perm = rng.permutation(n)
@@ -162,8 +157,7 @@ def gen_doubly_stochastic(n: int, seed: int, alpha="random") -> TransitionMatrix
 
 def gen_symmetric(n: int, seed: int) -> TransitionMatrix:
     """Random symmetric doubly stochastic chain: project, then average with the transpose."""
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
+    require_number(n, "n", 1, integer=True)
     rng = np.random.default_rng(seed)
     base = _sinkhorn(rng.random((n, n)))
     base += base.T  # in place: the same bits as 0.5 * (base + base.T), one n x n array fewer
@@ -253,16 +247,14 @@ def spectral(tm: TransitionMatrix, kind: str = "eigen") -> SpectralSummary:
 def n_step_matrix(tm: TransitionMatrix, n_steps: int) -> TransitionMatrix:
     """The chain composed with itself n_steps times; a symmetric chain's power is
     averaged with its transpose, as in gen_symmetric, so it is symmetric bitwise."""
-    if n_steps < 1:
-        raise InvalidInputError("n_steps must be at least 1")
+    require_number(n_steps, "n_steps", 1, integer=True)
     a = np.linalg.matrix_power(tm.entries, n_steps)
     return TransitionMatrix.from_entries(0.5 * (a + a.T) if tm.is_symmetric else a)
 
 
 def uniform_distribution(n: int) -> np.ndarray:
     """Uniform state distribution on n states."""
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
+    require_number(n, "n", 1, integer=True)
     return np.full(n, 1.0 / n)
 
 

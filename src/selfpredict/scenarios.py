@@ -36,7 +36,7 @@ from . import __version__, dynamics
 from .bidirectional import BidirState, integrate_bidir, integrate_flows_batch  # noqa: F401
 from .dynamics import (DynamicsConfig, eigen_stack, flow_residual, integrate_ode,  # noqa: F401
                        orthonormal_init, run_discrete_batch)
-from .errors import InvalidInputError, UnknownScenarioError
+from .errors import InvalidInputError, UnknownScenarioError, require_number
 from .markov import (
     fixed_example_2x2,
     fixed_example_3x3,
@@ -108,17 +108,15 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        dynamics._require_ints(self, dict(master_seed=0, n_runs=1, n_states=2, k=1, workers=1,
-                                          n_step=1, iters=1, n_records=1, record_every=1),
-                               optional=("iters", "n_records", "record_every"))
+        for name, low in dict(master_seed=0, n_runs=1, n_states=2, k=1, workers=1, n_step=1,
+                              iters=1, n_records=1, record_every=1).items():
+            require_number(getattr(self, name), name, low, integer=True,
+                           optional=name in ("iters", "n_records", "record_every"))
+        for name in ("eta", "sigma", "t_end"):
+            require_number(getattr(self, name), name, 0, above=True, optional=True)
+        require_number(self.beta, "beta", 0, optional=True)
         if self.k > self.n_states:
             raise InvalidInputError(f"need 1 <= k <= n_states, got k={self.k}")
-        for name in ("eta", "sigma", "t_end"):
-            v = getattr(self, name)
-            if v is not None and (not np.isfinite(v) or v <= 0):
-                raise InvalidInputError(f"{name} must be positive and finite when given")
-        if self.beta is not None and (not np.isfinite(self.beta) or self.beta < 0):
-            raise InvalidInputError("beta must be nonnegative and finite when given")
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def _resolve(cfg: ScenarioConfig) -> dict:
         budget = float(cfg.iters) if cfg.iters is not None else FINITE_LR_BUDGET
         out = {}
         for e in grid:
-            cell_iters = max(1, int(round(budget / e)))
+            cell_iters = max(1, int(round(require_number(budget / e, "iters / eta", 0))))
             out[f"eta_{e:g}"] = discrete("symmetric", eta_=e, iters_=cell_iters,
                                          rec_=cell_iters)
         return out
@@ -191,12 +189,8 @@ def _resolve(cfg: ScenarioConfig) -> dict:
 def _make_chain(kind: str, n: int, master_seed: int, run_index: int):
     if kind == "fixed3":
         return fixed_example_3x3()
-    seed = stream_seed(master_seed, run_index, STREAM_MATRIX)
-    if kind == "symmetric":
-        return gen_symmetric(n, seed)
-    if kind == "doubly_stochastic":
-        return gen_doubly_stochastic(n, seed)
-    raise InvalidInputError(f"unknown chain kind {kind!r}")
+    gen = gen_symmetric if kind == "symmetric" else gen_doubly_stochastic
+    return gen(n, stream_seed(master_seed, run_index, STREAM_MATRIX))
 
 
 def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
@@ -240,11 +234,9 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
             noisy = dcfg.predictor_mode == "noisy"
             rngs = [stream_rng(ms, i, STREAM_NOISE) for i in idxs] if noisy else None
             out[key], _ = run_discrete_batch(phi0, tms, d, dcfg, rngs, run_offset=lo)
-        elif mode in ("ode", "bidir_ode"):
+        else:  # "ode" or "bidir_ode": _resolve makes no other mode here
             flows[key] = (left if mode == "ode" else BidirState(left, init(STREAM_INIT_RIGHT)), tms)
             horizon = dict(t_end=params["t_end"], n_records=params["n_records"], run_offset=lo)
-        else:
-            raise InvalidInputError(f"unknown variant mode {mode!r}")
     if flows:
         results = integrate_flows_batch(list(flows.values()), **horizon)
         out.update((key, records) for key, (records, _) in zip(flows, results))

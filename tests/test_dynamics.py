@@ -277,6 +277,29 @@ class TestNonFiniteState:
                          DynamicsConfig(eta=eta, iters=iters))
 
 
+    def test_a_step_that_outgrows_the_guard_raises_at_that_step(self):
+        # it used to run on, its step-8 max_abs_cosine NaN
+        with pytest.raises(NonFiniteStateError, match="run 0 at step 4 outgrew the blow-up guard"):
+            run_discrete(orthonormal_init(20, 2, 1), gen_symmetric(20, 0), uniform_distribution(20),
+                         DynamicsConfig(eta=1e100, iters=8, record_every=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_eta=st.floats(0.0, 300.0), iters=st.integers(1, 30), n=st.integers(3, 11),
+           pair=st.booleans(), eigen=st.booleans(), seed=st.integers(0, 2**16))
+    def test_hostile_step_sizes_raise_or_record_no_nan(self, log_eta, iters, n, pair, eigen, seed):
+        tm = (gen_symmetric if eigen or not pair else gen_doubly_stochastic)(n, seed)
+        d = uniform_distribution(n) if eigen or pair else np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+        phi0 = orthonormal_init(n, 2, seed + 1)
+        state = BidirState(phi0, orthonormal_init(n, 2, seed + 2)) if pair else phi0
+        cfg = DynamicsConfig(eta=10.0 ** log_eta, iters=iters, record_every=1)
+        try:
+            records, _ = run_discrete(state, tm, d, cfg)
+        except NonFiniteStateError:
+            return
+        for rec in records:
+            assert not any(np.isnan(v) for v in dataclasses.astuple(rec.bundle) if v is not None)
+
+
 class TestExactIdentities:
     def test_identity_prediction_is_lossless(self):
         from selfpredict import TransitionMatrix
@@ -793,6 +816,30 @@ class TestPreparedStack:
         with pytest.raises(ShapeMismatchError):
             dynamics.eigen_stack(tms[:1], phi0)
 
+    def test_chains_and_runs_pair_up_one_to_one(self):
+        n, m = 5, 2
+        tms = [gen_symmetric(n, s) for s in range(2 * m)]
+        phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(m)])
+        read = []
+
+        def chains():
+            for t in tms:
+                read.append(t)
+                yield t
+
+        # as run_discrete_batch does for the same input; no chain is built past the one extra
+        for extra in (tms, chains()):
+            with pytest.raises(ShapeMismatchError, match=f"more than {m} chains"):
+                dynamics.eigen_stack(extra, phi0)
+        assert len(read) == m + 1
+        with pytest.raises(ShapeMismatchError, match="chains"):
+            run_discrete_batch(phi0, tms, uniform_distribution(n), DynamicsConfig(iters=1))
+        wide = np.stack([orthonormal_init(n + 1, 2, s) for s in range(m)])
+        with pytest.raises(ShapeMismatchError, match="run 0"):
+            dynamics.eigen_stack(tms[:m], wide)
+        with pytest.raises(InvalidInputError, match="phi0_stack"):
+            dynamics.eigen_stack(tms[:1], phi0[0])
+
 
 STACK_MODES = {**EIGEN_MODES, "divergent": dict(eta=10.0)}
 
@@ -971,6 +1018,14 @@ class TestFlow:
         with pytest.raises(InvalidInputError):
             integrate_ode(np.ones((2, 1)), np.eye(2))
 
+    @pytest.mark.parametrize("kw", [dict(rel_tol=-1), dict(rel_tol=0), dict(rel_tol=np.nan),
+                                    dict(rel_tol=np.inf), dict(abs_tol=0), dict(n_records=2.5)])
+    def test_tolerances_and_record_count_are_checked(self, kw):
+        # rel_tol=-1 used to integrate, nan and both tolerances at 0 to underflow at t=0
+        tm, phi, _, _ = random_instance(0)
+        with pytest.raises(InvalidInputError, match=next(iter(kw))):
+            integrate_ode(phi, tm, t_end=1.0, **kw)
+
 
 class TestSolvePredictor:
     def test_squared_recovers_normal_equations(self):
@@ -1003,6 +1058,21 @@ class TestSolvePredictor:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["eta", "sigma", "target_beta"])
+    def test_real_fields_take_finite_real_numbers_only(self, field):
+        noisy = dict(predictor_mode="noisy") if field == "sigma" else {}
+        for value in (True, "0.1", [0.1], 10**400):
+            with pytest.raises(InvalidInputError, match=field):
+                DynamicsConfig(**noisy, **{field: value})
+        for value in (np.float32(0.5), np.int64(2)):
+            assert getattr(DynamicsConfig(**noisy, **{field: value}), field) == value
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_noisy_predictor_needs_a_finite_sigma(self, sigma):
+        tm, phi, _, d = random_instance(0)
+        with pytest.raises(InvalidInputError, match="sigma"):
+            noisy_predictor(phi, tm, d, sigma, np.random.default_rng(0))
+
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidInputError):
             DynamicsConfig(eta=0.0)

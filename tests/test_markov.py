@@ -120,6 +120,13 @@ class TestGenerators:
         tm = gen_doubly_stochastic(8, 5, alpha=1.0)
         assert tm.entries.min() > 0.0
 
+    @pytest.mark.parametrize("n", [5.5, True])
+    def test_sizes_must_be_integers(self, n):
+        for make in (lambda: gen_symmetric(n, 1), lambda: gen_doubly_stochastic(n, 1),
+                     lambda: uniform_distribution(n), lambda: n_step_matrix(gen_symmetric(3, 0), n)):
+            with pytest.raises(InvalidInputError, match="must be an integer"):
+                make()
+
     def test_alpha_out_of_range(self):
         with pytest.raises(InvalidInputError):
             gen_doubly_stochastic(4, 0, alpha=1.5)

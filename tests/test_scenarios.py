@@ -1,10 +1,13 @@
 import filecmp
+import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from selfpredict import (BidirState, DynamicsConfig, InvalidInputError, MetricBu
                          flow_residual, integrate_bidir_batch, integrate_ode_batch,
                          n_step_matrix, orthonormal_init, run_discrete_batch, stream_rng,
                          stream_seed, trace_objective, uniform_distribution)
-from selfpredict import dynamics, scenarios
+from selfpredict import cli, dynamics, scenarios
 from selfpredict.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 from selfpredict.seeding import STREAM_INIT_LEFT, STREAM_INIT_RIGHT, STREAM_NOISE
 
@@ -383,6 +386,15 @@ class TestValidation:
             with pytest.raises(InvalidInputError, match=next(iter(kw))):
                 DynamicsConfig(**kw)
 
+    @pytest.mark.parametrize("field", ["eta", "sigma", "beta", "t_end"])
+    def test_real_fields_take_finite_real_numbers_only(self, tmp_path, field):
+        # "beta": true used to run and echo true into summary.json
+        for value in (True, "0.1", [0.1], 10**400):
+            with pytest.raises(InvalidInputError, match=field):
+                tiny("appendix_target_beta", tmp_path, **{field: value})
+        for value in (np.float32(0.5), np.int64(2)):
+            assert getattr(tiny("appendix_target_beta", tmp_path, **{field: value}), field) == value
+
     def test_fig5_width_capped_by_fixed_chain(self, tmp_path):
         # n_states is ignored for the fixed chain but k must still fit it
         with pytest.raises(InvalidInputError):
@@ -394,6 +406,14 @@ class TestValidation:
             "example1_critical_points", "appendix_target_beta",
             "appendix_finite_lr", "appendix_noisy_predictor",
         }
+
+
+NUMERIC_FIELDS = ["master_seed", "n_runs", "n_states", "k", "eta", "iters", "sigma", "beta",
+                  "n_step", "t_end", "n_records", "record_every", "workers"]
+HOSTILE = st.one_of(
+    st.sampled_from([None, True, False, 0, 0.0, -1, -0.5, 2**70, 10**400, math.nan, math.inf,
+                     -math.inf, 1e-320, 1e308, "0.1", "1", [0.1], []]),
+    st.integers(-3, 40), st.floats(allow_nan=True, allow_infinity=True))
 
 
 class TestCli:
@@ -488,6 +508,46 @@ class TestCli:
         assert payload["error"] == "InvalidInputError"
         assert "record_every" in payload["message"]
         assert stdout == "" and not out.exists()
+
+    def test_a_finite_lr_step_count_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # int(round(budget / eta)) used to raise OverflowError
+        out = tmp_path / "out"
+        code, stdout, err = self.run_cli(
+            ["--scenario", "appendix_finite_lr", "--eta", "1e-320", "--runs", "1",
+             "--n-states", "3", "--out", str(out)], capsys)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert "iters / eta" in payload["message"]
+        assert stdout == "" and not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=st.sampled_from(sorted(SCENARIOS)),
+           values=st.dictionaries(st.sampled_from(NUMERIC_FIELDS), HOSTILE, max_size=4))
+    def test_hostile_numeric_fields_exit_0_or_2(self, tmp_path_factory, scenario, values):
+        """Any numeric config value ends in a typed exit 2, or a run on finite numbers."""
+        tmp = tmp_path_factory.mktemp("cli")
+        seen = []
+
+        def resolve_only(cfg):  # no chain, pool or file work
+            seen.append(cfg)
+            scenarios._resolve(cfg)
+            return scenarios.RunArtifact(cfg.scenario, tmp, {}, tmp / "summary.json")
+
+        path = tmp / "run.json"
+        path.write_text(json.dumps(dict(values, scenario=scenario, out_dir=str(tmp))))
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()), redirect_stderr(err):
+            mp.setattr(cli, "run_scenario", resolve_only)
+            code = cli.main(["--config", str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert json.loads(err.getvalue())["error"] in ("InvalidInputError", "UnknownScenarioError")
+        else:
+            for field in ("eta", "sigma", "beta", "t_end"):
+                v = getattr(seen[0], field)
+                assert v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                     and math.isfinite(v))
 
     def test_non_finite_noisy_run_exits_1(self, tmp_path, capsys):
         # eta=50, sigma=1 overflows the unguarded noisy run; it used to write NaN rows
