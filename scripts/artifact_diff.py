@@ -24,7 +24,9 @@ absolute difference of each numeric column is printed.  The exit status is 0
 when both trees wrote the same files with the same bytes, and 1 otherwise.
 
 First, the line count of each module of both packages is printed (as wc -l
-counts them), with the totals and the difference between the trees.
+counts them), with the totals and the difference between the trees, and then
+each tree's public names (selfpredict.__all__).  Public names that differ
+between the trees also make the exit status 1.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 
@@ -74,6 +77,26 @@ def report_lines(old: Path, new: Path) -> None:
     for name in sorted(a.keys() | b.keys()) + [None]:
         x, y = (sum(c.values()) if name is None else c.get(name, 0) for c in (a, b))
         print(f"{name or 'total':<20} {x:>6} {y:>6} {y - x:>+6}")
+
+
+def public_names(src: Path) -> list:
+    """selfpredict.__all__ of src's package, read in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONDONTWRITEBYTECODE="1")
+    code = "import selfpredict; print(*selfpredict.__all__)"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def report_names(old: Path, new: Path) -> bool:
+    """Print both trees' public names, shared first; returns whether they are the same."""
+    a, b = public_names(old), public_names(new)
+    print(f"public names (selfpredict.__all__): old {len(a)}, new {len(b)}")
+    for label, names in (("both", [x for x in a if x in b]), ("only in old", set(a) - set(b)),
+                         ("only in new", set(b) - set(a))):
+        if names:
+            print(textwrap.fill(", ".join(sorted(names)), 88, initial_indent=f"  {label}: ",
+                                subsequent_indent="    "))
+    return sorted(a) == sorted(b)
 
 
 def files(root: Path) -> set:
@@ -122,6 +145,7 @@ def main(argv=None) -> int:
         if not (src / "selfpredict" / "__init__.py").is_file():
             p.error(f"{src} holds no selfpredict package")
     report_lines(args.old, args.new)
+    same_names = report_names(args.old, args.new)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for label, src in (("old", args.old), ("new", args.new)):
@@ -135,7 +159,7 @@ def main(argv=None) -> int:
         print(f"expected {EXPECTED_FILES} files, got {count}")
         return 1
     print(f"{count - bad} of {count} files identical")
-    return 1 if bad else 0
+    return 1 if bad or not same_names else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Simulator for self-predictive representation dynamics on tabular chains."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DegenerateCovarianceError,
     InnerSolveFailureError,
@@ -74,64 +76,6 @@ from .seeding import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BidirState",
-    "CollapseMetrics",
-    "DegenerateCovarianceError",
-    "DynamicsConfig",
-    "InnerSolveFailureError",
-    "InvalidInputError",
-    "MetricBundle",
-    "NonConvergenceError",
-    "NonFiniteStateError",
-    "Normalizers",
-    "NotDoublyStochasticError",
-    "NotSymmetricError",
-    "STREAM_INIT_LEFT",
-    "STREAM_INIT_RIGHT",
-    "STREAM_MATRIX",
-    "STREAM_NOISE",
-    "SelfPredictError",
-    "ShapeMismatchError",
-    "SpectralSummary",
-    "StepSizeUnderflowError",
-    "TrajectoryRecord",
-    "TransitionMatrix",
-    "UnknownScenarioError",
-    "bidir_ode_rhs",
-    "bidir_optimal_predictors",
-    "collapse_metrics",
-    "covariance_solve",
-    "fixed_example_2x2",
-    "fixed_example_3x3",
-    "flow_residual",
-    "full_gradient_step",
-    "gen_doubly_stochastic",
-    "gen_symmetric",
-    "integrate_bidir",
-    "integrate_bidir_batch",
-    "integrate_ode",
-    "integrate_ode_batch",
-    "n_step_matrix",
-    "noisy_predictor",
-    "normalizers",
-    "ode_rhs",
-    "optimal_predictor",
-    "orthonormal_init",
-    "prediction_loss",
-    "predictor_gradient",
-    "reference_normalizer",
-    "run_discrete",
-    "run_discrete_batch",
-    "run_discrete_bidir",
-    "semi_gradient_step",
-    "sinkhorn_normalize",
-    "solve_predictor",
-    "spectral",
-    "stream_rng",
-    "stream_seed",
-    "svd_trace_objective",
-    "trace_objective",
-    "uniform_distribution",
-    "validate_distribution",
-]
+# The public names are the ones imported above: every global not private and not a module.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

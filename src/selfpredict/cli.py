@@ -66,7 +66,10 @@ def main(argv=None) -> int:
     fields: dict = {}
     try:
         if args.config is not None:
-            raw = json.loads(args.config.read_text())
+            try:
+                raw = json.loads(args.config.read_text())
+            except ValueError as exc:  # malformed, not UTF-8, or an int past Python's digit limit
+                raise InvalidInputError(f"config file is not readable JSON: {exc}") from None
             if not isinstance(raw, dict):
                 raise InvalidInputError("config file must hold a JSON object")
             unknown = sorted(set(raw) - CONFIG_FIELDS)
@@ -80,7 +83,7 @@ def main(argv=None) -> int:
             raise UnknownScenarioError("no scenario given; pass --scenario or --list")
         cfg = ScenarioConfig(**fields)
         artifact = run_scenario(cfg)
-    except (json.JSONDecodeError, InvalidInputError, UnknownScenarioError, TypeError) as exc:
+    except (InvalidInputError, UnknownScenarioError, TypeError) as exc:
         _error_json(exc)
         return 2
     except (SelfPredictError, OSError) as exc:

@@ -172,7 +172,8 @@ def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
     QR of a standard Gaussian block, with the usual sign fix on the R
     diagonal so the distribution is exactly rotation invariant.
     """
-    if not 1 <= k <= n:
+    require_number(n, "n", 1, integer=True)
+    if require_number(k, "k", 1, integer=True) > n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, k))
@@ -181,14 +182,19 @@ def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
     return q * signs
 
 
-def covariance_solve_batch(cov, rhs, run_offset: int = 0, step=None) -> np.ndarray:
+def _who(row, run_offset: int, r: int) -> str:
+    """The name of a stack row's run, or, in a stack of r = 2 runs per pair, its pair."""
+    return f"{('run', 'pair')[r - 1]} {run_offset + int(row) // r}"
+
+
+def covariance_solve_batch(cov, rhs, run_offset: int = 0, step=None, r: int = 1) -> np.ndarray:
     """Solve cov @ x = rhs for an (m, k, k) stack of symmetric PSD covariances.
 
     The answer is the eigh pseudoinverse's, which zeroes eigenvalues at or below
     1e-12 of the largest.  Runs whose inverse puts every eigenvalue CERTIFY_MARGIN
     above that (lambda_min >= 1/||cov^-1||_F, lambda_max <= trace) are solved
     through it, the rest through eigh, which raises NonFiniteStateError or
-    DegenerateCovarianceError naming run run_offset + index (and step).
+    DegenerateCovarianceError naming the row's run (or pair, _who) and step.
     """
     with np.errstate(all="ignore"):
         try:
@@ -209,12 +215,12 @@ def covariance_solve_batch(cov, rhs, run_offset: int = 0, step=None) -> np.ndarr
     finite = np.isfinite(cov).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=(-2, -1))
     if not finite.all():
         raise NonFiniteStateError(
-            f"non-finite predictor solve in run {run_offset + bad[~finite][0]}{at}")
+            f"non-finite predictor solve in {_who(bad[~finite][0], run_offset, r)}{at}")
     w, v = np.linalg.eigh(cov)
     top = np.abs(w).max(axis=1)
     if np.any(top == 0.0):
         raise DegenerateCovarianceError(
-            f"covariance is identically zero in run {run_offset + bad[top == 0.0][0]}{at}")
+            f"covariance is identically zero in {_who(bad[top == 0.0][0], run_offset, r)}{at}")
     keep = np.abs(w) > COV_CUTOFF * top[:, None]
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
@@ -227,13 +233,22 @@ def covariance_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return covariance_solve_batch(*(np.asarray(a, dtype=float)[None] for a in (cov, rhs)))[0]
 
 
-def _operands(p, phi, d, phi_target=None):
-    """Checked (P, phi, d, target) of one run; the target defaults to phi."""
+def _operands(p, phi, d, phi_target=None, pred=None):
+    """Checked (P, phi, d, target, pred) of one run: the target defaults to phi and has
+    phi's k columns, and pred, when given, is (k, k)."""
     a = _matrix(p)
     n = a.shape[0]
     v = _check_rep(phi, n)
     d = validate_distribution(d, n)
-    return a, v, d, v if phi_target is None else _check_rep(phi_target, n, "phi_target")
+    t = v if phi_target is None else _check_rep(phi_target, n, "phi_target")
+    k = v.shape[1]
+    if t.shape[1] != k:
+        raise ShapeMismatchError("phi and phi_target must have the same number of columns")
+    if pred is not None:
+        pred = np.asarray(pred, dtype=float)
+        if pred.shape != (k, k):
+            raise ShapeMismatchError(f"pred must be ({k}, {k}), got shape {pred.shape}")
+    return a, v, d, t, pred
 
 
 def optimal_predictor(phi, p, d, phi_target=None) -> np.ndarray:
@@ -243,9 +258,7 @@ def optimal_predictor(phi, p, d, phi_target=None) -> np.ndarray:
     defaulting phi_target to phi.  Rank deficiency is handled by the
     pseudoinverse in covariance_solve.
     """
-    a, v, d, t = _operands(p, phi, d, phi_target)
-    if t.shape[1] != v.shape[1]:
-        raise ShapeMismatchError("phi and phi_target must have the same number of columns")
+    a, v, d, t, _ = _operands(p, phi, d, phi_target)
     dv = d[:, None] * v
     return covariance_solve(v.T @ dv, dv.T @ (a @ t))
 
@@ -290,18 +303,16 @@ def _pair_loss_grad(z: np.ndarray, t: np.ndarray, w: np.ndarray,
 def prediction_loss(phi, pred, p, d, loss_kind: str = "squared",
                     epsilon: float = 1e-8, phi_target=None) -> float:
     """Expected pairwise loss between predicted and frozen successor embeddings."""
-    a, v, d, t = _operands(p, phi, d, phi_target)
-    val, _ = _pair_loss_grad(v @ np.asarray(pred, dtype=float), t, d[:, None] * a,
-                             loss_kind, epsilon)
+    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
+    val, _ = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return val
 
 
 def predictor_gradient(phi, pred, p, d, loss_kind: str = "squared",
                        epsilon: float = 1e-8, phi_target=None) -> np.ndarray:
     """Gradient of prediction_loss with respect to the predictor matrix."""
-    a, v, d, t = _operands(p, phi, d, phi_target)
-    _, gz = _pair_loss_grad(v @ np.asarray(pred, dtype=float), t, d[:, None] * a,
-                            loss_kind, epsilon)
+    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
+    _, gz = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return v.T @ gz
 
 
@@ -313,16 +324,16 @@ def semi_gradient_step(phi, pred, p, d, eta: float, loss_kind: str = "squared",
     frozen at phi_target (phi itself by default).  For the squared loss the
     update is phi + 2 eta (D P phi_target - D phi pred) pred^T.
     """
-    a, v, d, t = _operands(p, phi, d, phi_target)
-    pred = np.asarray(pred, dtype=float)
+    require_number(eta, "eta", 0, above=True)
+    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
     _, gz = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return v - eta * (gz @ pred.T)
 
 
 def full_gradient_step(phi, pred, p, d, eta: float) -> np.ndarray:
     """One full-gradient update for the squared loss (successor side included)."""
-    a, v, d, _ = _operands(p, phi, d)
-    pred = np.asarray(pred, dtype=float)
+    require_number(eta, "eta", 0, above=True)
+    a, v, d, _, pred = _operands(p, phi, d, pred=pred)
     dv = d[:, None] * v
     vp = dv @ pred
     grad = 2.0 * (vp - d[:, None] * (a @ v)) @ pred.T - 2.0 * (a.T @ vp - (a.T @ d)[:, None] * v)
@@ -349,7 +360,7 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8
     InnerSolveFailureError if no start reaches tol.
     """
     from scipy.optimize import minimize
-    a, v, d, t = _operands(p, phi, d, phi_target)
+    a, v, d, t, _ = _operands(p, phi, d, phi_target)
     k = v.shape[1]
     w = d[:, None] * a
 
@@ -711,17 +722,16 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     wop_g, dpt_g = (x.reshape(*target.shape[:-2], n, -1) for x in (wop, dpt))
     slog = np.zeros(m)
     phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
-    c0 = phi_t @ phi
     records: list = []
-    _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
-
-    # A noisy run has no guard: its overflow reaches the next solve, or the check after
-    # the loop, which raise.
+    # A hostile initial state overflows in c0 and its first solve raises.  A noisy run has
+    # no guard: its overflow reaches the next solve, or the check after the loop, which raise.
     with np.errstate(over="ignore", invalid="ignore"):
+        c0 = phi_t @ phi
+        _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
         for step in range(1, config.iters + 1):
             apply(wop_g, target, out=dpt_g)
             np.multiply(phi, w, out=dphi)  # a second buffer keeps the Gram off the syrk path
-            pred = covariance_solve_batch(phi_t @ dphi, phi_t @ dpt, run_offset, step)
+            pred = covariance_solve_batch(phi_t @ dphi, phi_t @ dpt, run_offset, step, r)
             if noisy:  # a generator's stream is the same however many steps a call draws
                 if (step - 1) % NOISE_BLOCK == 0:
                     b = min(NOISE_BLOCK, config.iters - step + 1)
@@ -748,7 +758,7 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
                 over = np.flatnonzero(top > RESCALE_LIMIT * 2.0 ** RESCALE_EXP)  # past one rescale
                 if len(over):
                     raise NonFiniteStateError(
-                        f"run {run_offset + over[0]} at step {step} outgrew the blow-up guard")
+                        f"{_who(over[0], run_offset, r)} at step {step} outgrew the blow-up guard")
                 big = np.repeat((top > RESCALE_LIMIT).reshape(-1, r).any(axis=1), r)  # a group as one
                 for x in guarded:
                     x[big] *= 2.0 ** -RESCALE_EXP
@@ -758,7 +768,7 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
 
     bad = np.flatnonzero(~np.isfinite(phi).all(axis=(1, 2)))
     if len(bad):  # the last step's overflow has no next solve to raise it
-        raise NonFiniteStateError(f"non-finite state in run {run_offset + bad[0]} at step {step}")
+        raise NonFiniteStateError(f"non-finite state in {_who(bad[0], run_offset, r)} at step {step}")
     return _stacked(records), phi, slog
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeMismatchError
+from .errors import InvalidInputError, ShapeMismatchError, require_number
 from .markov import TransitionMatrix
 
 # Column norms below this are treated as fully collapsed.
@@ -71,7 +71,7 @@ def normalizers(tm: TransitionMatrix, k: int) -> Normalizers:
     A symmetric chain's singular values are its eigenvalue magnitudes, so its two
     ceilings coincide; both match spectral(tm, kind).values[:k] up to rounding.
     """
-    if not 1 <= k <= tm.n:
+    if require_number(k, "k", 1, integer=True) > tm.n:
         raise InvalidInputError(f"k must lie in [1, {tm.n}], got {k}")
     s = tm.singular_values[:k]
     norm = float(np.sum(s * s))

@@ -58,9 +58,6 @@ from .seeding import (
 
 CHUNK_SIZE = 25
 
-DEFAULT_ETA = 1e-3
-DEFAULT_ITERS = 10_000
-DEFAULT_RECORD_EVERY = 100
 DEFAULT_T_END = 100.0
 DEFAULT_N_RECORDS = 100
 FIG2_NOISE_SIGMA = 0.1
@@ -129,27 +126,22 @@ class RunArtifact:
 
 def _resolve(cfg: ScenarioConfig) -> dict:
     """Expand a config into ordered variant parameter dicts."""
-    eta = cfg.eta if cfg.eta is not None else DEFAULT_ETA
-    iters = cfg.iters if cfg.iters is not None else DEFAULT_ITERS
-    rec = cfg.record_every if cfg.record_every is not None else DEFAULT_RECORD_EVERY
     t_end = cfg.t_end if cfg.t_end is not None else DEFAULT_T_END
     n_rec = cfg.n_records if cfg.n_records is not None else DEFAULT_N_RECORDS
     s = cfg.scenario
+    # DynamicsConfig's defaults stand wherever the user set no flag; building it checks the cell.
+    given = {f: getattr(cfg, f) for f in ("eta", "iters", "record_every")
+             if getattr(cfg, f) is not None}
 
-    def discrete(chain, grad="semi", pmode="optimal", sigma=0.0, beta=None,
-                 eta_=None, iters_=None, rec_=None):
-        return dict(mode="discrete", chain=chain, gradient_mode=grad,
-                    predictor_mode=pmode, sigma=sigma, target_beta=beta,
-                    eta=eta_ if eta_ is not None else eta,
-                    iters=iters_ if iters_ is not None else iters,
-                    record_every=rec_ if rec_ is not None else rec)
+    def discrete(chain, **cell):
+        return dict(mode="discrete", chain=chain, **asdict(DynamicsConfig(**{**given, **cell})))
 
     if s == "fig2_collapse":
         sig = cfg.sigma if cfg.sigma is not None else FIG2_NOISE_SIGMA
         return {
             "semi_optimal": discrete("symmetric"),
-            "full_optimal": discrete("symmetric", grad="full"),
-            "semi_noisy": discrete("symmetric", pmode="noisy", sigma=sig),
+            "full_optimal": discrete("symmetric", gradient_mode="full"),
+            "semi_noisy": discrete("symmetric", predictor_mode="noisy", sigma=sig),
         }
     if s == "fig4_trace_ratio":
         ode = dict(mode="ode", t_end=t_end, n_records=n_rec)
@@ -168,19 +160,19 @@ def _resolve(cfg: ScenarioConfig) -> dict:
         return {"points": dict(mode="catalog")}
     if s == "appendix_target_beta":
         grid = (cfg.beta,) if cfg.beta is not None else BETA_GRID
-        return {f"beta_{b:g}": discrete("symmetric", beta=b) for b in grid}
+        return {f"beta_{b:g}": discrete("symmetric", target_beta=b) for b in grid}
     if s == "appendix_finite_lr":
         grid = (cfg.eta,) if cfg.eta is not None else ETA_GRID
         budget = float(cfg.iters) if cfg.iters is not None else FINITE_LR_BUDGET
         out = {}
         for e in grid:
             cell_iters = max(1, int(round(require_number(budget / e, "iters / eta", 0))))
-            out[f"eta_{e:g}"] = discrete("symmetric", eta_=e, iters_=cell_iters,
-                                         rec_=cell_iters)
+            out[f"eta_{e:g}"] = discrete("symmetric", eta=e, iters=cell_iters,
+                                         record_every=cell_iters)
         return out
     if s == "appendix_noisy_predictor":
         grid = (cfg.sigma,) if cfg.sigma is not None else SIGMA_GRID
-        return {f"sigma_{v:g}": discrete("symmetric", pmode="noisy", sigma=v)
+        return {f"sigma_{v:g}": discrete("symmetric", predictor_mode="noisy", sigma=v)
                 for v in grid}
     raise UnknownScenarioError(
         f"unknown scenario {s!r}; available: {', '.join(sorted(SCENARIOS))}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_number
+
 STREAM_MATRIX = 0
 STREAM_INIT_LEFT = 1
 STREAM_INIT_RIGHT = 2
@@ -19,6 +21,8 @@ STREAM_NOISE = 3
 
 def stream_seed(master_seed: int, run_index: int, stream: int) -> int:
     """Collapse (master_seed, run_index, stream) into one integer seed."""
+    for name, value in (("master_seed", master_seed), ("run_index", run_index), ("stream", stream)):
+        require_number(value, name, 0, integer=True)
     seq = np.random.SeedSequence((master_seed, run_index, stream))
     return int(seq.generate_state(1, np.uint64)[0])
 

@@ -39,6 +39,7 @@ from selfpredict import (
     semi_gradient_step,
     solve_predictor,
     spectral,
+    stream_seed,
     trace_objective,
     uniform_distribution,
 )
@@ -65,6 +66,61 @@ class TestOrthonormalInit:
             orthonormal_init(3, 4, 0)
         with pytest.raises(InvalidInputError):
             orthonormal_init(3, 0, 0)
+
+    @pytest.mark.parametrize("n, k, name", [(3.5, 2, "n"), (3, 2.0, "k"), (3, True, "k"),
+                                            (np.nan, 1, "n"), (None, 1, "n")])
+    def test_sizes_are_integers(self, n, k, name):
+        # 3.5 used to raise a TypeError from numpy
+        with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+            orthonormal_init(n, k, 0)
+        assert np.array_equal(orthonormal_init(np.int64(4), np.int32(2), 0), orthonormal_init(4, 2, 0))
+
+
+class TestSingleRunChecks:
+    """The single-run functions check numbers and shapes with the drivers' checks."""
+
+    @pytest.mark.parametrize("args", [(0, -1, 0), (-1, 0, 0), (0, 0, -1), (0, 1.5, 0),
+                                      (True, 0, 0), (0, 0, None)])
+    def test_stream_seed_parts(self, args):
+        # (0, -1, 0) used to raise a ValueError from numpy
+        with pytest.raises(InvalidInputError):
+            stream_seed(*args)
+        assert stream_seed(np.int64(3), np.int32(1), 2) == stream_seed(3, 1, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda phi, pred, tm, d: prediction_loss(phi, pred, tm, d),
+        lambda phi, pred, tm, d: predictor_gradient(phi, pred, tm, d),
+        lambda phi, pred, tm, d: semi_gradient_step(phi, pred, tm, d, 0.1),
+        lambda phi, pred, tm, d: full_gradient_step(phi, pred, tm, d, 0.1),
+    ])
+    def test_pred_is_k_by_k(self, call):
+        tm, phi, pred, d = random_instance(0)
+        for bad in (np.eye(3), np.ones((2, 3)), np.ones(2)):
+            with pytest.raises(ShapeMismatchError, match="pred must be"):
+                call(phi, bad, tm, d)
+        assert np.all(np.isfinite(call(phi, pred, tm, d)))
+
+    @pytest.mark.parametrize("call", [
+        lambda phi, tm, d, t: optimal_predictor(phi, tm, d, t),
+        lambda phi, tm, d, t: noisy_predictor(phi, tm, d, 0.1, np.random.default_rng(0), t),
+        lambda phi, tm, d, t: prediction_loss(phi, np.eye(2), tm, d, phi_target=t),
+        lambda phi, tm, d, t: predictor_gradient(phi, np.eye(2), tm, d, phi_target=t),
+        lambda phi, tm, d, t: semi_gradient_step(phi, np.eye(2), tm, d, 0.1, phi_target=t),
+        lambda phi, tm, d, t: solve_predictor(phi, tm, d, phi_target=t),
+    ])
+    def test_phi_target_has_phis_columns(self, call):
+        # only optimal_predictor used to check; the rest ended in a numpy broadcast error
+        tm, phi, _, d = random_instance(0)
+        with pytest.raises(ShapeMismatchError, match="phi_target"):
+            call(phi, tm, d, orthonormal_init(5, 1, 9))
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -0.1, True, None, "0.1"])
+    def test_step_sizes_are_positive_finite_numbers(self, eta):
+        # eta=nan used to return NaN silently
+        tm, phi, pred, d = random_instance(0)
+        for step in (semi_gradient_step, full_gradient_step):
+            with pytest.raises(InvalidInputError, match="eta"):
+                step(phi, pred, tm, d, eta)
 
 
 class TestOptimalPredictor:
@@ -221,6 +277,16 @@ class TestCovarianceSolveBatch:
         with pytest.raises(DegenerateCovarianceError, match="run 11"):
             dynamics.covariance_solve_batch(cov, np.ones((3, 2, 1)), run_offset=10)
 
+    def test_a_pair_stack_names_the_pair(self):
+        # rows 2i and 2i + 1 are pair i's members
+        cov = np.stack([np.eye(2)] * 4)
+        cov[3, 1, 0] = np.nan
+        with pytest.raises(NonFiniteStateError, match="in pair 6 at step 3$"):
+            dynamics.covariance_solve_batch(cov, np.ones((4, 2, 2)), run_offset=5, step=3, r=2)
+        cov = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2)])
+        with pytest.raises(DegenerateCovarianceError, match="in pair 10$"):
+            dynamics.covariance_solve_batch(cov, np.ones((4, 2, 1)), run_offset=10, r=2)
+
 
 class TestKernelStepOracle:
     """One lockstep step against the single-run step functions and optimal_predictor."""
@@ -256,6 +322,34 @@ class TestKernelStepOracle:
 
 
 class TestNonFiniteState:
+    @pytest.mark.parametrize("run_offset", [0, 7])
+    def test_a_pair_is_named_by_its_index(self, run_offset):
+        # pair 1 is stack rows 2 and 3; it used to read "run 2", where the flows say
+        # "run 1 of the pair flow"
+        n, tms = 6, [gen_doubly_stochastic(6, s) for s in (30, 31)]
+        left, right = (np.stack([orthonormal_init(n, 2, s) for s in seeds])
+                       for seeds in ((40, 41), (50, 51)))
+        left[1] *= 1e200
+        right[1] *= 1e200
+        with pytest.raises(NonFiniteStateError,
+                           match=f"non-finite predictor solve in pair {run_offset + 1} at step 1$"):
+            run_discrete_batch(BidirState(left, right), tms, uniform_distribution(n),
+                               DynamicsConfig(iters=3), run_offset=run_offset)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["eigen", "dense", "eigen_pair", "dense_pair"])
+    def test_a_hostile_initial_state_ends_in_the_typed_error_alone(self, case):
+        # the initial covariance overflowed outside the kernel's errstate, so a
+        # RuntimeWarning came first and, under -W error, escaped in place of the error
+        n = 6
+        d = np.arange(1.0, n + 1) / 21.0 if case == "dense" else uniform_distribution(n)
+        tm = gen_doubly_stochastic(n, 0) if case == "dense_pair" else gen_symmetric(n, 0)
+        phi = orthonormal_init(n, 2, 0) * 1e200
+        state = BidirState(phi, orthonormal_init(n, 2, 1) * 1e200) if "pair" in case else phi
+        assert dynamics._eigenbasis([tm], d) == case.startswith("eigen")
+        with pytest.raises(NonFiniteStateError, match="at step 1$"):
+            run_discrete(state, tm, d, DynamicsConfig(iters=3))
+
     def test_hostile_noisy_run_raises(self):
         tm, phi, _, d = random_instance(0, n=20)
         cfg = DynamicsConfig(eta=50.0, iters=3000, record_every=100,

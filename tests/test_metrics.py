@@ -93,6 +93,13 @@ class TestNormalizers:
         with pytest.raises(InvalidInputError):
             normalizers(fixed_example_2x2(), 3)
 
+    @pytest.mark.parametrize("k", [2.5, True, 1.0, None, np.nan])
+    def test_k_is_an_integer(self, k):
+        # 2.5 used to raise a TypeError, and True was taken as k = 1
+        with pytest.raises(InvalidInputError, match="^k must be"):
+            normalizers(fixed_example_2x2(), k)
+        assert normalizers(fixed_example_2x2(), np.int64(1)) == normalizers(fixed_example_2x2(), 1)
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**31), symmetric=st.booleans())
     def test_matches_spectral_values(self, n, seed, symmetric):

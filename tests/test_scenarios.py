@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import io
 import json
@@ -400,6 +401,33 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             run_scenario(tiny("fig5_failure_mode", tmp_path, n_states=8, k=4))
 
+    def test_unset_flags_take_dynamics_config_defaults(self):
+        default = DynamicsConfig()
+        for scenario in ("fig2_collapse", "appendix_target_beta", "appendix_noisy_predictor"):
+            for params in scenarios._resolve(ScenarioConfig(scenario)).values():
+                assert ((params["eta"], params["iters"], params["record_every"])
+                        == (default.eta, default.iters, default.record_every))
+
+    @pytest.mark.parametrize("scenario, flags", [
+        ("fig2_collapse", dict(eta=0.01, iters=20, record_every=10)),
+        ("appendix_target_beta", dict(iters=20)),
+        ("appendix_finite_lr", dict(iters=20)),
+        ("appendix_noisy_predictor", dict(iters=20, record_every=5, eta=np.float64(0.5))),
+    ])
+    def test_echoed_params_are_the_trained_config(self, tmp_path, monkeypatch, scenario, flags):
+        trained, real = [], scenarios.run_discrete_batch
+
+        def spy(phi0, tms, d, config, *args, **kw):
+            trained.append(config)
+            return real(phi0, tms, d, config, *args, **kw)
+
+        monkeypatch.setattr(scenarios, "run_discrete_batch", spy)
+        cfg = tiny(scenario, tmp_path, **flags)
+        variants = json.loads(run_scenario(cfg).summary_path.read_text())["variants"]
+        echoed = [variants[key]["params"] for key in scenarios._resolve(cfg)]  # one chunk
+        assert echoed == [dict(mode="discrete", chain="symmetric", **dataclasses.asdict(c))
+                          for c in trained]
+
     def test_catalog_lists_every_scenario(self):
         assert set(SCENARIOS) == {
             "fig2_collapse", "fig4_trace_ratio", "fig5_failure_mode",
@@ -471,6 +499,21 @@ class TestCli:
         cfg_path.write_text("{not json")
         code, _, err = self.run_cli(["--config", str(cfg_path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("body", [
+        b'{"scenario": "fig2_collapse", "n_runs": 1' + b"0" * 5000 + b"}",  # past the digit limit
+        b'{"scenario": "fig2_collapse", "n_runs": 1}\xff',  # not UTF-8
+    ], ids=["long_int", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, body):
+        # a 5000-digit integer used to end in a ValueError traceback
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(body)
+        code, stdout, err = self.run_cli(["--config", str(cfg_path), "--out", str(tmp_path)],
+                                         capsys)
+        assert code == 2 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert "config file" in payload["message"]
 
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         code, _, err = self.run_cli(
