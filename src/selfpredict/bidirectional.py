@@ -28,7 +28,8 @@ import numpy as np
 from .markov import TransitionMatrix
 from .metrics import normalizers  # noqa: F401 (bench/tracing.py wraps it)
 from . import dynamics
-from .dynamics import BidirState, _each, _flow, _integrate, _rep_stack, _require_uniform
+from .dynamics import (FLOW_N_RECORDS, FLOW_T_END, FLOW_TOL, BidirState, _each, _flow, _integrate,
+                       _rep_stack, _require_uniform)
 from .dynamics import (integrate_ode as integrate_bidir,  # noqa: F401 (the drivers' pair names)
                        integrate_ode_batch as integrate_bidir_batch,
                        run_discrete as run_discrete_bidir)
@@ -68,8 +69,8 @@ def bidir_ode_rhs(state: BidirState, tm: TransitionMatrix) -> BidirState:
     return BidirState(*_flow(np.stack([t.entries for t in tms]), pair, pair[::-1]))
 
 
-def integrate_flows_batch(flows, t_end: float = 100.0, n_records: int = 100,
-                          rel_tol: float = 1e-9, abs_tol: float = 1e-9, run_offset: int = 0):
+def integrate_flows_batch(flows, t_end: float = FLOW_T_END, n_records: int = FLOW_N_RECORDS,
+                          rel_tol: float = FLOW_TOL, abs_tol: float = FLOW_TOL, run_offset: int = 0):
     """integrate_ode_batch of several (state0, tms) entries in one loop.
 
     state0 is an (m, n, k) stack for the single flow or a BidirState of them for

@@ -71,6 +71,7 @@ RESCALE_EXP = 256.0
 GUARD_SUMSQ = 2.0 ** 510  # a sum of squares up to this, rounding included, keeps |x| < 2**256
 NOISE_BLOCK = 64  # steps of predictor noise drawn per generator call
 UNIFORM_TOL = 1e-12  # a pair's d may differ from uniform by this much
+FLOW_T_END, FLOW_N_RECORDS, FLOW_TOL = 100.0, 100, 1e-9  # the flow drivers' defaults
 
 GRADIENT_MODES = ("semi", "full")
 PREDICTOR_MODES = ("optimal", "noisy")
@@ -172,10 +173,8 @@ def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
     QR of a standard Gaussian block, with the usual sign fix on the R
     diagonal so the distribution is exactly rotation invariant.
     """
-    require_number(n, "n", 1, integer=True)
-    if require_number(k, "k", 1, integer=True) > n:
-        raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
+    require_number(k, "k", 1, high=require_number(n, "n", 1, integer=True), integer=True)
+    rng = np.random.default_rng(require_number(seed, "seed", 0, integer=True))
     g = rng.standard_normal((n, k))
     q, r = np.linalg.qr(g)
     signs = np.where(np.diag(r) < 0, -1.0, 1.0)
@@ -303,6 +302,7 @@ def _pair_loss_grad(z: np.ndarray, t: np.ndarray, w: np.ndarray,
 def prediction_loss(phi, pred, p, d, loss_kind: str = "squared",
                     epsilon: float = 1e-8, phi_target=None) -> float:
     """Expected pairwise loss between predicted and frozen successor embeddings."""
+    require_number(epsilon, "epsilon", 0, above=True)
     a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
     val, _ = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return val
@@ -311,6 +311,7 @@ def prediction_loss(phi, pred, p, d, loss_kind: str = "squared",
 def predictor_gradient(phi, pred, p, d, loss_kind: str = "squared",
                        epsilon: float = 1e-8, phi_target=None) -> np.ndarray:
     """Gradient of prediction_loss with respect to the predictor matrix."""
+    require_number(epsilon, "epsilon", 0, above=True)
     a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
     _, gz = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return v.T @ gz
@@ -325,6 +326,7 @@ def semi_gradient_step(phi, pred, p, d, eta: float, loss_kind: str = "squared",
     update is phi + 2 eta (D P phi_target - D phi pred) pred^T.
     """
     require_number(eta, "eta", 0, above=True)
+    require_number(epsilon, "epsilon", 0, above=True)
     a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
     _, gz = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return v - eta * (gz @ pred.T)
@@ -360,6 +362,8 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8
     InnerSolveFailureError if no start reaches tol.
     """
     from scipy.optimize import minimize
+    require_number(epsilon, "epsilon", 0, above=True)
+    require_number(tol, "tol", 0, above=True)
     a, v, d, t, _ = _operands(p, phi, d, phi_target)
     k = v.shape[1]
     w = d[:, None] * a
@@ -417,8 +421,8 @@ def flow_residual(phi, p) -> float:
     return float(_norm(ode_rhs(phi, p)))
 
 
-def integrate_ode_batch(phi0_stack, tms, t_end: float = 100.0, n_records: int = 100,
-                        rel_tol: float = 1e-9, abs_tol: float = 1e-9, run_offset: int = 0):
+def integrate_ode_batch(phi0_stack, tms, t_end: float = FLOW_T_END, n_records: int = FLOW_N_RECORDS,
+                        rel_tol: float = FLOW_TOL, abs_tol: float = FLOW_TOL, run_offset: int = 0):
     """Integrate the flow for a stack of runs or pairs (phi0_stack, tms as in run_discrete_batch).
 
     Returns the m records (Trajectories) on a uniform grid of n_records + 1 points
@@ -475,8 +479,9 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
     return out
 
 
-def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = 100.0, n_records: int = 100,
-                  rel_tol: float = 1e-9, abs_tol: float = 1e-9):
+def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = FLOW_T_END,
+                  n_records: int = FLOW_N_RECORDS, rel_tol: float = FLOW_TOL,
+                  abs_tol: float = FLOW_TOL):
     """Single-run wrapper around integrate_ode_batch for one (n, k) run or one pair
     (a BidirState); returns (records, final state in phi0's form)."""
     return _single(integrate_ode_batch, phi0, tm, t_end, n_records, rel_tol, abs_tol)
@@ -601,8 +606,8 @@ def _stack_shape(phi: np.ndarray) -> tuple:
     if phi.ndim != 3:
         raise InvalidInputError(f"phi0_stack must be (m, n, k), got shape {phi.shape}")
     m, n, k = phi.shape
-    if m < 1 or not 1 <= k <= n:
-        raise InvalidInputError(f"need m >= 1 runs and 1 <= k <= n, got shape {phi.shape}")
+    require_number(m, "the stack's run count", 1)
+    require_number(k, "the stack's column count", 1, high=n)
     return phi.shape
 
 

@@ -1,5 +1,5 @@
-"""Exception types raised across the package, and require_number, the one check of
-every numeric argument (config fields, generator sizes, flow horizons and tolerances)."""
+"""Exception types raised across the package, and require_number, the one check of every
+numeric argument and range (config fields, sizes, widths, seeds, alpha, tolerances)."""
 
 from __future__ import annotations
 
@@ -51,11 +51,11 @@ class UnknownScenarioError(SelfPredictError, ValueError):
     """A scenario name is not in the catalog."""
 
 
-def require_number(value, name: str, low, *, integer: bool = False, above: bool = False,
-                   optional: bool = False):
+def require_number(value, name: str, low, *, high=None, integer: bool = False,
+                   above: bool = False, optional: bool = False):
     """value, checked: an integer (int or numpy integer) if integer, else any real number;
-    never a bool; finite as a float; at least low, or above it if above; None only if
-    optional.  Anything else raises InvalidInputError naming the argument name."""
+    never a bool; finite as a float; at least low (above it if above) and at most high, if
+    given; None only if optional.  Else InvalidInputError, naming the argument name."""
     if value is None and optional:
         return value
     try:
@@ -66,6 +66,7 @@ def require_number(value, name: str, low, *, integer: bool = False, above: bool 
     if not ok:
         raise InvalidInputError(
             f"{name} must be {'an integer' if integer else 'a finite real number'}, got {value!r}")
-    if not (value > low if above else value >= low):
-        raise InvalidInputError(f"{name} must be {'above' if above else 'at least'} {low}, got {value}")
+    if not ((value > low if above else value >= low) and (high is None or value <= high)):
+        raise InvalidInputError(f"{name} must be {'above' if above else 'at least'} {low}"
+                                + ("" if high is None else f" and at most {high}") + f", got {value}")
     return value

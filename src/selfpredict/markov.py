@@ -110,6 +110,8 @@ def sinkhorn_normalize(raw, tol: float = 1e-12, max_iters: int = 100_000) -> Tra
 
 def _sinkhorn(raw, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:
     """sinkhorn_normalize's projected array, not yet wrapped and validated."""
+    require_number(tol, "tol", 0, above=True)
+    require_number(max_iters, "max_iters", 1, integer=True)
     a = _nonnegative_square(raw)
     rows = a.sum(axis=1, keepdims=True)
     if np.any(rows == 0.0) or np.any(a.sum(axis=0) == 0.0):
@@ -139,17 +141,14 @@ def gen_doubly_stochastic(n: int, seed: int, alpha="random") -> TransitionMatrix
     output is reproducible per (n, seed).
     """
     require_number(n, "n", 1, integer=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_number(seed, "seed", 0, integer=True))
+    if not isinstance(alpha, str):
+        alpha = float(require_number(alpha, "alpha", 0, high=1))
+    elif alpha != "random":
+        raise InvalidInputError(f"alpha must be a float or 'random', got {alpha!r}")
     base = _sinkhorn(rng.random((n, n)))
     perm = rng.permutation(n)
-    if isinstance(alpha, str):
-        if alpha != "random":
-            raise InvalidInputError(f"alpha must be a float or 'random', got {alpha!r}")
-        alpha = float(rng.uniform())
-    else:
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise InvalidInputError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = rng.uniform() if alpha == "random" else alpha
     out = alpha * base
     out[np.arange(n), perm] += 1.0 - alpha
     return TransitionMatrix.from_entries(out)
@@ -158,7 +157,7 @@ def gen_doubly_stochastic(n: int, seed: int, alpha="random") -> TransitionMatrix
 def gen_symmetric(n: int, seed: int) -> TransitionMatrix:
     """Random symmetric doubly stochastic chain: project, then average with the transpose."""
     require_number(n, "n", 1, integer=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_number(seed, "seed", 0, integer=True))
     base = _sinkhorn(rng.random((n, n)))
     base += base.T  # in place: the same bits as 0.5 * (base + base.T), one n x n array fewer
     base *= 0.5

@@ -26,8 +26,7 @@ def _check_rep(phi, n: int, name: str = "phi") -> np.ndarray:
     v = np.asarray(phi, dtype=float)
     if v.ndim != 2 or v.shape[0] != n:
         raise ShapeMismatchError(f"{name} must be ({n}, k), got shape {v.shape}")
-    if not 1 <= v.shape[1] <= n:
-        raise InvalidInputError(f"{name} must have between 1 and {n} columns")
+    require_number(v.shape[1], f"{name}'s column count", 1, high=n)
     return v
 
 
@@ -71,8 +70,7 @@ def normalizers(tm: TransitionMatrix, k: int) -> Normalizers:
     A symmetric chain's singular values are its eigenvalue magnitudes, so its two
     ceilings coincide; both match spectral(tm, kind).values[:k] up to rounding.
     """
-    if require_number(k, "k", 1, integer=True) > tm.n:
-        raise InvalidInputError(f"k must lie in [1, {tm.n}], got {k}")
+    require_number(k, "k", 1, high=tm.n, integer=True)
     s = tm.singular_values[:k]
     norm = float(np.sum(s * s))
     return Normalizers(norm if tm.is_symmetric else None, norm)

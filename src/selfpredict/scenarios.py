@@ -36,7 +36,7 @@ from . import __version__, dynamics
 from .bidirectional import BidirState, integrate_bidir, integrate_flows_batch  # noqa: F401
 from .dynamics import (DynamicsConfig, eigen_stack, flow_residual, integrate_ode,  # noqa: F401
                        orthonormal_init, run_discrete_batch)
-from .errors import InvalidInputError, UnknownScenarioError, require_number
+from .errors import UnknownScenarioError, require_number
 from .markov import (
     fixed_example_2x2,
     fixed_example_3x3,
@@ -58,8 +58,6 @@ from .seeding import (
 
 CHUNK_SIZE = 25
 
-DEFAULT_T_END = 100.0
-DEFAULT_N_RECORDS = 100
 FIG2_NOISE_SIGMA = 0.1
 FINITE_LR_BUDGET = 10_000.0
 
@@ -105,15 +103,14 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name, low in dict(master_seed=0, n_runs=1, n_states=2, k=1, workers=1, n_step=1,
+        for name, low in dict(master_seed=0, n_runs=1, n_states=2, workers=1, n_step=1,
                               iters=1, n_records=1, record_every=1).items():
             require_number(getattr(self, name), name, low, integer=True,
                            optional=name in ("iters", "n_records", "record_every"))
+        require_number(self.k, "k", 1, high=self.n_states, integer=True)
         for name in ("eta", "sigma", "t_end"):
             require_number(getattr(self, name), name, 0, above=True, optional=True)
         require_number(self.beta, "beta", 0, optional=True)
-        if self.k > self.n_states:
-            raise InvalidInputError(f"need 1 <= k <= n_states, got k={self.k}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,8 @@ class RunArtifact:
 
 def _resolve(cfg: ScenarioConfig) -> dict:
     """Expand a config into ordered variant parameter dicts."""
-    t_end = cfg.t_end if cfg.t_end is not None else DEFAULT_T_END
-    n_rec = cfg.n_records if cfg.n_records is not None else DEFAULT_N_RECORDS
+    ode = dict(mode="ode", t_end=cfg.t_end if cfg.t_end is not None else dynamics.FLOW_T_END,
+               n_records=cfg.n_records if cfg.n_records is not None else dynamics.FLOW_N_RECORDS)
     s = cfg.scenario
     # DynamicsConfig's defaults stand wherever the user set no flag; building it checks the cell.
     given = {f: getattr(cfg, f) for f in ("eta", "iters", "record_every")
@@ -144,17 +141,15 @@ def _resolve(cfg: ScenarioConfig) -> dict:
             "semi_noisy": discrete("symmetric", predictor_mode="noisy", sigma=sig),
         }
     if s == "fig4_trace_ratio":
-        ode = dict(mode="ode", t_end=t_end, n_records=n_rec)
         return {
             "symmetric": dict(ode, chain="symmetric"),
             "doubly_stochastic": dict(ode, chain="doubly_stochastic"),
         }
     if s == "fig5_failure_mode":
-        if cfg.k > 3:
-            raise InvalidInputError("the fixed three-state chain supports k <= 3")
+        require_number(cfg.k, "k on the fixed three-state chain", 1, high=3, integer=True)
         return {
-            "single": dict(mode="ode", chain="fixed3", t_end=t_end, n_records=n_rec),
-            "bidir": dict(mode="bidir_ode", chain="fixed3", t_end=t_end, n_records=n_rec),
+            "single": dict(ode, chain="fixed3"),
+            "bidir": dict(ode, mode="bidir_ode", chain="fixed3"),
         }
     if s == "example1_critical_points":
         return {"points": dict(mode="catalog")}

@@ -1,5 +1,7 @@
 import dataclasses
 import filecmp
+import importlib.util
+import inspect
 import io
 import json
 import math
@@ -9,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +438,25 @@ class TestValidation:
             "appendix_finite_lr", "appendix_noisy_predictor",
         }
 
+    def test_artifact_diff_runs_every_scenario(self):
+        # a scenario missing there would escape the byte-identity check
+        path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_diff.py"
+        spec = importlib.util.spec_from_file_location("artifact_diff", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert sorted(module.SCENARIOS) == sorted(SCENARIOS)
+
+    @pytest.mark.parametrize("scenario", ["fig4_trace_ratio", "fig5_failure_mode"])
+    def test_echoed_horizon_is_the_flow_drivers_default(self, tmp_path, scenario):
+        defaults = inspect.signature(integrate_ode_batch).parameters
+        cfg = tiny(scenario, tmp_path, n_runs=1, n_states=4)
+        variants = json.loads(run_scenario(cfg).summary_path.read_text())["variants"]
+        for variant in variants.values():
+            for field in ("t_end", "n_records"):
+                echoed = variant["params"][field]
+                assert echoed == defaults[field].default
+                assert type(echoed) is type(defaults[field].default)
+
 
 NUMERIC_FIELDS = ["master_seed", "n_runs", "n_states", "k", "eta", "iters", "sigma", "beta",
                   "n_step", "t_end", "n_records", "record_every", "workers"]
@@ -514,6 +536,15 @@ class TestCli:
         payload = json.loads(err)
         assert payload["error"] == "InvalidInputError"
         assert "config file" in payload["message"]
+
+    def test_width_past_the_state_count_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = self.run_cli(
+            ["--scenario", "fig2_collapse", "--k", "5", "--n-states", "4", "--out", str(out)],
+            capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "InvalidInputError"
+        assert stdout == "" and not out.exists()
 
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         code, _, err = self.run_cli(
