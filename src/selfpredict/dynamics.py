@@ -76,6 +76,7 @@ FLOW_T_END, FLOW_N_RECORDS, FLOW_TOL = 100.0, 100, 1e-9  # the flow drivers' def
 GRADIENT_MODES = ("semi", "full")
 PREDICTOR_MODES = ("optimal", "noisy")
 LOSS_KINDS = ("squared", "l1", "cosine_eps")
+EPSILON = 1e-8  # the default epsilon of the cosine_eps denominator
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def _pair_loss_grad(z: np.ndarray, t: np.ndarray, w: np.ndarray,
 
 
 def prediction_loss(phi, pred, p, d, loss_kind: str = "squared",
-                    epsilon: float = 1e-8, phi_target=None) -> float:
+                    epsilon: float = EPSILON, phi_target=None) -> float:
     """Expected pairwise loss between predicted and frozen successor embeddings."""
     require_number(epsilon, "epsilon", 0, above=True)
     a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
@@ -309,7 +310,7 @@ def prediction_loss(phi, pred, p, d, loss_kind: str = "squared",
 
 
 def predictor_gradient(phi, pred, p, d, loss_kind: str = "squared",
-                       epsilon: float = 1e-8, phi_target=None) -> np.ndarray:
+                       epsilon: float = EPSILON, phi_target=None) -> np.ndarray:
     """Gradient of prediction_loss with respect to the predictor matrix."""
     require_number(epsilon, "epsilon", 0, above=True)
     a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
@@ -318,7 +319,7 @@ def predictor_gradient(phi, pred, p, d, loss_kind: str = "squared",
 
 
 def semi_gradient_step(phi, pred, p, d, eta: float, loss_kind: str = "squared",
-                       epsilon: float = 1e-8, phi_target=None) -> np.ndarray:
+                       epsilon: float = EPSILON, phi_target=None) -> np.ndarray:
     """One semi-gradient update of phi at a fixed predictor.
 
     Only the input-side embedding carries gradients; the successor side is
@@ -346,20 +347,21 @@ GTOL_LADDER = (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13)
 SOLVE_RIDGE = 1e-13  # its gradient 2e-13 |pred| stays far below tol wherever the solves end
 
 
-def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8,
+def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = EPSILON,
                     tol: float = 1e-8, phi_target=None) -> np.ndarray:
     """Minimize prediction_loss over the predictor to max-norm stationarity tol.
 
     Quasi-Newton descent from the squared-loss optimum, retightening the
-    gradient tolerance until both the gradient and the induced tangential
-    step pred-gradient product are small; a couple of fixed restarts cover
-    warm starts that sit in a flat basin.  The epsilon-regularized cosine
-    loss has a scale direction along which curvature decays like 1/s**2,
-    which is what the tolerance ladder is for: a single loose solve stops
-    far up the valley.  The descent adds SOLVE_RIDGE |pred|^2, which moves
-    that minimizer to a finite scale, so the result does not hang on the last
-    bits of the warm start (the checks leave the ridge out).  Raises
-    InnerSolveFailureError if no start reaches tol.
+    gradient tolerance until a start reaches tol: on the gradient L-BFGS-B
+    returns, ridge left out, both max |grad| <= tol and the tangential step's
+    max |grad pred^T| <= 50 tol.  A couple of fixed restarts cover warm starts
+    that sit in a flat basin.  The epsilon-regularized cosine loss has a scale
+    direction along which curvature decays like 1/s**2, which is what the
+    tolerance ladder is for: a single loose solve stops far up the valley.  The
+    descent adds SOLVE_RIDGE |pred|^2, which moves that minimizer to a finite
+    scale, so the result does not hang on the last bits of the warm start.
+    Raises InnerSolveFailureError, with the smallest gradient seen, if no start
+    reaches tol.
     """
     from scipy.optimize import minimize
     require_number(epsilon, "epsilon", 0, above=True)
@@ -373,28 +375,20 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = 1e-8
         return val + SOLVE_RIDGE * (x @ x), (v.T @ gz).ravel() + 2.0 * SOLVE_RIDGE * x
 
     warm = optimal_predictor(v, a, d, t)
-    starts = [warm.ravel(), (0.5 * np.eye(k)).ravel(), (-0.5 * np.eye(k)).ravel()]
-    best = None
-    for start in starts:
-        x = start.copy()
+    gmin = np.inf
+    for x in (warm.ravel(), (0.5 * np.eye(k)).ravel(), (-0.5 * np.eye(k)).ravel()):
         for gtol in GTOL_LADDER:
             res = minimize(value_and_grad, x, jac=True, method="L-BFGS-B",
                            options=dict(maxiter=20_000, maxfun=60_000, ftol=0.0,
                                         gtol=gtol, maxcor=20))
-            x = res.x
-            pred = x.reshape(k, k)
-            _, gz = _pair_loss_grad(v @ pred, t, w, loss_kind, epsilon)
-            grad = v.T @ gz
+            x, pred = res.x, res.x.reshape(k, k)
+            grad = (res.jac - 2.0 * SOLVE_RIDGE * x).reshape(k, k)
             gnorm = float(np.abs(grad).max())
-            tang = float(np.abs(grad @ pred.T).max())
-            if best is None or gnorm < best[0]:
-                best = (gnorm, pred.copy())
-            if gnorm <= tol and tang <= 50.0 * tol:
+            if gnorm <= tol and float(np.abs(grad @ pred.T).max()) <= 50.0 * tol:
                 return pred
-    if best is not None and best[0] <= tol:
-        return best[1]
+            gmin = min(gmin, gnorm)
     raise InnerSolveFailureError(
-        f"stationarity {best[0]:.3e} did not reach tol={tol} for loss_kind={loss_kind!r}")
+        f"stationarity {gmin:.3e} did not reach tol={tol} for loss_kind={loss_kind!r}")
 
 
 def _flow(a, left, right):

@@ -108,9 +108,8 @@ class ScenarioConfig:
             require_number(getattr(self, name), name, low, integer=True,
                            optional=name in ("iters", "n_records", "record_every"))
         require_number(self.k, "k", 1, high=self.n_states, integer=True)
-        for name in ("eta", "sigma", "t_end"):
-            require_number(getattr(self, name), name, 0, above=True, optional=True)
-        require_number(self.beta, "beta", 0, optional=True)
+        for name, above in dict(eta=True, t_end=True, sigma=False, beta=False).items():
+            require_number(getattr(self, name), name, 0, above=above, optional=True)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
-"""Range checks: every width, alpha, seed, epsilon and tolerance goes through
-errors.require_number, so each call below raises InvalidInputError before any work."""
+"""Argument checks.  Every width, alpha, seed, epsilon and tolerance goes through
+errors.require_number, so each range case below raises InvalidInputError before any
+work.  The typed raises that no other test reaches have one case each (TYPED)."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from selfpredict import (InvalidInputError, gen_doubly_stochastic, gen_symmetric,
+from selfpredict import (BidirState, DynamicsConfig, InvalidInputError, ShapeMismatchError,
+                         UnknownScenarioError, cli, gen_doubly_stochastic, gen_symmetric,
                          integrate_ode_batch, normalizers, orthonormal_init, prediction_loss,
-                         predictor_gradient, semi_gradient_step, sinkhorn_normalize,
-                         solve_predictor, trace_objective, uniform_distribution)
+                         predictor_gradient, run_discrete_batch, semi_gradient_step,
+                         sinkhorn_normalize, solve_predictor, trace_objective,
+                         uniform_distribution, validate_distribution)
+from selfpredict.bidirectional import integrate_flows_batch
 from selfpredict.scenarios import ScenarioConfig, _resolve
 
 N = 3  # also the fixed chain's size, so k = N + 1 is past fig5's width as well
@@ -69,3 +74,48 @@ def test_the_widths_edges_pass():
     for call in WIDTH.values():
         call(1)
         call(N)
+
+
+def config_main(tmp_path, body):
+    """cli.main on a --config file holding body."""
+    path = tmp_path / "run.json"
+    path.write_text(body)
+    return cli.main(["--config", str(path)])
+
+
+TYPED = {  # site: (call, error type, message fragment)
+    "cli.main: a config that is not an object": (
+        lambda tmp: config_main(tmp, "[1, 2]"), InvalidInputError, "JSON object"),
+    "cli.main: no scenario": (
+        lambda tmp: config_main(tmp, '{"n_runs": 2}'), UnknownScenarioError, "no scenario"),
+    "_pair_loss_grad: unknown loss_kind": (
+        lambda tmp: prediction_loss(PHI, PRED, TM, D, "hinge"), InvalidInputError, "loss_kind"),
+    "_integrate: flows of different shapes": (
+        lambda tmp: integrate_flows_batch([(PHI[None], TM), (PHI[None, :, :1], TM)]),
+        ShapeMismatchError, "share the representation shape"),
+    "_rep_stack: left and right stacks differ": (
+        lambda tmp: run_discrete_batch(BidirState(PHI[None], PHI[None, :, :1]), TM, D,
+                                       DynamicsConfig()),
+        ShapeMismatchError, "stacks differ"),
+    "_rep_stack: a chain that is not a TransitionMatrix": (
+        lambda tmp: run_discrete_batch(PHI[None], [TM.entries], D, DynamicsConfig()),
+        InvalidInputError, "TransitionMatrix instances"),
+    "validate_distribution: 2-D": (
+        lambda tmp: validate_distribution(D[None]), InvalidInputError, "one-dimensional"),
+    "validate_distribution: non-finite": (
+        lambda tmp: validate_distribution([math.nan, 0.5, 0.5]), InvalidInputError, "finite"),
+    "metrics._matrix: not square": (
+        lambda tmp: trace_objective(PHI, RAW[:, :2]), InvalidInputError, "square matrix"),
+}
+
+
+@pytest.mark.parametrize("site", TYPED)
+def test_each_typed_raise_is_reached(tmp_path, capsys, site):
+    call, error, fragment = TYPED[site]
+    if site.startswith("cli."):  # the CLI prints the error as JSON and exits 2
+        assert call(tmp_path) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == error.__name__ and fragment in payload["message"]
+    else:
+        with pytest.raises(error, match=fragment):
+            call(tmp_path)

@@ -1,11 +1,17 @@
-"""The package's public names: the imports of __init__.py are their only list."""
+"""The package's public names: the imports of __init__.py are their only list.  Also
+the names the benchmark's tracer reads, and the suite's one warnings filter."""
 
 import ast
+import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
 
+import pytest
+
 import selfpredict
+from selfpredict import DynamicsConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +42,22 @@ def test_readme_entry_points_are_public():
     named = {name for row in rows for name in re.findall(r"`(\w+)`", row)}
     assert len(named) > 20
     assert named <= set(selfpredict.__all__)
+
+
+def test_the_benchmark_tracer_resolves_every_name_it_wraps(monkeypatch):
+    # Some of these names look unused in src/ (scenarios.integrate_ode, integrate_bidir,
+    # bidirectional.normalizers, DynamicsConfig.loss_kind); bench/run.py --trace 1 needs them.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    bound = tracing.snapshot()  # reads the names, swaps nothing in
+    assert list(bound) == list(tracing.TARGETS) and len(bound) == 15
+    assert all(callable(fn) for fn in bound.values())
+    assert DynamicsConfig.loss_kind == "squared"
+
+
+@pytest.mark.parametrize("module", ["selfpredict", *(
+    f"selfpredict.{m.name}" for m in pkgutil.iter_modules(selfpredict.__path__))])
+def test_a_runtime_warning_from_any_module_fails_the_suite(module):
+    # pyproject's one filter, error::RuntimeWarning:selfpredict, matches a module name's start
+    with pytest.raises(RuntimeWarning):
+        exec("import warnings; warnings.warn('overflow', RuntimeWarning)", {"__name__": module})

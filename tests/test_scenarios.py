@@ -623,6 +623,19 @@ class TestCli:
                 assert v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)
                                      and math.isfinite(v))
 
+    def test_sigma_0_runs_the_grids_noiseless_cell(self, tmp_path, capsys):
+        # --sigma 0 used to exit 2 ("sigma must be above 0") though the grid has sigma_0
+        base = ["--scenario", "appendix_noisy_predictor", "--runs", "30", "--n-states", "5",
+                "--iters", "40", "--record-every", "10"]
+        code, out, _ = self.run_cli(base + ["--sigma", "0", "--out", str(tmp_path / "one")],
+                                    capsys)
+        assert code == 0
+        cell = json.loads(out)["csv"]
+        assert set(cell) == {"sigma_0"}
+        code, out, _ = self.run_cli(base + ["--out", str(tmp_path / "grid")], capsys)
+        assert code == 0
+        assert filecmp.cmp(cell["sigma_0"], json.loads(out)["csv"]["sigma_0"], shallow=False)
+
     def test_non_finite_noisy_run_exits_1(self, tmp_path, capsys):
         # eta=50, sigma=1 overflows the unguarded noisy run; it used to write NaN rows
         code, out, err = self.run_cli(
