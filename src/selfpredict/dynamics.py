@@ -746,7 +746,7 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
                 np.multiply(phi, colw, out=dphi)
                 dpt -= dphi
                 g += dpt
-            if beta is not None:
+            if beta:  # at beta = 0 the target stays at the init
                 np.subtract(phi, tgt, out=dpt)
                 dpt *= config.eta * beta
                 tgt += dpt

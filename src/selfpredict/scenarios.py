@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -335,11 +334,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
     else:
         tasks = [(lo, min(lo + CHUNK_SIZE, cfg.n_runs)) for lo in range(0, cfg.n_runs, CHUNK_SIZE)]
         # The pool starts all of its processes up front, so it never gets more
-        # than there are tasks or CPUs; chunking alone fixes the artifacts.
-        workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+        # than there are tasks or CPUs this process may run on; chunking alone
+        # fixes the artifacts.
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(cfg.workers, len(tasks), cpus)
         if workers == 1:
             results = [_run_chunk(cfg, *task) for task in tasks]
-        else:
+        else:  # imported here, so that a serial run loads no pool machinery
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_chunk, cfg, *task) for task in tasks]
                 results = [f.result() for f in futures]

@@ -163,18 +163,27 @@ def test_rhs_calls_equal_nfev(monkeypatch):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # nor does a scenario run load scipy, or numpy.ma (np.median's NaN check imports it)
+    # nor does a scenario run load scipy, or numpy.ma (np.median's NaN check imports it),
+    # nor does a run left serial, by --workers or by the worker cap, load the process pool
     code = ("import sys, selfpredict\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing') or m.split('.')[:2] == ['numpy', 'ma'] "
+            "or m == 'concurrent.futures.process'))\n"
+            "loaded()\n"
             "from selfpredict.scenarios import ScenarioConfig, run_scenario\n"
             f"run_scenario(ScenarioConfig('fig5_failure_mode', n_runs=3, t_end=2.0, "
             f"n_records=4, out_dir={str(tmp_path)!r}))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-            "or m.split('.')[:2] == ['numpy', 'ma']))")
+            "loaded()\n"
+            # one chunk is one task, so four workers still run it serially
+            f"run_scenario(ScenarioConfig('appendix_target_beta', n_runs=2, n_states=5, k=2, "
+            f"iters=10, record_every=10, beta=0.5, workers=4, out_dir={str(tmp_path)!r}))\n"
+            "loaded()")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["[]", "[]"]
+    assert out.stdout.split() == ["[]", "[]", "[]"]
     assert (tmp_path / "fig5_failure_mode" / "summary.json").exists()
+    assert (tmp_path / "appendix_target_beta" / "beta_0.5.csv").exists()
 
 
 @contextmanager

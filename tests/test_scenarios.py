@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import filecmp
 import importlib.util
@@ -324,20 +325,36 @@ class TestWorkerCap:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InlinePool)
+        # run_scenario imports the pool only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         return sizes
 
     @pytest.mark.parametrize("cpus, expected", [(8, [3]), (2, [2]), (1, []), (None, [])])
     def test_pool_capped_by_tasks_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
                                            cpus, expected):
+        # a platform that cannot tell the allowed CPUs falls back on cpu_count()
+        monkeypatch.delattr(scenarios.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
         # 75 runs make three 25-run chunks, one task each for every variant
         run_scenario(tiny("fig2_collapse", tmp_path, n_runs=75, eta=0.01, iters=10,
                           record_every=10, workers=1000))
         assert pool_sizes == expected
 
+    @pytest.mark.parametrize("allowed, expected", [({0}, []), ({0, 5}, [2]), (set(range(6)), [3])])
+    def test_pool_capped_by_allowed_cpus(self, tmp_path, monkeypatch, pool_sizes,
+                                         allowed, expected):
+        # an affinity mask (taskset) allows fewer CPUs than cpu_count() reports
+        monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: allowed,
+                            raising=False)
+        run_scenario(tiny("fig2_collapse", tmp_path, n_runs=75, eta=0.01, iters=10,
+                          record_every=10, workers=1000))
+        assert pool_sizes == expected
+
     def test_single_task_runs_serially(self, tmp_path, monkeypatch, pool_sizes):
         monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         run_scenario(tiny("appendix_target_beta", tmp_path, n_runs=2, iters=10,
                           record_every=10, beta=0.5, workers=1000))
         assert pool_sizes == []
