@@ -1,24 +1,19 @@
 """Paired forward and backward representation dynamics.
 
-A single representation trained on forward prediction can only capture
-spectral structure that a symmetric compression sees.  Training two
-representations jointly, one predicting successors of the other and one
-predicting predecessors, aligns the pair with the chain's singular
-subspaces instead, so it reaches the singular value ceiling on chains
-where the single dynamics provably cannot.
+A single representation trained on forward prediction only captures spectral
+structure that a symmetric compression sees.  Training two representations
+jointly, one predicting successors of the other and one predecessors, aligns the
+pair with the chain's singular subspaces, so it reaches the singular value ceiling
+on chains where the single dynamics provably cannot.  Everything here assumes a
+doubly stochastic chain under the uniform state distribution, which makes the
+reversed process a chain with the same stationary weights; routines raise
+NotDoublyStochasticError or InvalidInputError when that fails.
 
-Everything here assumes a doubly stochastic chain under the uniform state
-distribution; that is what makes the reversed process a chain with the same
-stationary weights.  Routines raise NotDoublyStochasticError or
-InvalidInputError when the assumption fails.
-
-Each member is the single dynamics' learner with its partner as the live
-target, so a pair (BidirState) is an input of the single dynamics' drivers,
-which run it as two adjacent runs of one stack, the left member against P and
-the right one against P^T, through the same lockstep kernel (blow-up guard
-included) and flow integration.  run_discrete_bidir, integrate_bidir and
-integrate_bidir_batch are those drivers under the pair's names; this module
-keeps the pair's own closed forms and the runner's flow entry point.
+A pair (BidirState) is an input of the single dynamics' drivers, which run it as
+two adjacent runs of one stack, each member with the other as its live target,
+left against P and right against P^T.  run_discrete_bidir, integrate_bidir and
+integrate_bidir_batch are those drivers under the pair's names; this module keeps
+the pair's closed forms and the runner's flow entry point.
 """
 
 from __future__ import annotations
@@ -71,14 +66,11 @@ def bidir_ode_rhs(state: BidirState, tm: TransitionMatrix) -> BidirState:
 
 def integrate_flows_batch(flows, t_end: float = FLOW_T_END, n_records: int = FLOW_N_RECORDS,
                           rel_tol: float = FLOW_TOL, abs_tol: float = FLOW_TOL, run_offset: int = 0):
-    """integrate_ode_batch of several (state0, tms) entries in one loop.
-
-    state0 is an (m, n, k) stack for the single flow or a BidirState of them for
-    the pair.  Returns each entry's (records, final state) as integrate_ode_batch
-    does; errors name an entry's run from run_offset and its flow.  Beside a pair a
-    single run rides as a twin pair (see dynamics._integrate), so its records move
-    by integrator rounding from integrate_ode_batch's.  A loop with a pair uses
-    this module's solve_ivp, so bench/tracing.py's spans tell the flows apart.
+    """integrate_ode_batch of several (state0, tms) entries, an (m, n, k) stack or a
+    BidirState of them, in one loop: each entry's (records, final state), errors naming
+    an entry's run from run_offset and its flow.  Beside a pair a single run rides as a
+    twin pair (dynamics._integrate), which moves its records by integrator rounding.  A
+    loop with a pair uses this module's solve_ivp, so bench/tracing.py tells the flows apart.
     """
     flows = list(flows)
     solve = solve_ivp if any(isinstance(s, BidirState) for s, _ in flows) else dynamics.solve_ivp

@@ -83,7 +83,7 @@ def main(argv=None) -> int:
             raise UnknownScenarioError("no scenario given; pass --scenario or --list")
         cfg = ScenarioConfig(**fields)
         artifact = run_scenario(cfg)
-    except (InvalidInputError, UnknownScenarioError, TypeError) as exc:
+    except (InvalidInputError, UnknownScenarioError) as exc:
         _error_json(exc)
         return 2
     except (SelfPredictError, OSError) as exc:

@@ -1,51 +1,42 @@
 """Self-predictive representation dynamics, discrete and continuous.
 
-The learned object is a representation matrix phi with one row per state.
-Training pairs a state drawn from d with a successor drawn from the chain;
-the loss compares the predictor applied to the input embedding against the
-frozen successor embedding.  Stepping phi on the semi-gradient of that loss
-(the target embedding does not propagate gradients) while the predictor is
-held at its least-squares optimum produces the dynamics studied here, along
-with several ablations: the full gradient, a slow-moving target and predictor
-noise.  The drivers train the squared loss; the single-step functions
-(prediction_loss, semi_gradient_step, solve_predictor) also take the l1 and
-cosine losses.
+The learned object is a representation matrix phi with one row per state.  A
+state drawn from d is paired with its successor under the chain, and the loss
+compares the predictor applied to the input embedding with the frozen successor
+embedding.  Stepping phi on the semi-gradient of that loss (the target embedding
+propagates no gradient) with the predictor at its least-squares optimum gives the
+dynamics studied here; the ablations are the full gradient, a slow-moving target
+and predictor noise.  The drivers train the squared loss; the single-step
+functions also take the l1 and cosine losses.
 
-Conventions shared by every routine in this module:
+phi is (n, k) dense float and d a probability vector over states.  The reported f
+is the uniform-weight trace objective (metrics.trace_objective) whatever the
+training weights.  Records are taken at step 0, every record_every steps and at
+the final step; the flow records on a uniform time grid.
 
-* phi is (n, k) dense float, d is a probability vector over states;
-* the reported objective f is always the uniform-weight trace objective
-  from metrics.trace_objective, regardless of the training weights;
-* records are taken at step 0, every record_every steps, and at the final
-  step; the continuous flow records on a uniform time grid instead.
+Runs step in stacks, in lockstep (_lockstep, its step in _step) or through the
+stacked Dormand-Prince 5(4) in rk45 (_integrate), and a run's records do not
+depend on the runs beside it, except that a single run integrated beside pairs
+rides as a twin pair, which moves its records by integrator rounding.  A run's
+live target is its partner (_partner): itself, or the other member of a pair.
+_rep_stack lays m pairs (BidirState) out as 2m runs, members adjacent, left on P
+and right on P^T, and _form splits a final stack back.  The single-run functions
+are the same code at one run (_one_run, and metrics' record code).
 
-Runs step in stacks, in lockstep (_lockstep) or through the stacked
-Dormand-Prince 5(4) in rk45 (_integrate); a run's records do not depend on the
-runs beside it, except that a single run integrated beside pairs rides as a
-twin pair, which moves its records by integrator rounding.  A run's live target
-is its partner (_partner): itself, or the other member of a bidirectional pair.
-Every driver takes runs or pairs (BidirState); _rep_stack lays m pairs out as
-2m runs, members adjacent, left on P and right on P^T, and _form splits a final
-stack back.  Predictors come from covariance_solve_batch: certified inverse,
-else eigh pseudoinverse.
+Under uniform d (_eigenbasis), run_discrete_batch steps psi = U^T phi against the
+eigenvalues of a chain P = U diag(lam) U^T equal to its transpose bitwise (O(nk),
+not O(n^2 k)); only rounding differs from dense P.  eigen_stack prepares them
+chain by chain, so streamed chains cost O(n^2 + m n k), not O(m n^2).
 
-Under uniform d (_eigenbasis), run_discrete_batch steps psi = U^T phi against
-the eigenvalues of a chain P = U diag(lam) U^T equal to its transpose bitwise
-(O(nk), not O(n^2 k)); only rounding differs from dense P.  eigen_stack prepares
-them chain by chain, so streamed chains cost O(n^2 + m n k), not O(m n^2), and
-its output steps with no basis map.
-
-Blow-up handling: with the squared loss the semi-gradient update with an
-optimal predictor is degree-1 homogeneous in phi (in both members of a pair
-jointly), so divergent runs, and both members of a pair together, are
-rescaled by an exact power of two whenever entries pass 2**256 and the
-accumulated exponent is folded back into reported metrics with ldexp.  Cosines
-are unaffected; a reported value is inf only where the true one is not
-representable, or where a working product overflowed first.  Noisy predictors
-break homogeneity and skip the guard.  A run still past the limit after its
-rescale (grown past one rescale in a single step) ends in NonFiniteStateError at
-that step; a noisy run that overflows ends in one from the next predictor solve
-or after the last step.
+Blow-up handling: the squared-loss semi-gradient step at the optimal predictor is
+degree-1 homogeneous in phi (in both members of a pair jointly), so a run, or a
+pair as one, is rescaled by an exact power of two whenever entries pass 2**256,
+and the exponent is folded back into the metrics with ldexp (cosines need none).
+A reported value is inf only where the true one is not representable, or a
+working product overflowed first.  Noisy predictors break homogeneity and skip the
+guard.  A run still past the limit after its rescale ends in NonFiniteStateError
+at that step; a noisy run that overflows, at the next predictor solve or after the
+last step.
 """
 
 from __future__ import annotations
@@ -60,8 +51,9 @@ import numpy as np
 from .errors import (DegenerateCovarianceError, InnerSolveFailureError, InvalidInputError,
                      NonFiniteStateError, NotDoublyStochasticError, NotSymmetricError,
                      ShapeMismatchError, require_number)
-from .markov import TransitionMatrix, validate_distribution
-from .metrics import MetricBundle, _check_rep, _matrix, _max_abs_cosine, _norm, reference_normalizer
+from .markov import STOCHASTIC_TOL, TransitionMatrix, validate_distribution
+from .metrics import (MetricBundle, _check_rep, _collapse, _fit, _matrix, _objective, _scaled,
+                      _tangent, reference_normalizer)
 from .rk45 import solve_ivp
 
 COV_CUTOFF = 1e-12
@@ -72,6 +64,7 @@ GUARD_SUMSQ = 2.0 ** 510  # a sum of squares up to this, rounding included, keep
 NOISE_BLOCK = 64  # steps of predictor noise drawn per generator call
 UNIFORM_TOL = 1e-12  # a pair's d may differ from uniform by this much
 FLOW_T_END, FLOW_N_RECORDS, FLOW_TOL = 100.0, 100, 1e-9  # the flow drivers' defaults
+MAX_ITERS = 10 ** 8  # steps per run; 100x the largest cell a scenario default runs
 
 GRADIENT_MODES = ("semi", "full")
 PREDICTOR_MODES = ("optimal", "noisy")
@@ -101,8 +94,8 @@ class DynamicsConfig:
     loss_kind = "squared"
 
     def __post_init__(self):
-        for name in ("iters", "record_every"):
-            require_number(getattr(self, name), name, 1, integer=True)
+        require_number(self.iters, "iters", 1, high=MAX_ITERS, integer=True)
+        require_number(self.record_every, "record_every", 1, integer=True)
         require_number(self.eta, "eta", 0, above=True)
         require_number(self.sigma, "sigma", 0)
         require_number(self.target_beta, "target_beta", 0, optional=True)
@@ -233,10 +226,13 @@ def covariance_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return covariance_solve_batch(*(np.asarray(a, dtype=float)[None] for a in (cov, rhs)))[0]
 
 
-def _operands(p, phi, d, phi_target=None, pred=None):
+def _operands(p, phi, d, phi_target=None, pred=None, step=False):
     """Checked (P, phi, d, target, pred) of one run: the target defaults to phi and has
-    phi's k columns, and pred, when given, is (k, k)."""
+    phi's k columns, and pred, when given, is (k, k).  A step weights rows by d alone, so
+    for it P's rows must sum to one."""
     a = _matrix(p)
+    if step and np.abs(a.sum(axis=1) - 1.0).max() > STOCHASTIC_TOL:
+        raise InvalidInputError(f"a step needs p's rows to sum to 1 within {STOCHASTIC_TOL}")
     n = a.shape[0]
     v = _check_rep(phi, n)
     d = validate_distribution(d, n)
@@ -251,16 +247,65 @@ def _operands(p, phi, d, phi_target=None, pred=None):
     return a, v, d, t, pred
 
 
-def optimal_predictor(phi, p, d, phi_target=None) -> np.ndarray:
-    """Least-squares predictor for the squared loss at fixed representations.
+def _step(op, d, phi, eta, full):
+    """(apply, op, normal, increment, scratch): the lockstep squared-loss step of an (m, n, k)
+    stack phi on op, (m, n) eigenvalues or a C-ordered P^T stack, P acting as apply(op, t), D =
+    diag(d).  normal(target) is (phi^T D phi, phi^T D P target); increment(pred), after it,
+    g = (D P t - D phi pred) 2 eta pred^T [+ 2 eta (P^T D phi pred - (P^T d) phi) if full].
+    Both write into buffers made here; scratch, shaped as phi, is free between steps."""
+    m, n, k = phi.shape
+    two_eta = 2.0 * eta
+    w = d[0] if np.all(d == d[0]) else d[:, None]
+    if op.ndim == 3:  # BLAS forms P @ t fastest with P a view of a C-ordered P^T stack
+        if full:  # 2 eta P^T and its column weights 2 eta P^T d
+            op_t, colw = two_eta * op, np.repeat((two_eta * (op @ d))[:, :, None], k, axis=2)
+        apply, op, wop = np.matmul, op.transpose(0, 2, 1), (op * d).transpose(0, 2, 1)
+    else:
+        apply, op = np.multiply, op[:, :, None]
+        wop = np.repeat(w * op, k, axis=2)  # a contiguous operand multiplies fastest
+        if full:  # here P^T d is the constant d
+            op_t, colw = np.repeat(two_eta * op, k, axis=2), two_eta * w
+    dphi, dpt, dpp, g = (np.empty_like(phi) for _ in range(4))
+    pred_t = np.empty((m, k, k))  # 2 eta pred^T, contiguous: a strided operand slows the product
+    phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
 
-    Solves (phi^T D phi) pred = phi^T D P phi_target with D = diag(d),
-    defaulting phi_target to phi.  Rank deficiency is handled by the
-    pseudoinverse in covariance_solve.
-    """
+    def normal(target):  # target in any (..., n, k) layout of the stack, as _partner gives it
+        apply(wop.reshape(*target.shape[:-2], n, -1), target, out=dpt.reshape(target.shape))
+        np.multiply(phi, w, out=dphi)  # a second buffer keeps the Gram off the syrk path
+        return phi_t @ dphi, phi_t @ dpt
+
+    def increment(pred):
+        np.matmul(dphi, pred, out=dpp)
+        np.subtract(dpt, dpp, out=dpt)
+        np.multiply(pred.transpose(0, 2, 1), two_eta, out=pred_t)
+        np.matmul(dpt, pred_t, out=g)
+        if full:
+            apply(op_t, dpp, out=dpt)
+            np.multiply(phi, colw, out=dphi)
+            np.subtract(dpt, dphi, out=dpt)
+            np.add(g, dpt, out=g)
+        return g
+
+    return apply, op, normal, increment, dpt
+
+
+def _one_run(a, v, d, t, pred=None, eta=1.0, full=False):
+    """The lockstep kernel's arithmetic (_step) on a one-run dense stack, P^T and d as given:
+    the optimal predictor of v against t, or, given pred, v stepped at it by eta."""
+    phi, target = (np.ascontiguousarray(x, dtype=float)[None] for x in (v, t))
+    _, _, normal, increment, _ = _step(np.stack([a.T]), d, phi, eta, full)
+    gram, cross = normal(target)
+    if pred is None:
+        return covariance_solve_batch(gram, cross)[0]
+    return (phi + increment(np.ascontiguousarray(pred)[None]))[0]
+
+
+def optimal_predictor(phi, p, d, phi_target=None) -> np.ndarray:
+    """Least-squares predictor for the squared loss at fixed representations: the kernel's
+    (_one_run) solve of (phi^T D phi) pred = phi^T D P phi_target, D = diag(d), phi_target
+    defaulting to phi; rank deficiency takes covariance_solve_batch's pseudoinverse."""
     a, v, d, t, _ = _operands(p, phi, d, phi_target)
-    dv = d[:, None] * v
-    return covariance_solve(v.T @ dv, dv.T @ (a @ t))
+    return _one_run(a, v, d, t)
 
 
 def noisy_predictor(phi, p, d, sigma: float, rng: np.random.Generator, phi_target=None) -> np.ndarray:
@@ -320,27 +365,24 @@ def predictor_gradient(phi, pred, p, d, loss_kind: str = "squared",
 
 def semi_gradient_step(phi, pred, p, d, eta: float, loss_kind: str = "squared",
                        epsilon: float = EPSILON, phi_target=None) -> np.ndarray:
-    """One semi-gradient update of phi at a fixed predictor.
-
-    Only the input-side embedding carries gradients; the successor side is
-    frozen at phi_target (phi itself by default).  For the squared loss the
-    update is phi + 2 eta (D P phi_target - D phi pred) pred^T.
-    """
+    """One semi-gradient update of phi at a fixed predictor, the successor side frozen at
+    phi_target (phi by default).  For the squared loss it is the kernel's (_one_run),
+    phi + 2 eta (D P phi_target - D phi pred) pred^T.  p's rows must sum to one."""
     require_number(eta, "eta", 0, above=True)
     require_number(epsilon, "epsilon", 0, above=True)
-    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
+    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred, step=True)
+    if loss_kind == "squared":
+        return _one_run(a, v, d, t, pred, eta)
     _, gz = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return v - eta * (gz @ pred.T)
 
 
 def full_gradient_step(phi, pred, p, d, eta: float) -> np.ndarray:
-    """One full-gradient update for the squared loss (successor side included)."""
+    """One full-gradient update for the squared loss (successor side included), the
+    lockstep kernel's (_one_run).  p's rows must sum to one."""
     require_number(eta, "eta", 0, above=True)
-    a, v, d, _, pred = _operands(p, phi, d, pred=pred)
-    dv = d[:, None] * v
-    vp = dv @ pred
-    grad = 2.0 * (vp - d[:, None] * (a @ v)) @ pred.T - 2.0 * (a.T @ vp - (a.T @ d)[:, None] * v)
-    return v - eta * grad
+    a, v, d, _, pred = _operands(p, phi, d, pred=pred, step=True)
+    return _one_run(a, v, d, v, pred, eta, full=True)
 
 
 GTOL_LADDER = (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13)
@@ -351,17 +393,15 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = EPSI
                     tol: float = 1e-8, phi_target=None) -> np.ndarray:
     """Minimize prediction_loss over the predictor to max-norm stationarity tol.
 
-    Quasi-Newton descent from the squared-loss optimum, retightening the
-    gradient tolerance until a start reaches tol: on the gradient L-BFGS-B
-    returns, ridge left out, both max |grad| <= tol and the tangential step's
-    max |grad pred^T| <= 50 tol.  A couple of fixed restarts cover warm starts
-    that sit in a flat basin.  The epsilon-regularized cosine loss has a scale
-    direction along which curvature decays like 1/s**2, which is what the
-    tolerance ladder is for: a single loose solve stops far up the valley.  The
-    descent adds SOLVE_RIDGE |pred|^2, which moves that minimizer to a finite
-    scale, so the result does not hang on the last bits of the warm start.
-    Raises InnerSolveFailureError, with the smallest gradient seen, if no start
-    reaches tol.
+    Quasi-Newton descent from the squared-loss optimum, retightening the gradient
+    tolerance until a start reaches tol: on the gradient L-BFGS-B returns, ridge left
+    out, both max |grad| <= tol and the tangential step's max |grad pred^T| <= 50 tol.
+    Two fixed restarts cover warm starts in a flat basin.  The epsilon-regularized
+    cosine loss has a scale direction whose curvature decays like 1/s**2, which the
+    tolerance ladder is for: one loose solve stops far up the valley.  The descent adds
+    SOLVE_RIDGE |pred|^2, which moves that minimizer to a finite scale, so the result
+    does not hang on the warm start's last bits.  Raises InnerSolveFailureError, with
+    the smallest gradient seen, if no start reaches tol.
     """
     from scipy.optimize import minimize
     require_number(epsilon, "epsilon", 0, above=True)
@@ -394,48 +434,42 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = EPSI
 def _flow(a, left, right):
     """(I - L L^T) a R (L^T a R)^T for (..., n, k) stacks: L's flow with R as its target."""
     pr = a @ right
-    fwd = left.swapaxes(-1, -2) @ pr
-    return (pr - left @ fwd) @ fwd.swapaxes(-1, -2)
+    return _tangent(left, pr, left.swapaxes(-1, -2) @ pr)
 
 
 def ode_rhs(phi, p) -> np.ndarray:
-    """Continuous-time flow of phi under the optimal predictor at uniform weights.
-
-    Equal to (I - phi phi^T) P phi pred^T with pred = phi^T P phi; tangent
-    to the orthonormality constraint, so phi^T phi is conserved exactly
-    along exact solutions.
-    """
+    """Continuous-time flow of phi under the optimal predictor at uniform weights,
+    (I - phi phi^T) P phi pred^T with pred = phi^T P phi (_flow): tangent to the
+    orthonormality constraint, so exact solutions conserve phi^T phi."""
     a = _matrix(p)
     v = _check_rep(phi, a.shape[0])
     return _flow(a, v, v)
 
 
 def flow_residual(phi, p) -> float:
-    """Frobenius norm of ode_rhs; zero exactly at critical points of the flow."""
-    return float(_norm(ode_rhs(phi, p)))
+    """Frobenius norm of ode_rhs, as the records take it (metrics._fit); zero exactly at
+    critical points of the flow."""
+    a = _matrix(p)
+    v = _check_rep(phi, a.shape[0])[None]
+    return float(_fit(v, v, np.zeros(1), a[None])[1][0])
 
 
 def integrate_ode_batch(phi0_stack, tms, t_end: float = FLOW_T_END, n_records: int = FLOW_N_RECORDS,
                         rel_tol: float = FLOW_TOL, abs_tol: float = FLOW_TOL, run_offset: int = 0):
-    """Integrate the flow for a stack of runs or pairs (phi0_stack, tms as in run_discrete_batch).
-
-    Returns the m records (Trajectories) on a uniform grid of n_records + 1 points
-    over [0, t_end] and the final state in phi0_stack's form; run_offset labels errors.
-    A pair's f_ratio, f_tilde over the singular value ceiling, goes to one on this flow.
-    """
+    """Integrate the flow for a stack of runs or pairs (phi0_stack, tms as in
+    run_discrete_batch): the m records (Trajectories) on a uniform grid of n_records + 1
+    points over [0, t_end] and the final state in phi0_stack's form; run_offset labels
+    errors.  A pair's f_ratio, f_tilde over the singular value ceiling, goes to one."""
     return _integrate([(phi0_stack, tms)], t_end, n_records, rel_tol, abs_tol, run_offset,
                       solve_ivp)[0]
 
 
 def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
-    """integrate_ode_batch for flows, a list of (state0, tms) entries, in one loop of
-    solve (the caller's solve_ivp); returns each entry's (records, final state).
-
-    A run or a pair is one row of solve, so a pair shares one step control.  Beside
-    pairs, a single run rides as a twin pair, both members on its chain and each the
-    other's partner, so every row holds as many members.  A row's chains are a
-    per-run operand of solve, so they leave the loop with the row.
-    """
+    """integrate_ode_batch for flows, a list of (state0, tms) entries, in one loop of solve
+    (the caller's solve_ivp): each entry's (records, final state).  A run or a pair is one
+    row of solve, so a pair shares one step control.  Beside pairs, a single run rides as a
+    twin pair, both members on its chain, each the other's partner.  A row's chains are a
+    per-run operand of solve, so they leave the loop with the row."""
     for name, value in (("t_end", t_end), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         require_number(value, name, 0, above=True)
     require_number(n_records, "n_records", 1, integer=True)
@@ -481,54 +515,20 @@ def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = FLOW_T_END,
     return _single(integrate_ode_batch, phi0, tm, t_end, n_records, rel_tol, abs_tol)
 
 
-def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """vals * 2**exp, rounded once, so a representable product stays finite."""
-    with np.errstate(over="ignore", under="ignore"):
-        return np.ldexp(vals, exp.astype(np.int64))
-
-
 def _partner(x, r):
     """Each run's live target in a stack of r-run groups: x itself for r = 1; for
     r = 2, a view in the (m / 2, 2, ...) layout of the other member of each pair."""
     return x if r == 1 else x.reshape(-1, 2, *x.shape[1:])[:, ::-1]
 
 
-def _objective(phi, target, slog, op, apply):
-    """(P target, pred = phi^T P target, f) of (..., n, k) stacks; see _metrics."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        pp = apply(op, target)
-        pred = phi.swapaxes(-1, -2) @ pp
-        return pp, pred, _scaled(np.sum(pred * pred, axis=(-2, -1)), 4.0 * slog)
-
-
-def _metrics(phi, target, slog, c0, op, apply=np.matmul):
-    """f against the target, covariance drift, cosine and flow residual of (..., n, k) stacks.
-
-    The chain acts as apply(op, target) (P under matmul, eigenvalues under
-    multiply).  phi and target carry a factor 2**-slog that the metrics fold
-    back in; a diverged run reports inf, overflow in the intermediate products
-    being the route.
-    """
-    pp, pred, f = _objective(phi, target, slog, op, apply)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        c = phi.swapaxes(-1, -2) @ phi
-        drift = np.abs(_scaled(c, 2.0 * slog[..., None, None]) - c0).max(axis=(-2, -1))
-        # (2^(-2 slog) I - phi phi^T) P target pred^T without the (n, n) projector;
-        # phi^T P target is pred itself.
-        tangent = _scaled(pp, -2.0 * slog[..., None, None]) - phi @ pred
-        resid = _scaled(_norm(tangent @ pred.swapaxes(-1, -2), axis=(-2, -1)), 5.0 * slog)
-    return f, drift, _max_abs_cosine(c), resid
-
-
 def _columns(phi, slog, c0, op, norms, apply, r=1):
-    """MetricBundle columns of the r-run groups of a (m, ..., n, k) stack (see _metrics).
-
-    A single run reports f over its ceiling norms.  A pair reports f of its left
-    member, f_tilde = ||L^T P R||^2 over the singular value ceiling, the worse
-    drift and cosine of its members and the hypot of their flow residuals.
-    """
+    """MetricBundle columns (metrics._fit, _collapse) of the r-run groups of a (m, ..., n, k)
+    stack carrying 2**-slog, P acting as apply(op, t).  A single run reports f over its
+    ceiling norms; a pair f of its left member, f_tilde = ||L^T P R||^2 over the singular
+    value ceiling, its members' worse drift and cosine and the hypot of their residuals."""
     phi, slog, c0, op = (x.reshape(-1, r, *x.shape[1:]) for x in (phi, slog, c0, op))
-    f, drift, cos, resid = _metrics(phi, phi[:, ::-1], slog, c0, op, apply)
+    f, resid = _fit(phi, phi[:, ::-1], slog, op, apply)
+    drift, cos = _collapse(phi, slog, c0)
     if r == 1:
         return f[:, 0], f[:, 0] / norms, None, drift[:, 0], cos[:, 0], resid[:, 0]
     own = _objective(phi[:, 0], phi[:, 0], slog[:, 0], op[:, 0], apply)[2]
@@ -650,17 +650,15 @@ def eigen_stack(tms, phi0_stack):
 
 def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
                        noise_rngs=None, run_offset: int = 0):
-    """Train a stack of runs, or of pairs, in lockstep and collect their records.
+    """Train a stack of runs, or of pairs, in lockstep: (records, final).
 
-    phi0_stack is (m, n, k), or a BidirState of two such stacks for m pairs; tms is
-    one TransitionMatrix shared by every run, a sequence of m of them, or, for runs,
-    their Spectra, with both stacks then in eigen coordinates (eigen_stack).
-    noise_rngs supplies one generator per run when predictor_mode="noisy".
-    run_offset only labels error messages.  Returns (records, final) where records
-    (Trajectories) holds the m record lists and final is the state after the last
-    step in phi0_stack's form, with any blow-up rescaling folded back in (divergent
-    runs report inf).  A pair needs doubly stochastic chains, uniform d, the semi
-    gradient, optimal predictor and no target; its members step as one.
+    phi0_stack is (m, n, k), or a BidirState of two such stacks for m pairs; tms is one
+    TransitionMatrix for every run, a sequence of m, or, for runs, their Spectra, both
+    stacks then in eigen coordinates (eigen_stack).  noise_rngs holds one generator per
+    run when predictor_mode="noisy"; run_offset labels errors.  records (Trajectories)
+    holds the m record lists, final the last state in phi0_stack's form, any rescale
+    folded back in (divergent runs report inf).  A pair needs doubly stochastic chains,
+    uniform d, the semi gradient, optimal predictor and no target.
     """
     phi, tms, r = _rep_stack(phi0_stack, tms)
     d = (validate_distribution if r == 1 else _require_uniform)(d, phi.shape[1])
@@ -697,59 +695,33 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     noisy = config.predictor_mode == "noisy"
     if noisy and (noise_rngs is None or len(noise_rngs) != m):
         raise InvalidInputError("predictor_mode='noisy' needs one noise rng per run")
-    full = config.gradient_mode == "full"
-    two_eta = 2.0 * config.eta
-    w = d[0] if np.all(d == d[0]) else d[:, None]  # the state weights, D = diag(d)
-    if op.ndim == 3:  # BLAS forms P @ t fastest with P a view of a C-ordered P^T stack
-        if full:  # 2 eta P^T and its column weights 2 eta P^T d
-            op_t, colw = two_eta * op, np.repeat((two_eta * (op @ d))[:, :, None], k, axis=2)
-        apply, op, wop = np.matmul, op.transpose(0, 2, 1), (op * d).transpose(0, 2, 1)
-    else:
-        apply, op = np.multiply, op[:, :, None]
-        wop = np.repeat(w * op, k, axis=2)  # a contiguous operand multiplies fastest
-        if full:  # here P^T d is the constant d
-            op_t, colw = np.repeat(two_eta * op, k, axis=2), two_eta * w
-    dphi, dpt, dpp, g = (np.empty_like(phi) for _ in range(4))
-    pred_t = np.empty((m, k, k))  # 2 eta pred^T, contiguous: a strided operand slows the product
-
+    apply, op, normal, increment, scratch = _step(op, d, phi, config.eta,
+                                                  config.gradient_mode == "full")
     beta = config.target_beta
     tgt = phi.copy() if beta is not None else None
     guarded = (phi,) if tgt is None else (phi, tgt)
-    # Each run's target for the chain product, with wop and dpt in its layout: views
-    # that stay current, as phi and tgt are updated in place.
+    # Each run's target for the chain product: a view that stays current, as phi and tgt
+    # are updated in place.
     target = _partner(phi if tgt is None else tgt, r)
-    wop_g, dpt_g = (x.reshape(*target.shape[:-2], n, -1) for x in (wop, dpt))
     slog = np.zeros(m)
-    phi_t = phi.transpose(0, 2, 1)  # phi is updated in place, so the view stays current
     records: list = []
     # A hostile initial state overflows in c0 and its first solve raises.  A noisy run has
     # no guard: its overflow reaches the next solve, or the check after the loop, which raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        c0 = phi_t @ phi
+        c0 = phi.transpose(0, 2, 1) @ phi
         _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
         for step in range(1, config.iters + 1):
-            apply(wop_g, target, out=dpt_g)
-            np.multiply(phi, w, out=dphi)  # a second buffer keeps the Gram off the syrk path
-            pred = covariance_solve_batch(phi_t @ dphi, phi_t @ dpt, run_offset, step, r)
+            pred = covariance_solve_batch(*normal(target), run_offset, step, r)
             if noisy:  # a generator's stream is the same however many steps a call draws
                 if (step - 1) % NOISE_BLOCK == 0:
                     b = min(NOISE_BLOCK, config.iters - step + 1)
                     noise = np.stack([r.standard_normal((b, k, k)) for r in noise_rngs])
                 pred += config.sigma * noise[:, (step - 1) % NOISE_BLOCK]
-            # g = (D P t - D phi pred) 2 eta pred^T [+ 2 eta (P^T D phi pred - colw phi)]
-            np.matmul(dphi, pred, out=dpp)
-            np.subtract(dpt, dpp, out=dpt)
-            np.multiply(pred.transpose(0, 2, 1), two_eta, out=pred_t)
-            np.matmul(dpt, pred_t, out=g)
-            if full:
-                apply(op_t, dpp, out=dpt)
-                np.multiply(phi, colw, out=dphi)
-                dpt -= dphi
-                g += dpt
+            g = increment(pred)
             if beta:  # at beta = 0 the target stays at the init
-                np.subtract(phi, tgt, out=dpt)
-                dpt *= config.eta * beta
-                tgt += dpt
+                np.subtract(phi, tgt, out=scratch)
+                scratch *= config.eta * beta
+                tgt += scratch
             phi += g
             # One pass over each array (_inside); past the limit, or NaN, per run.
             if not noisy and not all(_inside(x) for x in guarded):

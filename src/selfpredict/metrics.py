@@ -31,22 +31,20 @@ def _check_rep(phi, n: int, name: str = "phi") -> np.ndarray:
 
 
 def trace_objective(phi, p) -> float:
-    """Squared Frobenius norm of the compressed chain phi^T P phi."""
+    """Squared Frobenius norm of the compressed chain phi^T P phi (the records' f, _objective)."""
     a = _matrix(p)
-    v = _check_rep(phi, a.shape[0])
-    m = v.T @ a @ v
-    return float(np.sum(m * m))
+    v = _check_rep(phi, a.shape[0])[None]
+    return float(_objective(v, v, np.zeros(1), a[None])[2][0])
 
 
 def svd_trace_objective(left, right, p) -> float:
-    """Squared Frobenius norm of left^T P right for a representation pair."""
+    """Squared Frobenius norm of left^T P right for a representation pair (the records' f~)."""
     a = _matrix(p)
     lv = _check_rep(left, a.shape[0], "left")
     rv = _check_rep(right, a.shape[0], "right")
     if lv.shape[1] != rv.shape[1]:
         raise ShapeMismatchError("left and right must have the same number of columns")
-    m = lv.T @ a @ rv
-    return float(np.sum(m * m))
+    return float(_objective(lv[None], rv[None], np.zeros(1), a[None])[2][0])
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,9 @@ def collapse_metrics(phi, phi_init) -> CollapseMetrics:
     if v.shape != v0.shape or v.ndim != 2:
         raise ShapeMismatchError(
             f"phi and phi_init must share a 2d shape, got {v.shape} and {v0.shape}")
-    c = v.T @ v
-    return CollapseMetrics(float(np.abs(c - v0.T @ v0).max()), float(_max_abs_cosine(c)))
+    v, v0 = v[None], v0[None]
+    drift, cos = _collapse(v, np.zeros(1), v0.swapaxes(-1, -2) @ v0)
+    return CollapseMetrics(float(drift[0]), float(cos[0]))
 
 
 def _max_abs_cosine(c: np.ndarray) -> np.ndarray:
@@ -132,6 +131,43 @@ def _norm(x: np.ndarray, axis=None):
             rescued = np.linalg.norm(x / top, axis=axis) * top.reshape(np.shape(out))
             out = np.where(np.isinf(out) & np.isfinite(rescued), rescued, out)
     return out
+
+
+def _scaled(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """vals * 2**exp, rounded once, so a representable product stays finite."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(vals, exp.astype(np.int64))
+
+
+def _tangent(phi, pp, pred):
+    """(pp - phi pred) pred^T, overwriting pp: (I - phi phi^T) pp pred^T if pred = phi^T pp."""
+    return np.subtract(pp, phi @ pred, out=pp) @ pred.swapaxes(-1, -2)
+
+
+def _objective(phi, target, slog, op, apply=np.matmul):
+    """(pp = P target, pred = phi^T pp, f = ||pred||^2) of (..., n, k) stacks carrying 2**-slog,
+    which f folds back in (inf if it overflows); P acts as apply(op, target): P under matmul,
+    eigenvalues under multiply."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        pp = apply(op, target)
+        pred = phi.swapaxes(-1, -2) @ pp
+        return pp, pred, _scaled(np.sum(pred * pred, axis=(-2, -1)), 4.0 * slog)
+
+
+def _fit(phi, target, slog, op, apply=np.matmul):
+    """(f, flow residual ||_tangent||_F) of _objective's stacks against their targets."""
+    pp, pred, f = _objective(phi, target, slog, op, apply)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        tangent = _tangent(phi, _scaled(pp, -2.0 * slog[..., None, None]), pred)
+        return f, _scaled(_norm(tangent, axis=(-2, -1)), 5.0 * slog)
+
+
+def _collapse(phi, slog, c0):
+    """collapse_metrics' (drift against c0, cosine) of (..., n, k) stacks carrying 2**-slog."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        c = phi.swapaxes(-1, -2) @ phi
+        drift = np.abs(_scaled(c, 2.0 * slog[..., None, None]) - c0).max(axis=(-2, -1))
+    return drift, _max_abs_cosine(c)
 
 
 @dataclass(frozen=True)

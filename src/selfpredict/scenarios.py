@@ -35,7 +35,7 @@ from . import __version__, dynamics
 from .bidirectional import BidirState, integrate_bidir, integrate_flows_batch  # noqa: F401
 from .dynamics import (DynamicsConfig, eigen_stack, flow_residual, integrate_ode,  # noqa: F401
                        orthonormal_init, run_discrete_batch)
-from .errors import UnknownScenarioError, require_number
+from .errors import InvalidInputError, UnknownScenarioError, require_number
 from .markov import (
     fixed_example_2x2,
     fixed_example_3x3,
@@ -109,6 +109,8 @@ class ScenarioConfig:
         require_number(self.k, "k", 1, high=self.n_states, integer=True)
         for name, above in dict(eta=True, t_end=True, sigma=False, beta=False).items():
             require_number(getattr(self, name), name, 0, above=above, optional=True)
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise InvalidInputError(f"out_dir must be a path, got {self.out_dir!r}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,8 @@ def _resolve(cfg: ScenarioConfig) -> dict:
         budget = float(cfg.iters) if cfg.iters is not None else FINITE_LR_BUDGET
         out = {}
         for e in grid:
-            cell_iters = max(1, int(round(require_number(budget / e, "iters / eta", 0))))
+            cell_iters = max(1, int(round(require_number(budget / e, "iters / eta", 0,
+                                                         high=dynamics.MAX_ITERS))))
             out[f"eta_{e:g}"] = discrete("symmetric", eta=e, iters=cell_iters,
                                          record_every=cell_iters)
         return out
@@ -179,18 +182,14 @@ def _make_chain(kind: str, n: int, master_seed: int, run_index: int):
 
 
 def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
-    """Record columns of trials lo..hi-1 for each variant, in variant order.
-
-    The unit of parallel dispatch.  A variant's entry is (times, f, f_ratio,
-    f_tilde, covariance_drift, max_abs_cosine, residual): the shared (T,) times
-    and (runs, T) arrays, f_tilde None for single runs.  Every variant shares the
-    chunk's chains and initial states; noise generators are fresh per variant.
-    A chain kind whose every variant steps in the eigenbasis (dynamics._eigenbasis)
-    is prepared once, one chain at a time (eigen_stack, which raises
-    NotSymmetricError for a chain not symmetric bitwise), so the chunk holds its
-    eigenvalues, ceilings and psi0, O(n^2 + runs n k); the others keep their chains,
-    O(runs n^2).  The flow variants, which share a horizon, integrate in one
-    integrate_flows_batch loop.
+    """Record columns of trials lo..hi-1 for each variant, in variant order: the unit
+    of parallel dispatch.  A variant's entry is (times, f, f_ratio, f_tilde,
+    covariance_drift, max_abs_cosine, residual), the shared (T,) times and (runs, T)
+    arrays, f_tilde None for single runs.  Every variant shares the chunk's chains and
+    initial states; noise generators are fresh per variant.  A chain kind whose every
+    variant steps in the eigenbasis (dynamics._eigenbasis) is prepared once, chain by
+    chain (eigen_stack), so the chunk holds O(n^2 + runs n k), not O(runs n^2).  The flow
+    variants, which share a horizon, integrate in one integrate_flows_batch loop.
     """
     ms, k, idxs = cfg.master_seed, cfg.k, range(lo, hi)
     variants = list(_resolve(cfg).values())

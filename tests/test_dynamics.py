@@ -17,6 +17,7 @@ from selfpredict import (
     NotSymmetricError,
     ShapeMismatchError,
     TransitionMatrix,
+    collapse_metrics,
     covariance_solve,
     fixed_example_2x2,
     flow_residual,
@@ -40,6 +41,7 @@ from selfpredict import (
     solve_predictor,
     spectral,
     stream_seed,
+    svd_trace_objective,
     trace_objective,
     uniform_distribution,
 )
@@ -121,6 +123,17 @@ class TestSingleRunChecks:
         for step in (semi_gradient_step, full_gradient_step):
             with pytest.raises(InvalidInputError, match="eta"):
                 step(phi, pred, tm, d, eta)
+
+    @pytest.mark.parametrize("loss_kind", ["squared", "l1", "cosine_eps"])
+    def test_a_step_needs_rows_summing_to_one(self, loss_kind):
+        # the semi step used to weight rows by d times p's row sums, the full step by d alone
+        tm, phi, pred, d = random_instance(0)
+        steps = [lambda a: semi_gradient_step(phi, pred, a, d, 0.1, loss_kind),
+                 lambda a: full_gradient_step(phi, pred, a, d, 0.1)][:1 + (loss_kind == "squared")]
+        for step in steps:
+            with pytest.raises(InvalidInputError, match="rows to sum to 1"):
+                step(1.5 * tm.entries)
+            assert np.array_equal(step(tm.entries.copy()), step(tm))
 
 
 class TestOptimalPredictor:
@@ -289,7 +302,8 @@ class TestCovarianceSolveBatch:
 
 
 class TestKernelStepOracle:
-    """One lockstep step against the single-run step functions and optimal_predictor."""
+    """One lockstep step against the single-run step functions and optimal_predictor, which
+    run the kernel's step on a one-run dense stack: bitwise on the dense path."""
 
     @pytest.mark.parametrize("mode", ["semi", "full", "slow_target", "noisy_sigma0"])
     @given(seed=st.integers(0, 10_000))
@@ -318,7 +332,47 @@ class TestKernelStepOracle:
                     want = full_gradient_step(phi0[i], pred, tms[i], d, eta)
                 else:
                     want = semi_gradient_step(phi0[i], pred, tms[i], d, eta, phi_target=phi0[i])
-                assert np.abs(final[i] - want).max() <= 1e-12 * np.abs(want).max()
+                if eigen:  # the eigenbasis rounds differently from dense P
+                    assert np.abs(final[i] - want).max() <= 1e-12 * np.abs(want).max()
+                else:
+                    assert np.array_equal(final[i], want)
+
+
+class TestDiagnosticViews:
+    """trace_objective, svd_trace_objective, collapse_metrics and flow_residual are the
+    record code at one run, so they equal a one-run driver's records bit for bit."""
+
+    def assert_views(self, rec, state, phi0, tm):
+        b = rec.bundle
+        if isinstance(state, BidirState):
+            assert b.f == trace_objective(state.left, tm)
+            assert b.f_tilde == svd_trace_objective(state.left, state.right, tm)
+            metrics = [collapse_metrics(v, v0) for v, v0 in zip((state.left, state.right), phi0)]
+            assert b.covariance_drift == max(c.covariance_drift for c in metrics)
+            assert b.max_abs_cosine == max(c.max_abs_cosine for c in metrics)
+        else:
+            assert b.f == trace_objective(state, tm)
+            assert b.residual == flow_residual(state, tm)
+            assert (b.covariance_drift, b.max_abs_cosine) == dataclasses.astuple(
+                collapse_metrics(state, phi0))
+
+    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_views_equal_the_records(self, pair, seed):
+        n, k = 6, 3
+        tm = gen_doubly_stochastic(n, seed)  # not symmetric: the kernel steps on dense P
+        phi0 = orthonormal_init(n, k, seed + 10)
+        if pair:
+            phi0 = BidirState(phi0, orthonormal_init(n, k, seed + 20))
+            d = uniform_distribution(n)
+        else:
+            d = np.random.default_rng(seed).dirichlet(np.ones(n))
+        members = (phi0.left, phi0.right) if pair else phi0
+        cfg = DynamicsConfig(eta=0.05, iters=5, record_every=5)
+        for records, final in (run_discrete(phi0, tm, d, cfg),
+                               integrate_ode(phi0, tm, t_end=1.0, n_records=2)):
+            self.assert_views(records[0], phi0, members, tm)
+            self.assert_views(records[-1], final, members, tm)
 
 
 class TestNonFiniteState:
@@ -1221,6 +1275,13 @@ class TestConfigValidation:
             DynamicsConfig(target_beta=-1.0)
         with pytest.raises(InvalidInputError):
             DynamicsConfig(gradient_mode="full", target_beta=1.0)
+
+    def test_the_step_count_is_bounded(self):
+        # iters=10**30 used to start a run of 10**30 steps
+        assert DynamicsConfig(iters=dynamics.MAX_ITERS).iters == 10**8
+        for iters in (dynamics.MAX_ITERS + 1, 10**30):
+            with pytest.raises(InvalidInputError, match="iters must be at least 1 and at most"):
+                DynamicsConfig(iters=iters)
 
     def test_the_kernel_trains_the_squared_loss_with_a_closed_form_predictor(self):
         assert len(dataclasses.fields(DynamicsConfig)) == 7

@@ -167,9 +167,11 @@ TWIN_ATOL = 1e-7
 
 
 class TestMergedFlows:
-    @pytest.mark.parametrize("scenario", ["fig4_trace_ratio", "fig5_failure_mode"])
-    def test_chunk_matches_the_drivers_run_per_variant(self, tmp_path, scenario):
-        cfg = tiny(scenario, tmp_path, n_runs=8, n_states=6, t_end=100.0, n_records=100)
+    # fig4 has no twin rows, so it is bitwise at every width
+    @pytest.mark.parametrize("scenario, k", [("fig4_trace_ratio", 1), ("fig4_trace_ratio", 2),
+                                             ("fig4_trace_ratio", 3), ("fig5_failure_mode", 2)])
+    def test_chunk_matches_the_drivers_run_per_variant(self, tmp_path, scenario, k):
+        cfg = tiny(scenario, tmp_path, n_runs=8, n_states=6, k=k, t_end=100.0, n_records=100)
         merged = scenarios._run_chunk(cfg, 0, cfg.n_runs)
         for (times, *cols), params in zip(merged, scenarios._resolve(cfg).values()):
             n = 3 if params["chain"] == "fixed3" else cfg.n_states
@@ -600,17 +602,56 @@ class TestCli:
         assert "record_every" in payload["message"]
         assert stdout == "" and not out.exists()
 
-    def test_a_finite_lr_step_count_past_the_float_range_exits_2(self, tmp_path, capsys):
-        # int(round(budget / eta)) used to raise OverflowError
+    @pytest.mark.parametrize("eta", ["1e-320", "1e-300"])
+    def test_a_finite_lr_step_count_past_the_float_range_exits_2(self, tmp_path, capsys, eta):
+        # int(round(budget / eta)) used to raise OverflowError at 1e-320, and 1e-300
+        # started cells of 1e304 steps
         out = tmp_path / "out"
         code, stdout, err = self.run_cli(
-            ["--scenario", "appendix_finite_lr", "--eta", "1e-320", "--runs", "1",
+            ["--scenario", "appendix_finite_lr", "--eta", eta, "--runs", "1",
              "--n-states", "3", "--out", str(out)], capsys)
         assert code == 2
         payload = json.loads(err)
         assert payload["error"] == "InvalidInputError"
         assert "iters / eta" in payload["message"]
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("scenario, field", [("fig2_collapse", "iters"),
+                                                 ("appendix_finite_lr", "iters / eta")])
+    def test_a_step_count_past_max_iters_exits_2(self, tmp_path, capsys, scenario, field):
+        # --iters 10**30 used to start a run of 10**30 steps
+        out = tmp_path / "out"
+        code, stdout, err = self.run_cli(
+            ["--scenario", scenario, "--iters", str(10**30), "--runs", "1", "--n-states", "3",
+             "--out", str(out)], capsys)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert payload["message"].startswith(f"{field} must be at least")
+        assert f"at most {dynamics.MAX_ITERS}" in payload["message"]
+        assert stdout == "" and not out.exists()
+
+    def test_an_out_dir_that_is_not_a_path_exits_2_before_any_work(self, tmp_path, capsys):
+        # "out_dir": 5 used to compute the whole scenario, then exit 2 as a TypeError
+        with pytest.raises(InvalidInputError, match="out_dir"):
+            ScenarioConfig("fig5_failure_mode", out_dir=5)
+        assert ScenarioConfig("fig5_failure_mode", out_dir=tmp_path).out_dir == tmp_path
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"scenario": "fig5_failure_mode", "out_dir": 5}))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios, "_run_chunk", lambda *a: pytest.fail("a chunk ran"))
+            code, stdout, err = self.run_cli(["--config", str(cfg_path)], capsys)
+        assert code == 2 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError" and "out_dir" in payload["message"]
+
+    def test_a_type_error_inside_a_run_is_not_bad_usage(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise TypeError("a fault inside the run")
+
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        with pytest.raises(TypeError, match="a fault inside the run"):
+            cli.main(["--scenario", "fig2_collapse", "--out", str(tmp_path)])
 
     @settings(max_examples=300, deadline=None)
     @given(scenario=st.sampled_from(sorted(SCENARIOS)),
