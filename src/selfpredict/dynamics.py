@@ -28,15 +28,14 @@ eigenvalues of a chain P = U diag(lam) U^T equal to its transpose bitwise (O(nk)
 not O(n^2 k)); only rounding differs from dense P.  eigen_stack prepares them
 chain by chain, so streamed chains cost O(n^2 + m n k), not O(m n^2).
 
-Blow-up handling: the squared-loss semi-gradient step at the optimal predictor is
-degree-1 homogeneous in phi (in both members of a pair jointly), so a run, or a
-pair as one, is rescaled by an exact power of two whenever entries pass 2**256,
-and the exponent is folded back into the metrics with ldexp (cosines need none).
-A reported value is inf only where the true one is not representable, or a
-working product overflowed first.  Noisy predictors break homogeneity and skip the
-guard.  A run still past the limit after its rescale ends in NonFiniteStateError
-at that step; a noisy run that overflows, at the next predictor solve or after the
-last step.
+Blow-up handling: the squared-loss step at the optimal or noisy predictor is
+degree-1 homogeneous in phi (in both members of a pair jointly; the predictor is
+degree 0 and the noise is added to it), so every discrete run, or a pair as one,
+is rescaled by an exact power of two whenever entries pass 2**256, and the exponent
+is folded back into the metrics with ldexp (cosines need none).  A reported value is
+inf only where the true one is not representable, or a working product overflowed
+first.  A run whose state is NaN, or still past the limit after its rescale, ends
+in NonFiniteStateError at that step.
 """
 
 from __future__ import annotations
@@ -705,8 +704,7 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     target = _partner(phi if tgt is None else tgt, r)
     slog = np.zeros(m)
     records: list = []
-    # A hostile initial state overflows in c0 and its first solve raises.  A noisy run has
-    # no guard: its overflow reaches the next solve, or the check after the loop, which raise.
+    # A hostile initial state overflows in c0 and its first solve raises.
     with np.errstate(over="ignore", invalid="ignore"):
         c0 = phi.transpose(0, 2, 1) @ phi
         _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
@@ -723,10 +721,11 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
                 scratch *= config.eta * beta
                 tgt += scratch
             phi += g
-            # One pass over each array (_inside); past the limit, or NaN, per run.
-            if not noisy and not all(_inside(x) for x in guarded):
+            # One pass over each array (_inside); then, per run, past the limit rescales once,
+            # and NaN or past the limit after one rescale raises: the one check after a step.
+            if not all(_inside(x) for x in guarded):
                 top = np.max([np.abs(x).max(axis=(1, 2)) for x in guarded], axis=0)
-                over = np.flatnonzero(top > RESCALE_LIMIT * 2.0 ** RESCALE_EXP)  # past one rescale
+                over = np.flatnonzero(~(top <= RESCALE_LIMIT * 2.0 ** RESCALE_EXP))
                 if len(over):
                     raise NonFiniteStateError(
                         f"{_who(over[0], run_offset, r)} at step {step} outgrew the blow-up guard")
@@ -736,10 +735,6 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
                 slog[big] += RESCALE_EXP
             if step % config.record_every == 0 or step == config.iters:
                 _record_batch(records, float(step), phi, slog, c0, op, norms, apply, r)
-
-    bad = np.flatnonzero(~np.isfinite(phi).all(axis=(1, 2)))
-    if len(bad):  # the last step's overflow has no next solve to raise it
-        raise NonFiniteStateError(f"non-finite state in {_who(bad[0], run_offset, r)} at step {step}")
     return _stacked(records), phi, slog
 
 

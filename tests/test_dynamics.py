@@ -3,7 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import central_fd, rel_err
 from selfpredict import dynamics
@@ -404,13 +404,52 @@ class TestNonFiniteState:
         with pytest.raises(NonFiniteStateError, match="at step 1$"):
             run_discrete(state, tm, d, DynamicsConfig(iters=3))
 
-    def test_hostile_noisy_run_raises(self):
+    def test_a_hostile_noisy_run_is_rescaled(self, monkeypatch):
+        # eta=50, sigma=1 overflows a noisy run by step 100: the guard rescales it, so each
+        # later record is inf where its value overflowed and holds no NaN
         tm, phi, _, d = random_instance(0, n=20)
         cfg = DynamicsConfig(eta=50.0, iters=3000, record_every=100,
                              predictor_mode="noisy", sigma=1.0)
-        with pytest.raises(NonFiniteStateError, match="run 0 at step"):
-            run_discrete(phi, tm, d, cfg, noise_rng=np.random.default_rng(0))
+        calls = []
+        record_batch = dynamics._record_batch
 
+        def spy(records, step, psi, slog, c0, lam, *rest):
+            calls.append((psi[0].copy(), slog[0], c0[0], lam[0, :, 0]))
+            record_batch(records, step, psi, slog, c0, lam, *rest)
+
+        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        records, _ = run_discrete(phi, tm, d, cfg, noise_rng=np.random.default_rng(0))
+        assert [slog > 0 for _, slog, *_ in calls] == [False] + [True] * 30
+        assert all(record_matches_mpmath(rec.bundle, *call)  # f overflowed
+                   for rec, call in zip(records[1:], calls[1:]))
+        assert all(0.0 <= rec.bundle.max_abs_cosine <= 1.0 for rec in records)
+
+    @pytest.mark.parametrize("iters", [3, 5])  # the NaN step is the last one, or not
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_a_nan_state_raises_at_its_step(self, monkeypatch, iters, noisy):
+        # the guard names the run at the step its state turns NaN, the last step included
+        step = dynamics._step
+
+        def nan_step(*args):
+            apply, op, normal, increment, scratch = step(*args)
+            count = iter(range(1, iters + 1))
+
+            def poisoned(pred):
+                g = increment(pred)
+                if next(count) == 3:
+                    g[1, 0, 0] = np.nan
+                return g
+            return apply, op, normal, poisoned, scratch
+
+        monkeypatch.setattr(dynamics, "_step", nan_step)
+        n = 6
+        tms = [gen_symmetric(n, s) for s in range(3)]
+        phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(3)])
+        mode = dict(predictor_mode="noisy", sigma=0.1) if noisy else {}
+        rngs = [np.random.default_rng(s) for s in range(3)] if noisy else None
+        with pytest.raises(NonFiniteStateError, match="^run 1 at step 3 "):
+            run_discrete_batch(phi0, tms, uniform_distribution(n),
+                               DynamicsConfig(iters=iters, **mode), rngs)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     # the state overflows at step 9 (eta=1e100) or 2 (1e308) of 50, or at the last step
@@ -433,15 +472,20 @@ class TestNonFiniteState:
 
     @settings(max_examples=60, deadline=None)
     @given(log_eta=st.floats(0.0, 300.0), iters=st.integers(1, 30), n=st.integers(3, 11),
-           pair=st.booleans(), eigen=st.booleans(), seed=st.integers(0, 2**16))
-    def test_hostile_step_sizes_raise_or_record_no_nan(self, log_eta, iters, n, pair, eigen, seed):
+           pair=st.booleans(), eigen=st.booleans(), seed=st.integers(0, 2**16),
+           sigma=st.one_of(st.none(), st.floats(0.0, 100.0)))
+    def test_hostile_step_sizes_raise_or_record_no_nan(self, log_eta, iters, n, pair, eigen, seed,
+                                                       sigma):
+        pair = pair and sigma is None  # a pair trains on the optimal predictor
         tm = (gen_symmetric if eigen or not pair else gen_doubly_stochastic)(n, seed)
         d = uniform_distribution(n) if eigen or pair else np.arange(1.0, n + 1) / (n * (n + 1) / 2)
         phi0 = orthonormal_init(n, 2, seed + 1)
         state = BidirState(phi0, orthonormal_init(n, 2, seed + 2)) if pair else phi0
-        cfg = DynamicsConfig(eta=10.0 ** log_eta, iters=iters, record_every=1)
+        noisy = {} if sigma is None else dict(predictor_mode="noisy", sigma=sigma)
+        cfg = DynamicsConfig(eta=10.0 ** log_eta, iters=iters, record_every=1, **noisy)
+        rng = None if sigma is None else np.random.default_rng(seed)
         try:
-            records, _ = run_discrete(state, tm, d, cfg)
+            records, _ = run_discrete(state, tm, d, cfg, rng)
         except NonFiniteStateError:
             return
         for rec in records:
@@ -535,6 +579,20 @@ class TestHomogeneity:
         pred_scaled = optimal_predictor(scale * phi, tm, d)
         scaled = semi_gradient_step(scale * phi, pred_scaled, tm, d, eta=0.05)
         assert np.allclose(scaled, scale * base, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [None, 1.0])
+    def test_a_noisy_run_is_degree_one_bitwise(self, beta):
+        # the noise is added to a predictor of degree 0, so the blow-up guard's exact
+        # power-of-two rescale commutes with a noisy run as with an optimal one
+        n, k = 8, 2
+        tms = [gen_symmetric(n, s) for s in (3, 4)]
+        phi0 = np.stack([orthonormal_init(n, k, s) for s in (5, 6)])
+        cfg = DynamicsConfig(eta=0.05, iters=300, record_every=300, predictor_mode="noisy",
+                             sigma=0.5, target_beta=beta)
+        d = uniform_distribution(n)
+        base, scaled = (eigen_and_dense(scale * phi0, tms, d, cfg) for scale in (1.0, 2.0 ** -64))
+        for (_, want), (_, got) in zip(base, scaled):  # the eigen path, then the dense one
+            assert np.array_equal(got, 2.0 ** -64 * want)
 
 
 class TestRunDiscrete:
@@ -716,6 +774,22 @@ def mpmath_record(psi, slog, c0, lam):
                 residual=mpmath.norm((pp - phi * pred) * pred.T, 2))
 
 
+def record_matches_mpmath(bundle, psi, slog, c0, lam) -> bool:
+    """Assert that a record's f, drift and residual are inf exactly where mpmath's values
+    (mpmath_record) pass the float range, and within 1e-10 relative elsewhere; True when
+    f overflowed."""
+    top = mpmath.mpf(np.finfo(float).max)
+    with mpmath.workdps(60):
+        want = mpmath_record(psi, slog, c0, lam)
+    for name, value in want.items():
+        got = getattr(bundle, name)
+        if value > top:
+            assert got == np.inf, name
+        else:
+            assert abs(got - value) <= 1e-10 * value, (name, got, value)
+    return want["f"] > top
+
+
 class TestRecordResidual:
     def test_step_zero_is_flow_residual(self):
         n, m = 7, 4
@@ -771,19 +845,11 @@ class TestRecordResidual:
         # a slow target overshooting at eta * beta = 5 diverges within about 140 steps
         cfg = DynamicsConfig(eta=0.05, iters=150, record_every=1, target_beta=100.0)
         records, _ = run_discrete_batch(phi0, tms, uniform_distribution(n), cfg)
-        top = mpmath.mpf(np.finfo(float).max)
         finite_after_rescale = 0
         for j, (psi, slog, c0, lam) in enumerate(calls):
             for i in np.flatnonzero(slog > 0):
-                with mpmath.workdps(60):
-                    want = mpmath_record(psi[i], slog[i], c0[i], lam[i, :, 0])
-                for name, value in want.items():
-                    got = getattr(records[i][j].bundle, name)
-                    if value > top:
-                        assert got == np.inf, (name, j, i)
-                    else:
-                        assert abs(got - value) <= 1e-10 * value, (name, j, i, got, value)
-                finite_after_rescale += bool(want["f"] <= top)
+                finite_after_rescale += not record_matches_mpmath(
+                    records[i][j].bundle, psi[i], slog[i], c0[i], lam[i, :, 0])
         assert finite_after_rescale > 0
 
 
@@ -1175,7 +1241,39 @@ class TestFlow:
             integrate_ode(phi, tm, t_end=1.0, **kw)
 
 
-FLOW_T = 5.0  # the flow time both etas train for
+# Flow times a draw may train for, longest first; each is a whole number of steps at both
+# etas for every n.
+HORIZONS = (5.0, 2.0, 1.0)
+
+
+def as_state(v):
+    """A run or a BidirState from its (members, n, k) stack."""
+    return v[0] if len(v) == 1 else BidirState(*v)
+
+
+def as_members(x):
+    """The (members, n, k) stack of a run or a BidirState."""
+    return np.stack([x.left, x.right]) if isinstance(x, BidirState) else x[None]
+
+
+def asymptotic_horizon(tm, v0, n):
+    """The first of HORIZONS at which explicit Euler on the flow's own field (dynamics._flow),
+    at the kernel's step counts for eta 0.1 and 0.01, has an error ratio in [9.25, 10.75], and
+    the flow's state there: an indicator that reads the flow alone, not the kernel."""
+    a = np.stack([tm.entries, tm.entries.T])[:len(v0)]  # a pair's right member runs on P^T
+    for t_end in HORIZONS:
+        flow = as_members(integrate_ode(as_state(v0), tm, t_end=t_end, n_records=1,
+                                        rel_tol=1e-12, abs_tol=1e-12)[1])
+        errors = []
+        for eta in (0.1, 0.01):
+            steps = round(t_end * n / (2.0 * eta))
+            v = v0.copy()
+            for _ in range(steps):
+                v += t_end / steps * dynamics._flow(a, v, v[::-1])
+            errors.append(np.abs(v - flow).max())
+        if 9.25 <= errors[0] / errors[1] <= 10.75:
+            return t_end, flow
+    raise AssertionError("no horizon is asymptotic for this draw")
 
 
 class TestFlowLimit:
@@ -1186,28 +1284,33 @@ class TestFlowLimit:
     T with an O(eta) error and the tenfold Richardson combination (10 phi(eta / 10) -
     phi(eta)) / 9 an O(eta^2) one.  The kernel's own oracle (tests/reference.py) follows
     its update formula; this ties the kernel to the separately derived flow, so a slip in
-    the time scale, the weights or a pair's partner wiring shows.  Bands from a sweep of
-    4,300 random draws of this property: error ratio 8.97-10.83, Richardson error at most
-    1.27% of the error at eta = 0.1.
+    the time scale, the weights or a pair's partner wiring shows.
+
+    Some draws are still pre-asymptotic at eta = 0.1 over T = 5: on the 3-state pair of
+    the example below the error ratio is 5.75 and the Richardson error 8.2%.  The flow's own
+    Euler method shows the same (ratio 5.85 there), so each draw trains for the first horizon
+    at which that indicator is asymptotic (asymptotic_horizon; T = 1 for the example).  A
+    sweep of 4,300 draws (every kind, run or pair, n and k at seeds 0-9, and 1,700 random
+    seeds) chose T = 5 for 4,289, T = 2 for 10 and T = 1 for the example; at the chosen
+    horizons the error ratio was 9.48-10.50 and the Richardson error at most 0.82% of the
+    error at eta = 0.1.
     """
 
     @settings(max_examples=40, deadline=None)
-    @given(symmetric=st.booleans(), pair=st.booleans(), n=st.integers(3, 12),
-           data=st.data(), seed=st.integers(0, 2**31 - 1))
-    def test_discrete_runs_converge_to_the_flow(self, symmetric, pair, n, data, seed):
-        k = data.draw(st.integers(1, n - 1), label="k")  # at k = n nothing moves
+    @given(symmetric=st.booleans(), pair=st.booleans(),
+           shape=st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           seed=st.integers(0, 2**31 - 1))  # at k = n nothing moves
+    @example(symmetric=False, pair=True, shape=(3, 2), seed=2)
+    def test_discrete_runs_converge_to_the_flow(self, symmetric, pair, shape, seed):
+        n, k = shape
         tm = (gen_symmetric if symmetric else gen_doubly_stochastic)(n, seed)  # eigen or dense
-        phi0 = orthonormal_init(n, k, seed + 1)
-        if pair:
-            phi0 = BidirState(phi0, orthonormal_init(n, k, seed + 2))
-        members = (lambda s: np.stack([s.left, s.right])) if pair else np.asarray
-        flow = members(integrate_ode(phi0, tm, t_end=FLOW_T, n_records=1, rel_tol=1e-12,
-                                     abs_tol=1e-12)[1])
+        v0 = np.stack([orthonormal_init(n, k, seed + 1 + i) for i in range(1 + pair)])
+        t_end, flow = asymptotic_horizon(tm, v0, n)
         runs = []
         for eta in (0.1, 0.01):
-            steps = round(FLOW_T * n / (2.0 * eta))
+            steps = round(t_end * n / (2.0 * eta))
             cfg = DynamicsConfig(eta=eta, iters=steps, record_every=steps)
-            runs.append(members(run_discrete(phi0, tm, uniform_distribution(n), cfg)[1]))
+            runs.append(as_members(run_discrete(as_state(v0), tm, uniform_distribution(n), cfg)[1]))
         coarse, fine = (np.abs(v - flow).max() for v in runs)
         richardson = np.abs((10.0 * runs[1] - runs[0]) / 9.0 - flow).max()
         assert 8.5 <= coarse / fine <= 11.5

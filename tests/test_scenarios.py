@@ -694,16 +694,22 @@ class TestCli:
         assert code == 0
         assert filecmp.cmp(cell["sigma_0"], json.loads(out)["csv"]["sigma_0"], shallow=False)
 
-    def test_non_finite_noisy_run_exits_1(self, tmp_path, capsys):
-        # eta=50, sigma=1 overflows the unguarded noisy run; it used to write NaN rows
+    def test_a_diverging_noisy_run_exits_0_without_nan(self, tmp_path, capsys):
+        # eta=50, sigma=1 overflows a noisy run by step 100; the blow-up guard rescales it,
+        # so the scenario writes its artifacts, inf where a value overflowed and no NaN
         code, out, err = self.run_cli(
             ["--scenario", "appendix_noisy_predictor", "--eta", "50", "--sigma", "1",
              "--runs", "2", "--iters", "3000", "--out", str(tmp_path)], capsys)
-        assert code == 1
-        payload = json.loads(err)
-        assert payload["error"] == "NonFiniteStateError"
-        assert "run 0 at step" in payload["message"]
-        assert out == ""
+        assert (code, err) == (0, "")
+        paths = json.loads(out)
+        assert "nan" not in Path(paths["csv"]["sigma_1"]).read_text()
+        rows = np.genfromtxt(paths["csv"]["sigma_1"], delimiter=",", names=True)
+        overflowed = ["f", "f_ratio", "covariance_drift", "residual"]
+        assert np.isfinite(rows[rows["step_or_time"] == 0][overflowed].tolist()).all()
+        assert np.isinf(rows[rows["step_or_time"] > 0][overflowed].tolist()).all()
+        assert ((rows["max_abs_cosine"] >= 0) & (rows["max_abs_cosine"] <= 1)).all()
+        summary = Path(paths["summary"]).read_text()
+        assert "NaN" not in summary and "Infinity" in summary
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
