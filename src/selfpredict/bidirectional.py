@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .markov import TransitionMatrix
-from .metrics import normalizers  # noqa: F401 (bench/tracing.py wraps it)
+from .markov import TransitionMatrix, _chain
+from .metrics import _check_rep, normalizers  # noqa: F401 (bench/tracing.py wraps normalizers)
 from . import dynamics
 from .dynamics import (FLOW_N_RECORDS, FLOW_T_END, FLOW_TOL, BidirState, _each, _flow, _integrate,
                        _rep_stack, _require_uniform)
@@ -34,6 +34,13 @@ from .rk45 import solve_ivp
 ORTHONORMAL_TOL = 1e-8
 
 
+def _pair(state, tm):
+    """One pair's (2, n, k) stack and chains (P, P^T), its members checked as _single's."""
+    if not isinstance(state, BidirState):
+        raise InvalidInputError(f"state must be a BidirState, got {type(state).__name__}")
+    return _rep_stack(_each(state, lambda v: _check_rep(v, _chain(tm).n)[None]), [tm])[:2]
+
+
 def bidir_optimal_predictors(state: BidirState, tm: TransitionMatrix, d):
     """Optimal forward and backward predictors at orthonormal representations.
 
@@ -42,13 +49,12 @@ def bidir_optimal_predictors(state: BidirState, tm: TransitionMatrix, d):
     collapse to fwd = left^T P right, and the backward predictor is its
     transpose, returned as exactly that by construction.
     """
-    (left, right), (tm, _), _ = _rep_stack(_each(state, lambda v: np.asarray(v)[None]), [tm])
+    (left, right), (tm, _) = _pair(state, tm)
     _require_uniform(d, tm.n)
     for name, v in (("left", left), ("right", right)):
         err = np.abs(v.T @ v - np.eye(v.shape[1])).max()
         if err > ORTHONORMAL_TOL:
-            raise InvalidInputError(
-                f"{name} representation deviates from orthonormal by {err:.3e}")
+            raise InvalidInputError(f"{name} representation deviates from orthonormal by {err:.3e}")
     fwd = left.T @ tm.entries @ right
     return fwd, fwd.T.copy()
 
@@ -60,7 +66,7 @@ def bidir_ode_rhs(state: BidirState, tm: TransitionMatrix) -> BidirState:
     fwd = L^T P R (the backward predictor is fwd^T, hence the bare fwd in
     the second leg): the single flow of each member against the other.
     """
-    pair, tms, _ = _rep_stack(_each(state, lambda v: np.asarray(v)[None]), [tm])
+    pair, tms = _pair(state, tm)
     return BidirState(*_flow(np.stack([t.entries for t in tms]), pair, pair[::-1]))
 
 

@@ -23,10 +23,10 @@ _rep_stack lays m pairs (BidirState) out as 2m runs, members adjacent, left on P
 and right on P^T, and _form splits a final stack back.  The single-run functions
 are the same code at one run (_one_run, and metrics' record code).
 
-Under uniform d (_eigenbasis), run_discrete_batch steps psi = U^T phi against the
-eigenvalues of a chain P = U diag(lam) U^T equal to its transpose bitwise (O(nk),
-not O(n^2 k)); only rounding differs from dense P.  eigen_stack prepares them
-chain by chain, so streamed chains cost O(n^2 + m n k), not O(m n^2).
+Under uniform d (_eigenbasis), run_discrete_batch steps psi = U^T phi against the eigenvalues
+of a chain P = U diag(lam) U^T equal to its transpose bitwise (O(nk), not O(n^2 k)); rounding,
+and the full gradient's P^T d taken as d (within 1e-12), differ from dense P.  eigen_stack
+prepares them chain by chain, so streamed chains cost O(n^2 + m n k), not O(m n^2).
 
 Blow-up handling: the squared-loss step at the optimal or noisy predictor is
 degree-1 homogeneous in phi (in both members of a pair jointly; the predictor is
@@ -50,9 +50,10 @@ import numpy as np
 from .errors import (DegenerateCovarianceError, InnerSolveFailureError, InvalidInputError,
                      NonFiniteStateError, NotDoublyStochasticError, NotSymmetricError,
                      ShapeMismatchError, require_number)
-from .markov import STOCHASTIC_TOL, TransitionMatrix, validate_distribution
-from .metrics import (MetricBundle, _check_rep, _collapse, _fit, _matrix, _objective, _scaled,
-                      _tangent, reference_normalizer)
+from .markov import (STOCHASTIC_TOL, TransitionMatrix, _chain, _floats, _matrix,
+                     validate_distribution)
+from .metrics import (MetricBundle, _check_rep, _collapse, _fit, _objective, _scaled, _tangent,
+                      reference_normalizer)
 from .rk45 import solve_ivp
 
 COV_CUTOFF = 1e-12
@@ -222,28 +223,25 @@ def covariance_solve_batch(cov, rhs, run_offset: int = 0, step=None, r: int = 1)
 
 def covariance_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """covariance_solve_batch for one (k, k) covariance and its (k, j) rhs."""
-    return covariance_solve_batch(*(np.asarray(a, dtype=float)[None] for a in (cov, rhs)))[0]
+    cov, rhs = _matrix(cov, "cov"), _floats(rhs, "rhs")
+    if rhs.ndim != 2 or len(rhs) != len(cov):
+        raise ShapeMismatchError(f"rhs must be ({len(cov)}, j), got shape {rhs.shape}")
+    return covariance_solve_batch(cov[None], rhs[None])[0]
 
 
-def _operands(p, phi, d, phi_target=None, pred=None, step=False):
+def _operands(p, phi, d, phi_target=None, pred=..., step=False, epsilon=EPSILON):
     """Checked (P, phi, d, target, pred) of one run: the target defaults to phi and has
-    phi's k columns, and pred, when given, is (k, k).  A step weights rows by d alone, so
-    for it P's rows must sum to one."""
+    phi's k columns, and pred, unless left at ... (None is refused), is (k, k).  A step
+    weights rows by d alone, so for it P's rows must sum to one.  epsilon is checked too."""
+    require_number(epsilon, "epsilon", 0, above=True)
     a = _matrix(p)
     if step and np.abs(a.sum(axis=1) - 1.0).max() > STOCHASTIC_TOL:
         raise InvalidInputError(f"a step needs p's rows to sum to 1 within {STOCHASTIC_TOL}")
-    n = a.shape[0]
-    v = _check_rep(phi, n)
+    v = _check_rep(phi, len(a))
+    n, k = v.shape
     d = validate_distribution(d, n)
-    t = v if phi_target is None else _check_rep(phi_target, n, "phi_target")
-    k = v.shape[1]
-    if t.shape[1] != k:
-        raise ShapeMismatchError("phi and phi_target must have the same number of columns")
-    if pred is not None:
-        pred = np.asarray(pred, dtype=float)
-        if pred.shape != (k, k):
-            raise ShapeMismatchError(f"pred must be ({k}, {k}), got shape {pred.shape}")
-    return a, v, d, t, pred
+    t = v if phi_target is None else _check_rep(phi_target, n, "phi_target", k)
+    return a, v, d, t, None if pred is ... else _check_rep(pred, k, "pred", k)
 
 
 def _step(op, d, phi, eta, full):
@@ -347,8 +345,7 @@ def _pair_loss_grad(z: np.ndarray, t: np.ndarray, w: np.ndarray,
 def prediction_loss(phi, pred, p, d, loss_kind: str = "squared",
                     epsilon: float = EPSILON, phi_target=None) -> float:
     """Expected pairwise loss between predicted and frozen successor embeddings."""
-    require_number(epsilon, "epsilon", 0, above=True)
-    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
+    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred, epsilon=epsilon)
     val, _ = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return val
 
@@ -356,8 +353,7 @@ def prediction_loss(phi, pred, p, d, loss_kind: str = "squared",
 def predictor_gradient(phi, pred, p, d, loss_kind: str = "squared",
                        epsilon: float = EPSILON, phi_target=None) -> np.ndarray:
     """Gradient of prediction_loss with respect to the predictor matrix."""
-    require_number(epsilon, "epsilon", 0, above=True)
-    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred)
+    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred, epsilon=epsilon)
     _, gz = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
     return v.T @ gz
 
@@ -368,8 +364,7 @@ def semi_gradient_step(phi, pred, p, d, eta: float, loss_kind: str = "squared",
     phi_target (phi by default).  For the squared loss it is the kernel's (_one_run),
     phi + 2 eta (D P phi_target - D phi pred) pred^T.  p's rows must sum to one."""
     require_number(eta, "eta", 0, above=True)
-    require_number(epsilon, "epsilon", 0, above=True)
-    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred, step=True)
+    a, v, d, t, pred = _operands(p, phi, d, phi_target, pred, step=True, epsilon=epsilon)
     if loss_kind == "squared":
         return _one_run(a, v, d, t, pred, eta)
     _, gz = _pair_loss_grad(v @ pred, t, d[:, None] * a, loss_kind, epsilon)
@@ -403,9 +398,8 @@ def solve_predictor(phi, p, d, loss_kind: str = "squared", epsilon: float = EPSI
     the smallest gradient seen, if no start reaches tol.
     """
     from scipy.optimize import minimize
-    require_number(epsilon, "epsilon", 0, above=True)
     require_number(tol, "tol", 0, above=True)
-    a, v, d, t, _ = _operands(p, phi, d, phi_target)
+    a, v, d, t, _ = _operands(p, phi, d, phi_target, epsilon=epsilon)
     k = v.shape[1]
     w = d[:, None] * a
 
@@ -559,17 +553,15 @@ def _rep_stack(state0, tms):
         if left.shape != right.shape:
             raise ShapeMismatchError(f"left {left.shape} and right {right.shape} stacks differ")
         return np.stack([left, right], axis=1).reshape(-1, *left.shape[1:]), _pair_chains(tms), 2
-    phi = np.array(state0, dtype=float)
+    phi = _floats(state0, "phi0_stack").copy()
     m, n, k = _stack_shape(phi)
     if isinstance(tms, Spectra) and (tms.values.shape, tms.norms.shape) != ((m, n), (m,)):
         raise ShapeMismatchError(f"Spectra of shape {tms.values.shape} for {m} runs, {n} states")
     if isinstance(tms, Spectra):
         return phi, tms, 1
-    tms = [tms] * m if isinstance(tms, TransitionMatrix) else list(tms)
+    tms = [_chain(t) for t in (list(tms) if np.iterable(tms) else [tms] * m)]
     if len(tms) != m:
         raise ShapeMismatchError(f"got {len(tms)} chains for {m} runs")
-    if not all(isinstance(t, TransitionMatrix) for t in tms):
-        raise InvalidInputError("tms must contain TransitionMatrix instances")
     if any(t.n != n for t in tms):
         raise ShapeMismatchError("every chain must match the representation row count")
     return phi, tms, 1
@@ -588,9 +580,7 @@ def _each(x, fn):
 def _single(driver, state0, tm, *args):
     """driver (run_discrete_batch or integrate_ode_batch) on one (n, k) run, or one pair
     (a BidirState), and its chain tm, as a stack of one: (records, final state) of it."""
-    if not isinstance(tm, TransitionMatrix):
-        raise InvalidInputError("a single run or pair needs one TransitionMatrix")
-    records, final = driver(_each(state0, lambda v: _check_rep(v, tm.n)[None]), tm, *args)
+    records, final = driver(_each(state0, lambda v: _check_rep(v, _chain(tm).n)[None]), tm, *args)
     return records[0], _each(final, lambda v: v[0])
 
 
@@ -631,11 +621,11 @@ def eigen_stack(tms, phi0_stack):
     chain at a time) and an (m, n, k) stack.  A chain not symmetric bitwise raises
     NotSymmetricError, as its eigh is not the basis the kernel steps in; chains that do
     not match the runs one to one, in number or in n, raise ShapeMismatchError."""
-    phi0_stack = np.asarray(phi0_stack, dtype=float)
+    phi0_stack = _floats(phi0_stack, "phi0_stack")
     m, n, k = _stack_shape(phi0_stack)
     chains, runs = iter(tms), []
     for phi, tm in zip(phi0_stack, chains):  # the stack first: no chain is read past the last run
-        if not (isinstance(tm, TransitionMatrix) and tm.is_bitwise_symmetric):
+        if not _chain(tm).is_bitwise_symmetric:
             raise NotSymmetricError(f"run {len(runs)}: the chain is not symmetric bitwise")
         if tm.n != n:
             raise ShapeMismatchError(f"run {len(runs)}: a chain of {tm.n} states for {n} rows")
@@ -727,8 +717,9 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
                 top = np.max([np.abs(x).max(axis=(1, 2)) for x in guarded], axis=0)
                 over = np.flatnonzero(~(top <= RESCALE_LIMIT * 2.0 ** RESCALE_EXP))
                 if len(over):
-                    raise NonFiniteStateError(
-                        f"{_who(over[0], run_offset, r)} at step {step} outgrew the blow-up guard")
+                    raise NonFiniteStateError(f"{_who(over[0], run_offset, r)} at step {step} "
+                                              + ("turned non-finite" if np.isnan(top[over[0]])
+                                                 else "outgrew the blow-up guard"))
                 big = np.repeat((top > RESCALE_LIMIT).reshape(-1, r).any(axis=1), r)  # a group as one
                 for x in guarded:
                     x[big] *= 2.0 ** -RESCALE_EXP

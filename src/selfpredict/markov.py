@@ -28,15 +28,37 @@ FLAG_TOL = 1e-12
 SIGN_TOL = 1e-12
 
 
+def _floats(x, name: str) -> np.ndarray:
+    """x as a float array (no copy of one); complex, object, string, ragged or non-finite raises."""
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError):  # a ragged sequence
+        raise InvalidInputError(f"{name} must be an array, got a ragged sequence") from None
+    if a.dtype.kind not in "biuf" or not np.isfinite(a).all():
+        raise InvalidInputError(f"{name} entries must be finite real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+def _matrix(p, name: str = "p") -> np.ndarray:
+    """A TransitionMatrix's entries, or p checked (_floats) as a square matrix of 1+ states."""
+    if isinstance(p, TransitionMatrix):
+        return p.entries
+    a = _floats(p, name)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InvalidInputError(f"need a square matrix of at least one state, got shape {a.shape}")
+    return a
+
+
+def _chain(tm) -> TransitionMatrix:
+    """tm, checked: a TransitionMatrix, the one check of a chain argument."""
+    if not isinstance(tm, TransitionMatrix):
+        raise InvalidInputError(f"expected a TransitionMatrix, got {type(tm).__name__}")
+    return tm
+
+
 def _nonnegative_square(raw) -> np.ndarray:
-    """A float copy of raw, checked: a finite nonnegative square matrix of at least one state."""
-    a = np.array(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise InvalidInputError("matrix must have at least one state")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matrix entries must be finite")
+    """A float copy of raw, checked: a nonnegative _matrix."""
+    a = _matrix(raw, "matrix").copy()
     if np.any(a < 0):
         raise InvalidInputError("matrix entries must be nonnegative")
     return a
@@ -226,14 +248,14 @@ def spectral(tm: TransitionMatrix, kind: str = "eigen") -> SpectralSummary:
     for any chain.  Both apply the module-level ordering and sign rules.
     """
     if kind == "eigen":
-        w, v = tm.eigh  # fancy indexing below copies the cached arrays
+        w, v = _chain(tm).eigh  # fancy indexing below copies the cached arrays
         order = _canonical_order(w)
         w = w[order]
         v = v[:, order].copy()
         _fix_signs(v)
         return SpectralSummary("eigen", w, v, v)
     if kind == "svd":
-        u, s, vt = np.linalg.svd(tm.entries)
+        u, s, vt = np.linalg.svd(_chain(tm).entries)
         order = _canonical_order(s)
         s = s[order]
         u = u[:, order].copy()
@@ -247,7 +269,7 @@ def n_step_matrix(tm: TransitionMatrix, n_steps: int) -> TransitionMatrix:
     """The chain composed with itself n_steps times; a symmetric chain's power is
     averaged with its transpose, as in gen_symmetric, so it is symmetric bitwise."""
     require_number(n_steps, "n_steps", 1, integer=True)
-    a = np.linalg.matrix_power(tm.entries, n_steps)
+    a = np.linalg.matrix_power(_chain(tm).entries, n_steps)
     return TransitionMatrix.from_entries(0.5 * (a + a.T) if tm.is_symmetric else a)
 
 
@@ -259,13 +281,9 @@ def uniform_distribution(n: int) -> np.ndarray:
 
 def validate_distribution(d, n: int | None = None) -> np.ndarray:
     """Check that d is a probability vector (and optionally has length n)."""
-    v = np.array(d, dtype=float)
-    if v.ndim != 1:
-        raise InvalidInputError(f"distribution must be one-dimensional, got shape {v.shape}")
-    if n is not None and v.shape[0] != n:
-        raise InvalidInputError(f"distribution has length {v.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("distribution entries must be finite")
+    v = _floats(d, "distribution")
+    if v.ndim != 1 or n not in (None, len(v)):
+        raise InvalidInputError(f"distribution must be one-dimensional ({n or 'n'},), got {v.shape}")
     if np.any(v < 0):
         raise InvalidInputError("distribution entries must be nonnegative")
     if abs(v.sum() - 1.0) > STOCHASTIC_TOL:

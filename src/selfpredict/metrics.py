@@ -6,27 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeMismatchError, require_number
-from .markov import TransitionMatrix
+from .errors import ShapeMismatchError, require_number
+from .markov import TransitionMatrix, _chain, _floats, _matrix
 
 # Column norms below this are treated as fully collapsed.
 ZERO_NORM_FLOOR = 1e-300
 
 
-def _matrix(p) -> np.ndarray:
-    if isinstance(p, TransitionMatrix):
-        return p.entries
-    a = np.asarray(p, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _check_rep(phi, n: int, name: str = "phi") -> np.ndarray:
-    v = np.asarray(phi, dtype=float)
-    if v.ndim != 2 or v.shape[0] != n:
-        raise ShapeMismatchError(f"{name} must be ({n}, k), got shape {v.shape}")
-    require_number(v.shape[1], f"{name}'s column count", 1, high=n)
+def _check_rep(x, n: int | None = None, name: str = "phi", k: int | None = None) -> np.ndarray:
+    """x checked (_floats) as an (n, k) representation, 1 <= k <= n; None accepts any count."""
+    v = _floats(x, name)
+    if v.ndim != 2 or n not in (None, v.shape[0]) or k not in (None, v.shape[1]):
+        raise ShapeMismatchError(f"{name} must be ({n or 'n'}, {k or 'k'}), got shape {v.shape}")
+    require_number(v.shape[1], f"{name}'s column count", 1, high=v.shape[0])
     return v
 
 
@@ -41,9 +33,7 @@ def svd_trace_objective(left, right, p) -> float:
     """Squared Frobenius norm of left^T P right for a representation pair (the records' f~)."""
     a = _matrix(p)
     lv = _check_rep(left, a.shape[0], "left")
-    rv = _check_rep(right, a.shape[0], "right")
-    if lv.shape[1] != rv.shape[1]:
-        raise ShapeMismatchError("left and right must have the same number of columns")
+    rv = _check_rep(right, a.shape[0], "right", lv.shape[1])
     return float(_objective(lv[None], rv[None], np.zeros(1), a[None])[2][0])
 
 
@@ -68,7 +58,7 @@ def normalizers(tm: TransitionMatrix, k: int) -> Normalizers:
     A symmetric chain's singular values are its eigenvalue magnitudes, so its two
     ceilings coincide; both match spectral(tm, kind).values[:k] up to rounding.
     """
-    require_number(k, "k", 1, high=tm.n, integer=True)
+    require_number(k, "k", 1, high=_chain(tm).n, integer=True)
     s = tm.singular_values[:k]
     norm = float(np.sum(s * s))
     return Normalizers(norm if tm.is_symmetric else None, norm)
@@ -99,12 +89,8 @@ def collapse_metrics(phi, phi_init) -> CollapseMetrics:
     a single column it is 0 by convention, and any numerically zero column
     reports 1 (total collapse).
     """
-    v = np.asarray(phi, dtype=float)
-    v0 = np.asarray(phi_init, dtype=float)
-    if v.shape != v0.shape or v.ndim != 2:
-        raise ShapeMismatchError(
-            f"phi and phi_init must share a 2d shape, got {v.shape} and {v0.shape}")
-    v, v0 = v[None], v0[None]
+    v = _check_rep(phi)
+    v, v0 = v[None], _check_rep(phi_init, v.shape[0], "phi_init", v.shape[1])[None]
     drift, cos = _collapse(v, np.zeros(1), v0.swapaxes(-1, -2) @ v0)
     return CollapseMetrics(float(drift[0]), float(cos[0]))
 

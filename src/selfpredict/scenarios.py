@@ -187,7 +187,7 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
     covariance_drift, max_abs_cosine, residual), the shared (T,) times and (runs, T)
     arrays, f_tilde None for single runs.  Every variant shares the chunk's chains and
     initial states; noise generators are fresh per variant.  A chain kind whose every
-    variant steps in the eigenbasis (dynamics._eigenbasis) is prepared once, chain by
+    variant is discrete steps in the eigenbasis (d is uniform here), prepared once, chain by
     chain (eigen_stack), so the chunk holds O(n^2 + runs n k), not O(runs n^2).  The flow
     variants, which share a horizon, integrate in one integrate_flows_batch loop.
     """
@@ -207,8 +207,7 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
 
     left, operands, out, flows = init(STREAM_INIT_LEFT), {}, {}, {}
     for kind in dict.fromkeys(p["chain"] for p in variants):
-        if dynamics._eigenbasis((), d) and all(
-                c is not None for c, p in zip(configs, variants) if p["chain"] == kind):
+        if all(c is not None for c, p in zip(configs, variants) if p["chain"] == kind):
             operands[kind] = eigen_stack(chains(kind), left)
         else:
             operands[kind] = (list(chains(kind)), left)

@@ -1,20 +1,35 @@
 """Argument checks.  Every width, alpha, seed, epsilon and tolerance goes through
 errors.require_number, so each range case below raises InvalidInputError before any
-work.  The typed raises that no other test reaches have one case each (TYPED)."""
+work.  Every array argument goes through one gate per kind: markov._matrix (a square
+matrix), metrics._check_rep (an (n, k) representation), dynamics._stack_shape (a stack),
+markov.validate_distribution and markov._chain (a TransitionMatrix), the first four
+converting with markov._floats, which refuses complex, object, string, ragged and
+non-finite input.  A property (HOSTILE) calls every public callable that takes an array
+or a chain with hostile values and asserts a SelfPredictError or an all-finite result.
+The typed raises that no other test reaches have one case each (TYPED)."""
 
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selfpredict import (BidirState, DynamicsConfig, InvalidInputError, ShapeMismatchError,
-                         UnknownScenarioError, cli, gen_doubly_stochastic, gen_symmetric,
-                         integrate_ode_batch, normalizers, orthonormal_init, prediction_loss,
-                         predictor_gradient, run_discrete_batch, semi_gradient_step,
-                         sinkhorn_normalize, solve_predictor, trace_objective,
-                         uniform_distribution, validate_distribution)
+from selfpredict import (BidirState, DynamicsConfig, InvalidInputError, SelfPredictError,
+                         ShapeMismatchError, TransitionMatrix, UnknownScenarioError,
+                         bidir_ode_rhs, bidir_optimal_predictors, cli, collapse_metrics,
+                         covariance_solve, flow_residual, full_gradient_step,
+                         gen_doubly_stochastic, gen_symmetric, integrate_ode, integrate_ode_batch,
+                         n_step_matrix, noisy_predictor, normalizers, ode_rhs, optimal_predictor,
+                         orthonormal_init, prediction_loss, predictor_gradient,
+                         reference_normalizer, run_discrete, run_discrete_batch,
+                         semi_gradient_step, sinkhorn_normalize, solve_predictor, spectral,
+                         svd_trace_objective, trace_objective, uniform_distribution,
+                         validate_distribution)
 from selfpredict.bidirectional import integrate_flows_batch
+from selfpredict.dynamics import Trajectories
 from selfpredict.scenarios import ScenarioConfig, _resolve
 
 N = 3  # also the fixed chain's size, so k = N + 1 is past fig5's width as well
@@ -99,7 +114,7 @@ TYPED = {  # site: (call, error type, message fragment)
         ShapeMismatchError, "stacks differ"),
     "_rep_stack: a chain that is not a TransitionMatrix": (
         lambda tmp: run_discrete_batch(PHI[None], [TM.entries], D, DynamicsConfig()),
-        InvalidInputError, "TransitionMatrix instances"),
+        InvalidInputError, "expected a TransitionMatrix"),
     "validate_distribution: 2-D": (
         lambda tmp: validate_distribution(D[None]), InvalidInputError, "one-dimensional"),
     "validate_distribution: non-finite": (
@@ -119,3 +134,111 @@ def test_each_typed_raise_is_reached(tmp_path, capsys, site):
     else:
         with pytest.raises(error, match=fragment):
             call(tmp_path)
+
+
+PAIR = BidirState(PHI, orthonormal_init(N, 2, 1))
+SHORT = dict(t_end=0.1, n_records=1)
+HOSTILE = {  # name: (call, its valid keyword arguments; those named in ARRAYS get hostile values)
+    "TransitionMatrix.from_entries": (TransitionMatrix.from_entries, dict(entries=TM.entries)),
+    "sinkhorn_normalize": (sinkhorn_normalize, dict(raw=RAW)),
+    "validate_distribution": (validate_distribution, dict(d=D)),
+    "n_step_matrix": (n_step_matrix, dict(tm=TM, n_steps=2)),
+    "spectral": (spectral, dict(tm=TM, kind="svd")),
+    "normalizers": (normalizers, dict(tm=TM, k=2)),
+    "reference_normalizer": (reference_normalizer, dict(tm=TM, k=2)),
+    "trace_objective": (trace_objective, dict(phi=PHI, p=TM)),
+    "svd_trace_objective": (svd_trace_objective, dict(left=PAIR.left, right=PAIR.right, p=TM)),
+    "collapse_metrics": (collapse_metrics, dict(phi=PHI, phi_init=PAIR.right)),
+    "covariance_solve": (covariance_solve, dict(cov=PHI.T @ PHI, rhs=PRED)),
+    "optimal_predictor": (optimal_predictor, dict(phi=PHI, p=TM, d=D, phi_target=PHI)),
+    "noisy_predictor": (lambda **kw: noisy_predictor(sigma=0.1, rng=np.random.default_rng(0),
+                                                     **kw),
+                        dict(phi=PHI, p=TM, d=D, phi_target=PHI)),
+    "prediction_loss": (prediction_loss, dict(phi=PHI, pred=PRED, p=TM, d=D, phi_target=PHI)),
+    "predictor_gradient": (predictor_gradient,
+                           dict(phi=PHI, pred=PRED, p=TM, d=D, phi_target=PHI)),
+    "semi_gradient_step": (lambda **kw: semi_gradient_step(eta=0.1, **kw),
+                           dict(phi=PHI, pred=PRED, p=TM, d=D, phi_target=PHI)),
+    "full_gradient_step": (lambda **kw: full_gradient_step(eta=0.1, **kw),
+                           dict(phi=PHI, pred=PRED, p=TM, d=D)),
+    "solve_predictor": (solve_predictor, dict(phi=PHI, p=TM, d=D, phi_target=PHI)),
+    "ode_rhs": (ode_rhs, dict(phi=PHI, p=TM)),
+    "flow_residual": (flow_residual, dict(phi=PHI, p=TM)),
+    "run_discrete": (lambda **kw: run_discrete(config=DynamicsConfig(iters=2), **kw),
+                     dict(phi0=PHI, tm=TM, d=D)),
+    "run_discrete (a pair)": (lambda **kw: run_discrete(config=DynamicsConfig(iters=2), **kw),
+                              dict(phi0=PAIR, tm=TM, d=D)),
+    "run_discrete_batch": (lambda **kw: run_discrete_batch(config=DynamicsConfig(iters=2), **kw),
+                           dict(phi0_stack=PHI[None], tms=[TM], d=D)),
+    "integrate_ode": (lambda **kw: integrate_ode(**kw, **SHORT), dict(phi0=PHI, tm=TM)),
+    "integrate_ode (a pair)": (lambda **kw: integrate_ode(**kw, **SHORT), dict(phi0=PAIR, tm=TM)),
+    "integrate_ode_batch": (lambda **kw: integrate_ode_batch(**kw, **SHORT),
+                            dict(phi0_stack=PHI[None], tms=TM)),
+    "bidir_optimal_predictors": (bidir_optimal_predictors, dict(state=PAIR, tm=TM, d=D)),
+    "bidir_ode_rhs": (bidir_ode_rhs, dict(state=PAIR, tm=TM)),
+}
+ARRAYS = ("entries", "raw", "d", "tm", "tms", "phi", "p", "left", "right", "phi_init", "cov",
+          "rhs", "phi_target", "pred", "phi0", "phi0_stack", "state")
+KINDS = ("nan", "inf", "-inf", "complex", "object", "string", "0-d", "empty", "ragged",
+         "a row short", "an axis more", "none")
+
+
+def hostile(valid, kind: str, i: int):
+    """A hostile stand-in of kind for an argument whose valid value is valid (a chain stands
+    in by its entries, a pair by one member's value, or its left member's for the pair)."""
+    if isinstance(valid, BidirState):
+        side, i = ("left", "right", None)[i % 3], i // 3
+        if side is None:
+            return hostile(valid.left, kind, i)
+        return dataclasses.replace(valid, **{side: hostile(getattr(valid, side), kind, i)})
+    base = valid.entries if isinstance(valid, TransitionMatrix) else np.asarray(
+        [t.entries for t in valid] if isinstance(valid, list) else valid)
+    if kind in ("nan", "inf", "-inf"):
+        out = base.copy()
+        out.flat[i % out.size] = float(kind)
+        return out
+    return {"complex": lambda: base + 1j, "object": lambda: base.astype(object),
+            "string": lambda: base.astype(str), "0-d": lambda: np.array(0.5),
+            "empty": lambda: np.empty((0,) * base.ndim),
+            "ragged": lambda: [base.tolist(), base.tolist()[:-1]],
+            "a row short": lambda: base[:-1], "an axis more": lambda: base[..., None],
+            "none": lambda: None}[kind]()
+
+
+def all_finite(x) -> bool:
+    """Every number in a result (arrays, records, dataclasses and tuples of them) is finite."""
+    if x is None or isinstance(x, str):
+        return True
+    if isinstance(x, Trajectories):
+        return all_finite(x.columns)
+    if dataclasses.is_dataclass(x):
+        return all(all_finite(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return all(all_finite(v) for v in x)
+    return bool(np.isfinite(np.asarray(x, dtype=float)).all())
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_the_hostile_calls_pass_on_valid_arguments(name):
+    call, kwargs = HOSTILE[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(call(**kwargs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(HOSTILE)), data=st.data(), kind=st.sampled_from(KINDS),
+       i=st.integers(0, 2 ** 16))
+def test_hostile_arrays_end_in_a_typed_error_or_a_finite_result(name, data, kind, i):
+    # trace_objective(phi + 1j, tm) returned the real part's answer, normalizers(np.eye(3), 2)
+    # raised AttributeError, and a NaN phi came back as a NaN objective
+    call, kwargs = HOSTILE[name]
+    arg = data.draw(st.sampled_from([a for a in kwargs if a in ARRAYS]), label="argument")
+    kwargs = {**kwargs, arg: hostile(kwargs[arg], kind, i)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call(**kwargs)
+        except SelfPredictError:
+            return
+    assert all_finite(result), (name, arg, kind)

@@ -286,7 +286,8 @@ class TestDeterminism:
     def test_noise_blocks_leave_noisy_artifacts_unchanged(self, tmp_path, monkeypatch,
                                                           scenario, dense):
         # A block of one step is the per-step draw; 150 steps cross a block boundary.
-        if dense:
+        if dense:  # the runner hands the chains on unprepared, and the driver keeps them dense
+            monkeypatch.setattr(scenarios, "eigen_stack", lambda tms, phi0: (list(tms), phi0))
             monkeypatch.setattr(dynamics, "_eigenbasis", lambda *args: None)
         stepped = []  # the chain operand's rank: (m, n) eigenvalues or the (m, n, n) P^T stack
         lockstep = dynamics._lockstep
