@@ -65,6 +65,9 @@ NOISE_BLOCK = 64  # steps of predictor noise drawn per generator call
 UNIFORM_TOL = 1e-12  # a pair's d may differ from uniform by this much
 FLOW_T_END, FLOW_N_RECORDS, FLOW_TOL = 100.0, 100, 1e-9  # the flow drivers' defaults
 MAX_ITERS = 10 ** 8  # steps per run; 100x the largest cell a scenario default runs
+# A flow's work grows with t_end (explicit RK45 keeps its step O(1)); rel_tol >= RK45's floor,
+# 100 machine epsilons (a literal: np.finfo at import adds about 0.13 MB of peak RSS).
+MAX_T_END, MIN_REL_TOL = 100 * FLOW_T_END, 100 * 2.0 ** -52
 
 GRADIENT_MODES = ("semi", "full")
 PREDICTOR_MODES = ("optimal", "noisy")
@@ -308,6 +311,8 @@ def optimal_predictor(phi, p, d, phi_target=None) -> np.ndarray:
 def noisy_predictor(phi, p, d, sigma: float, rng: np.random.Generator, phi_target=None) -> np.ndarray:
     """Optimal predictor plus iid Gaussian noise of scale sigma."""
     require_number(sigma, "sigma", 0)
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     pred = optimal_predictor(phi, p, d, phi_target)
     return pred + sigma * rng.standard_normal(pred.shape)
 
@@ -463,9 +468,11 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
     row of solve, so a pair shares one step control.  Beside pairs, a single run rides as a
     twin pair, both members on its chain, each the other's partner.  A row's chains are a
     per-run operand of solve, so they leave the loop with the row."""
-    for name, value in (("t_end", t_end), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        require_number(value, name, 0, above=True)
+    require_number(t_end, "t_end", 0, above=True, high=MAX_T_END)
+    require_number(rel_tol, "rel_tol", MIN_REL_TOL)
+    require_number(abs_tol, "abs_tol", 0, above=True)
     require_number(n_records, "n_records", 1, integer=True)
+    require_number(run_offset, "run_offset", 0, integer=True)
     if any(isinstance(tms, Spectra) for _, tms in flows):
         raise InvalidInputError("flows step on their chains, not on their Spectra")
     flows = [_rep_stack(*flow) for flow in flows]
@@ -649,11 +656,17 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     folded back in (divergent runs report inf).  A pair needs doubly stochastic chains,
     uniform d, the semi gradient, optimal predictor and no target.
     """
+    require_number(run_offset, "run_offset", 0, integer=True)
     phi, tms, r = _rep_stack(phi0_stack, tms)
     d = (validate_distribution if r == 1 else _require_uniform)(d, phi.shape[1])
     if r == 2 and (config.gradient_mode, config.predictor_mode,
                    config.target_beta) != ("semi", "optimal", None):
         raise InvalidInputError("pairs train on the semi gradient, optimal predictor, no target")
+    m = len(phi)
+    if config.predictor_mode == "noisy" and not (
+            isinstance(noise_rngs, Sequence) and len(noise_rngs) == m
+            and all(isinstance(g, np.random.Generator) for g in noise_rngs)):
+        raise InvalidInputError(f"predictor_mode='noisy' needs a sequence of {m} numpy Generators")
     prepared = isinstance(tms, Spectra)
     eigen = _eigenbasis(() if prepared else tms, d)
     if prepared and not eigen:
@@ -682,8 +695,6 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     a group rescaled as one and recorded against its norms (_columns): (records, phi, slog)."""
     m, n, k = phi.shape
     noisy = config.predictor_mode == "noisy"
-    if noisy and (noise_rngs is None or len(noise_rngs) != m):
-        raise InvalidInputError("predictor_mode='noisy' needs one noise rng per run")
     apply, op, normal, increment, scratch = _step(op, d, phi, config.eta,
                                                   config.gradient_mode == "full")
     beta = config.target_beta

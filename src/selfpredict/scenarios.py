@@ -2,7 +2,9 @@
 
 Each scenario expands into one or more variants (ablation arms or sweep
 cells), runs n_runs independent trials per variant, and writes one CSV per
-variant plus a summary.json under out_dir/<scenario>/.
+variant plus a summary.json under out_dir/<scenario>/.  A scenario has one
+shape: discrete cells on symmetric chains, flows on one horizon, or the
+example-1 catalog of critical points.
 
 Determinism contract: every trial derives all of its randomness from
 (master_seed, run_index, stream) through the seeding module, trials are
@@ -107,8 +109,9 @@ class ScenarioConfig:
             require_number(getattr(self, name), name, low, integer=True,
                            optional=name in ("iters", "n_records", "record_every"))
         require_number(self.k, "k", 1, high=self.n_states, integer=True)
-        for name, above in dict(eta=True, t_end=True, sigma=False, beta=False).items():
+        for name, above in dict(eta=True, sigma=False, beta=False).items():
             require_number(getattr(self, name), name, 0, above=above, optional=True)
+        require_number(self.t_end, "t_end", 0, above=True, high=dynamics.MAX_T_END, optional=True)
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise InvalidInputError(f"out_dir must be a path, got {self.out_dir!r}")
 
@@ -122,7 +125,8 @@ class RunArtifact:
 
 
 def _resolve(cfg: ScenarioConfig) -> dict:
-    """Expand a config into ordered variant parameter dicts."""
+    """Expand a config into ordered variant parameter dicts, all of one shape: discrete
+    cells on symmetric chains, flows sharing one horizon, or the example-1 catalog."""
     ode = dict(mode="ode", t_end=cfg.t_end if cfg.t_end is not None else dynamics.FLOW_T_END,
                n_records=cfg.n_records if cfg.n_records is not None else dynamics.FLOW_N_RECORDS)
     s = cfg.scenario
@@ -130,15 +134,15 @@ def _resolve(cfg: ScenarioConfig) -> dict:
     given = {f: getattr(cfg, f) for f in ("eta", "iters", "record_every")
              if getattr(cfg, f) is not None}
 
-    def discrete(chain, **cell):
-        return dict(mode="discrete", chain=chain, **asdict(DynamicsConfig(**{**given, **cell})))
+    def discrete(**cell):
+        return dict(mode="discrete", chain="symmetric", **asdict(DynamicsConfig(**{**given, **cell})))
 
     if s == "fig2_collapse":
         sig = cfg.sigma if cfg.sigma is not None else FIG2_NOISE_SIGMA
         return {
-            "semi_optimal": discrete("symmetric"),
-            "full_optimal": discrete("symmetric", gradient_mode="full"),
-            "semi_noisy": discrete("symmetric", predictor_mode="noisy", sigma=sig),
+            "semi_optimal": discrete(),
+            "full_optimal": discrete(gradient_mode="full"),
+            "semi_noisy": discrete(predictor_mode="noisy", sigma=sig),
         }
     if s == "fig4_trace_ratio":
         return {
@@ -155,7 +159,7 @@ def _resolve(cfg: ScenarioConfig) -> dict:
         return {"points": dict(mode="catalog")}
     if s == "appendix_target_beta":
         grid = (cfg.beta,) if cfg.beta is not None else BETA_GRID
-        return {f"beta_{b:g}": discrete("symmetric", target_beta=b) for b in grid}
+        return {f"beta_{b:g}": discrete(target_beta=b) for b in grid}
     if s == "appendix_finite_lr":
         grid = (cfg.eta,) if cfg.eta is not None else ETA_GRID
         budget = float(cfg.iters) if cfg.iters is not None else FINITE_LR_BUDGET
@@ -163,13 +167,11 @@ def _resolve(cfg: ScenarioConfig) -> dict:
         for e in grid:
             cell_iters = max(1, int(round(require_number(budget / e, "iters / eta", 0,
                                                          high=dynamics.MAX_ITERS))))
-            out[f"eta_{e:g}"] = discrete("symmetric", eta=e, iters=cell_iters,
-                                         record_every=cell_iters)
+            out[f"eta_{e:g}"] = discrete(eta=e, iters=cell_iters, record_every=cell_iters)
         return out
     if s == "appendix_noisy_predictor":
         grid = (cfg.sigma,) if cfg.sigma is not None else SIGMA_GRID
-        return {f"sigma_{v:g}": discrete("symmetric", predictor_mode="noisy", sigma=v)
-                for v in grid}
+        return {f"sigma_{v:g}": discrete(predictor_mode="noisy", sigma=v) for v in grid}
     raise UnknownScenarioError(
         f"unknown scenario {s!r}; available: {', '.join(sorted(SCENARIOS))}")
 
@@ -186,17 +188,16 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
     of parallel dispatch.  A variant's entry is (times, f, f_ratio, f_tilde,
     covariance_drift, max_abs_cosine, residual), the shared (T,) times and (runs, T)
     arrays, f_tilde None for single runs.  Every variant shares the chunk's chains and
-    initial states; noise generators are fresh per variant.  A chain kind whose every
-    variant is discrete steps in the eigenbasis (d is uniform here), prepared once, chain by
-    chain (eigen_stack), so the chunk holds O(n^2 + runs n k), not O(runs n^2).  The flow
-    variants, which share a horizon, integrate in one integrate_flows_batch loop.
+    initial states.  A discrete scenario steps its symmetric chains in the eigenbasis
+    (d is uniform here), prepared once, chain by chain (eigen_stack), so the chunk holds
+    O(n^2 + runs n k), not O(runs n^2); each cell draws fresh noise generators.  A flow
+    scenario builds each chain kind's list once and integrates every variant in one
+    integrate_flows_batch loop.
     """
     ms, k, idxs = cfg.master_seed, cfg.k, range(lo, hi)
     variants = list(_resolve(cfg).values())
-    n = 3 if variants[0]["chain"] == "fixed3" else cfg.n_states  # shared by every variant
-    d = uniform_distribution(n)
-    configs = [DynamicsConfig(**{f: v for f, v in p.items() if f not in ("mode", "chain")})
-               if p["mode"] == "discrete" else None for p in variants]
+    first = variants[0]  # every variant has its shape (_resolve)
+    n = 3 if first["chain"] == "fixed3" else cfg.n_states
 
     def chains(kind):  # drawn one at a time
         return (n_step_matrix(tm, cfg.n_step) if cfg.n_step > 1 else tm
@@ -205,25 +206,22 @@ def _run_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> list:
     def init(stream):
         return np.stack([orthonormal_init(n, k, stream_seed(ms, i, stream)) for i in idxs])
 
-    left, operands, out, flows = init(STREAM_INIT_LEFT), {}, {}, {}
-    for kind in dict.fromkeys(p["chain"] for p in variants):
-        if all(c is not None for c, p in zip(configs, variants) if p["chain"] == kind):
-            operands[kind] = eigen_stack(chains(kind), left)
-        else:
-            operands[kind] = (list(chains(kind)), left)
-    for key, (params, dcfg) in enumerate(zip(variants, configs)):
-        mode, (tms, phi0) = params["mode"], operands[params["chain"]]
-        if dcfg is not None:
-            noisy = dcfg.predictor_mode == "noisy"
-            rngs = [stream_rng(ms, i, STREAM_NOISE) for i in idxs] if noisy else None
-            out[key], _ = run_discrete_batch(phi0, tms, d, dcfg, rngs, run_offset=lo)
-        else:  # "ode" or "bidir_ode": _resolve makes no other mode here
-            flows[key] = (left if mode == "ode" else BidirState(left, init(STREAM_INIT_RIGHT)), tms)
-            horizon = dict(t_end=params["t_end"], n_records=params["n_records"], run_offset=lo)
-    if flows:
-        results = integrate_flows_batch(list(flows.values()), **horizon)
-        out.update((key, records) for key, (records, _) in zip(flows, results))
-    return [(out[key].times, *out[key].columns) for key in range(len(variants))]
+    left = init(STREAM_INIT_LEFT)
+    if first["mode"] == "discrete":
+        spectra, psi0 = eigen_stack(chains("symmetric"), left)
+        d, out = uniform_distribution(n), []
+        for params in variants:
+            dcfg = DynamicsConfig(**{f: v for f, v in params.items() if f not in ("mode", "chain")})
+            rngs = ([stream_rng(ms, i, STREAM_NOISE) for i in idxs]
+                    if dcfg.predictor_mode == "noisy" else None)
+            out.append(run_discrete_batch(psi0, spectra, d, dcfg, rngs, run_offset=lo)[0])
+    else:  # "ode" and "bidir_ode" flows, which share the horizon
+        tms = {kind: list(chains(kind)) for kind in {p["chain"] for p in variants}}
+        flows = [(left if p["mode"] == "ode" else BidirState(left, init(STREAM_INIT_RIGHT)),
+                  tms[p["chain"]]) for p in variants]
+        out = [records for records, _ in integrate_flows_batch(
+            flows, first["t_end"], first["n_records"], run_offset=lo)]
+    return [(records.times, *records.columns) for records in out]
 
 
 def _critical_points(cfg: ScenarioConfig):
@@ -289,10 +287,10 @@ def _summarize(cfg: ScenarioConfig, variants: dict, per_variant: dict, extras=No
             "f_ratio": _median(ratio).tolist(),
             "max_abs_cosine": _median(cos).tolist(),
         }
-        if params.get("mode") == "bidir_ode":
+        if ftilde is not None:
             curve["f_tilde"] = _median(ftilde).tolist()
         out_variants[key] = {
-            "params": {k: v for k, v in params.items()},
+            "params": params,
             "n_runs": len(ratio),
             "median_curve": curve,
             "final": {

@@ -6,7 +6,9 @@ markov.validate_distribution and markov._chain (a TransitionMatrix), the first f
 converting with markov._floats, which refuses complex, object, string, ragged and
 non-finite input.  A property (HOSTILE) calls every public callable that takes an array
 or a chain with hostile values and asserts a SelfPredictError or an all-finite result.
-The typed raises that no other test reaches have one case each (TYPED)."""
+The typed raises that no other test reaches have one case each (TYPED).  A flow past its
+work bounds (t_end, rel_tol), noise that is not one Generator per run, and a run_offset
+that is not a count are refused before any step or integration."""
 
 import dataclasses
 import json
@@ -17,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfpredict import (BidirState, DynamicsConfig, InvalidInputError, SelfPredictError,
-                         ShapeMismatchError, TransitionMatrix, UnknownScenarioError,
+from selfpredict import (BidirState, DegenerateCovarianceError, DynamicsConfig,
+                         InvalidInputError, SelfPredictError, ShapeMismatchError,
+                         StepSizeUnderflowError, TransitionMatrix, UnknownScenarioError,
                          bidir_ode_rhs, bidir_optimal_predictors, cli, collapse_metrics,
                          covariance_solve, flow_residual, full_gradient_step,
                          gen_doubly_stochastic, gen_symmetric, integrate_ode, integrate_ode_batch,
@@ -28,8 +31,9 @@ from selfpredict import (BidirState, DynamicsConfig, InvalidInputError, SelfPred
                          semi_gradient_step, sinkhorn_normalize, solve_predictor, spectral,
                          svd_trace_objective, trace_objective, uniform_distribution,
                          validate_distribution)
+from selfpredict import dynamics
 from selfpredict.bidirectional import integrate_flows_batch
-from selfpredict.dynamics import Trajectories
+from selfpredict.dynamics import MAX_T_END, MIN_REL_TOL, Trajectories
 from selfpredict.scenarios import ScenarioConfig, _resolve
 
 N = 3  # also the fixed chain's size, so k = N + 1 is past fig5's width as well
@@ -65,6 +69,7 @@ TOLERANCE = {
     "solve_predictor tol": lambda t: solve_predictor(PHI, TM, D, tol=t),
     "integrate_ode_batch rel_tol": lambda t: integrate_ode_batch(PHI[None], TM, rel_tol=t),
     "integrate_ode_batch abs_tol": lambda t: integrate_ode_batch(PHI[None], TM, abs_tol=t),
+    "integrate_ode_batch t_end": lambda t: integrate_ode_batch(PHI[None], TM, t_end=t),
 }
 CASES = [
     *((site, call, k) for site, call in WIDTH.items() for k in (0, N + 1)),
@@ -89,6 +94,87 @@ def test_the_widths_edges_pass():
     for call in WIDTH.values():
         call(1)
         call(N)
+
+
+class Integrated(Exception):
+    """Raised by a stand-in integrator: the call passed its checks."""
+
+
+FLOW_BOUNDS = [  # (site, call, value): the flows' work bounds, past which a flow would run
+    *((site, call, t) for t in (2 * MAX_T_END, 1e308) for site, call in (
+        ("integrate_ode_batch t_end", TOLERANCE["integrate_ode_batch t_end"]),
+        ("ScenarioConfig t_end", lambda t: ScenarioConfig("fig4_trace_ratio", t_end=t)))),
+    *(("integrate_ode_batch rel_tol", lambda t: integrate_ode_batch(PHI[None], TM, rel_tol=t,
+                                                                    abs_tol=t), t)
+      for t in (MIN_REL_TOL / 2, 1e-300)),
+]
+
+
+@pytest.mark.parametrize("call, value", [pytest.param(call, value, id=f"{site}-{value!r}")
+                                         for site, call, value in FLOW_BOUNDS])
+def test_a_flow_past_its_work_bound_is_refused_before_integrating(monkeypatch, call, value):
+    # t_end=1e308 integrated until killed (the work grows with t_end), and so did
+    # rel_tol=1e-300 at t_end=10
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *a: pytest.fail("a flow was integrated"))
+    with pytest.raises(InvalidInputError, match="t_end|rel_tol"):
+        call(value)
+
+
+def test_the_flow_bounds_edges_pass(monkeypatch):
+    def stand_in(*args):
+        raise Integrated
+
+    monkeypatch.setattr(dynamics, "solve_ivp", stand_in)
+    with pytest.raises(Integrated):
+        integrate_ode_batch(PHI[None], TM, t_end=MAX_T_END, rel_tol=MIN_REL_TOL)
+    assert ScenarioConfig("fig4_trace_ratio", t_end=MAX_T_END).t_end == MAX_T_END
+
+
+NOISY = DynamicsConfig(predictor_mode="noisy", sigma=0.1, iters=2)
+NOISE = {  # name: a factory of noise_rngs for a stack of two runs
+    "none": lambda: None,
+    "ints": lambda: [1, 1],
+    "a generator expression": lambda: (np.random.default_rng(i) for i in range(2)),
+    "one Generator, not a sequence": lambda: np.random.default_rng(0),
+    "one Generator short": lambda: [np.random.default_rng(0)],
+    "one not a Generator": lambda: [np.random.default_rng(0), np.random.RandomState(1)],
+}
+
+
+@pytest.mark.parametrize("name", NOISE)
+def test_noise_generators_are_checked_before_the_first_step(monkeypatch, name):
+    # [1] raised AttributeError from inside the step, a generator expression TypeError
+    monkeypatch.setattr(dynamics, "covariance_solve_batch", lambda *a: pytest.fail("a step ran"))
+    with pytest.raises(InvalidInputError, match="sequence of 2 numpy Generators"):
+        run_discrete_batch(np.stack([PHI, PHI]), TM, D, NOISY, NOISE[name]())
+
+
+@pytest.mark.parametrize("rng", [5, None, np.random.RandomState(0)], ids=repr)
+def test_noisy_predictor_takes_a_generator_only(rng):
+    # rng=5 raised AttributeError
+    with pytest.raises(InvalidInputError, match="rng must be a numpy Generator"):
+        noisy_predictor(PHI, TM, D, 0.1, rng)
+
+
+FAILING = {  # driver: (a call whose one run fails, naming it from run_offset; its error)
+    "run_discrete_batch": (lambda offset: run_discrete_batch(
+        np.zeros((1, N, 2)), TM, D, DynamicsConfig(iters=2), run_offset=offset),
+        DegenerateCovarianceError),
+    "integrate_ode_batch": (lambda offset: integrate_ode_batch(
+        PHI[None] * 1e200, TM, t_end=10.0, run_offset=offset), StepSizeUnderflowError),
+}
+
+
+@pytest.mark.parametrize("offset", ["x", 2.5, -3, None, True])
+@pytest.mark.parametrize("driver", FAILING)
+def test_run_offset_is_checked_before_a_failing_run(driver, offset):
+    # "x" turned the run's error into a TypeError while its message was built, and 2.5
+    # and -3 named "run 2.5" and "run -3"
+    call, error = FAILING[driver]
+    with pytest.raises(error, match="run 7"):
+        call(7)
+    with pytest.raises(InvalidInputError, match="run_offset"):
+        call(offset)
 
 
 def config_main(tmp_path, body):

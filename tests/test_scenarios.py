@@ -385,6 +385,50 @@ class TestChunkSharing:
         assert not tm.singular_values.flags.writeable
 
 
+SHAPE_FLAGS = [dict(), dict(eta=0.5), dict(sigma=0.0), dict(beta=2.0),
+               dict(eta=0.5, sigma=0.5, beta=0.0), dict(t_end=5.0, n_records=3)]
+
+
+class TestOneShape:
+    """Each scenario is one shape (_resolve), so a chunk branches once (_run_chunk)."""
+
+    @pytest.mark.parametrize("flags", SHAPE_FLAGS, ids=repr)
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_resolve_gives_each_scenario_one_shape(self, scenario, flags):
+        variants = list(scenarios._resolve(ScenarioConfig(scenario, n_states=4, **flags)).values())
+        modes = {p["mode"] for p in variants}
+        if modes == {"discrete"}:
+            assert {p["chain"] for p in variants} == {"symmetric"}
+        elif modes == {"catalog"}:
+            assert len(variants) == 1
+        else:  # flows, on one horizon
+            assert modes <= {"ode", "bidir_ode"}
+            assert len({(p["t_end"], p["n_records"]) for p in variants}) == 1
+
+    @pytest.mark.parametrize("scenario", sorted(set(SCENARIOS) - {"example1_critical_points"}))
+    def test_a_chunk_prepares_or_integrates_once(self, monkeypatch, scenario):
+        # a discrete chunk prepares its chains once and steps each cell once; a flow chunk
+        # builds each run's chain once per kind and integrates every variant in one call
+        cfg = ScenarioConfig(scenario, n_runs=3, n_states=4, iters=4, record_every=2,
+                             t_end=1.0, n_records=2)
+        calls, made = Counter(), Counter()
+        for name in ("eigen_stack", "run_discrete_batch", "integrate_flows_batch"):
+            def counted(*args, _fn=getattr(scenarios, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(scenarios, name, counted)
+        make = scenarios._make_chain
+        monkeypatch.setattr(scenarios, "_make_chain",
+                            lambda kind, *args: made.update([kind]) or make(kind, *args))
+        variants = scenarios._resolve(cfg).values()
+        assert len(scenarios._run_chunk(cfg, 0, 3)) == len(variants)
+        assert made == {p["chain"]: 3 for p in variants}
+        if all(p["mode"] == "discrete" for p in variants):
+            assert calls == {"eigen_stack": 1, "run_discrete_batch": len(variants)}
+        else:
+            assert calls == {"integrate_flows_batch": 1}
+
+
 class TestValidation:
     def test_unknown_scenario(self, tmp_path):
         with pytest.raises(UnknownScenarioError):
@@ -632,6 +676,21 @@ class TestCli:
         assert f"at most {dynamics.MAX_ITERS}" in payload["message"]
         assert stdout == "" and not out.exists()
 
+    def test_a_flow_horizon_past_its_bound_exits_2_before_any_work(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # --t-end 1e308 used to integrate until killed: a flow's work grows with t_end
+        monkeypatch.setattr(scenarios, "_run_chunk", lambda *a: pytest.fail("a chunk ran"))
+        out = tmp_path / "out"
+        code, stdout, err = self.run_cli(
+            ["--scenario", "fig4_trace_ratio", "--runs", "1", "--n-states", "3", "--records",
+             "2", "--t-end", "1e308", "--out", str(out)], capsys)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert payload["message"].startswith("t_end must be above 0")
+        assert f"at most {dynamics.MAX_T_END}" in payload["message"]
+        assert stdout == "" and not out.exists()
+
     def test_an_out_dir_that_is_not_a_path_exits_2_before_any_work(self, tmp_path, capsys):
         # "out_dir": 5 used to compute the whole scenario, then exit 2 as a TypeError
         with pytest.raises(InvalidInputError, match="out_dir"):
@@ -681,6 +740,7 @@ class TestCli:
                 v = getattr(seen[0], field)
                 assert v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)
                                      and math.isfinite(v))
+            assert seen[0].t_end is None or seen[0].t_end <= dynamics.MAX_T_END
 
     def test_sigma_0_runs_the_grids_noiseless_cell(self, tmp_path, capsys):
         # --sigma 0 used to exit 2 ("sigma must be above 0") though the grid has sigma_0
