@@ -75,8 +75,8 @@ def integrate_flows_batch(flows, t_end: float = FLOW_T_END, n_records: int = FLO
     """integrate_ode_batch of several (state0, tms) entries, an (m, n, k) stack or a
     BidirState of them, in one loop: each entry's (records, final state), errors naming
     an entry's run from run_offset and its flow.  Beside a pair a single run rides as a
-    twin pair (dynamics._integrate), which moves its records by integrator rounding.  A
-    loop with a pair uses this module's solve_ivp, so bench/tracing.py tells the flows apart.
+    twin pair (dynamics._integrate), with the records it has alone.  A loop with a pair
+    uses this module's solve_ivp, so bench/tracing.py tells the flows apart.
     """
     flows = list(flows)
     solve = solve_ivp if any(isinstance(s, BidirState) for s, _ in flows) else dynamics.solve_ivp

@@ -16,12 +16,12 @@ the final step; the flow records on a uniform time grid.
 
 Runs step in stacks, in lockstep (_lockstep, its step in _step) or through the
 stacked Dormand-Prince 5(4) in rk45 (_integrate), and a run's records do not
-depend on the runs beside it, except that a single run integrated beside pairs
-rides as a twin pair, which moves its records by integrator rounding.  A run's
-live target is its partner (_partner): itself, or the other member of a pair.
-_rep_stack lays m pairs (BidirState) out as 2m runs, members adjacent, left on P
-and right on P^T, and _form splits a final stack back.  The single-run functions
-are the same code at one run (_one_run, and metrics' record code).
+depend on the runs beside it, even where a single run rides as a twin pair
+beside pairs.  A run's live target is its partner (_partner): itself, or the
+other member of a pair.  _rep_stack lays m pairs (BidirState) out as 2m runs,
+members adjacent, left on P and right on P^T, and _form splits a final stack
+back.  The single-run functions are the same code at one run (_one_run, and
+metrics' record code).
 
 Under uniform d (_eigenbasis), run_discrete_batch steps psi = U^T phi against the eigenvalues
 of a chain P = U diag(lam) U^T equal to its transpose bitwise (O(nk), not O(n^2 k)); rounding,
@@ -466,8 +466,9 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
     """integrate_ode_batch for flows, a list of (state0, tms) entries, in one loop of solve
     (the caller's solve_ivp): each entry's (records, final state).  A run or a pair is one
     row of solve, so a pair shares one step control.  Beside pairs, a single run rides as a
-    twin pair, both members on its chain, each the other's partner.  A row's chains are a
-    per-run operand of solve, so they leave the loop with the row."""
+    twin pair, both members on its chain, each the other's partner, and solve's per-member
+    arithmetic gives each member the lone run's bits.  A row's chains are a per-run operand
+    of solve, so they leave the loop with the row."""
     require_number(t_end, "t_end", 0, above=True, high=MAX_T_END)
     require_number(rel_tol, "rel_tol", MIN_REL_TOL)
     require_number(abs_tol, "abs_tol", 0, above=True)
@@ -494,7 +495,7 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
 
     t_eval = np.linspace(0.0, t_end, n_records + 1)
     sol = solve(rhs, t_end, phi.reshape(rows, -1), t_eval, rel_tol, abs_tol,
-                (p.reshape(rows, w, n, n),), name)
+                (p.reshape(rows, w, n, n),), name, w)
     y = sol.y.reshape(rows, len(t_eval), w, n, k)
     out = []
     for (phi0, tms, a, r), lo, hi in zip(flows, starts, starts[1:]):

@@ -143,8 +143,7 @@ def _sinkhorn(raw, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:
         a /= rows
         a /= a.sum(axis=0, keepdims=True)
         rows = a.sum(axis=1, keepdims=True)  # the residual's row sums divide the next pass
-        residual = max(np.abs(rows - 1.0).max(), np.abs(a.sum(axis=0) - 1.0).max())
-        if residual <= tol:
+        if np.abs(rows - 1.0).max() <= tol and np.abs(a.sum(axis=0) - 1.0).max() <= tol:
             a /= rows
             return a
     raise NonConvergenceError(

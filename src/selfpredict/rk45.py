@@ -3,13 +3,17 @@
 Each run is stepped as scipy.integrate's RK45 steps it (Dormand and Prince,
 J. Comput. Appl. Math. 6, 1980): same tableau, initial step, safety 0.9,
 factors in [0.2, 10], RMS error norm and quartic dense output.  Every
-operation acts on a run's row alone, so a run's trajectory does not depend
-on the runs beside it.  A non-finite error norm rejects at factor 0.2, so an
-overflowing run ends in StepSizeUnderflowError below 10 ulp of t.  Dense output
-keeps a (runs, grid) mask of the grid points written so far; a step writes a
-run's unwritten points at or below its new time, every copy of a repeated one.
-A run whose grid is written leaves the stack, with its rows of the per-run
-operands the right-hand side takes, so later steps carry only the live runs.
+operation acts on a run's row alone, and on each of a row's members as on that
+member alone: the tableau sums contract the stage axis element by element, and
+a row's error norm is the mean of its members' sums of squares.  So a run's
+trajectory does not depend on the runs beside it, and a row of equal members
+steps each of them bitwise as it steps alone.  A non-finite error norm rejects
+at factor 0.2, so an overflowing run ends in StepSizeUnderflowError below 10
+ulp of t.  Dense output keeps a (runs, grid) mask of the grid points written so
+far; a step writes a run's unwritten points at or below its new time, every
+copy of a repeated one.  A run whose grid is written leaves the stack, with its
+rows of the per-run operands the right-hand side takes, so later steps carry
+only the live runs.
 """
 
 from __future__ import annotations
@@ -37,11 +41,12 @@ P = np.array([
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 5
 
 
-def _rms(x):
-    return np.sqrt((x * x).sum(axis=1, keepdims=True)) / x.shape[1] ** 0.5
+def _rms(x, members):
+    s = (x * x).reshape(len(x), members, -1).sum(axis=2).mean(axis=1, keepdims=True)
+    return np.sqrt(s) / (x.shape[1] // members) ** 0.5
 
 
-def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format):
+def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format, members=1):
     """Integrate y' = fun(y, *args) from 0 to t_end for every row of y0.
 
     fun maps a stack of states to their derivatives, row by row; args are
@@ -49,7 +54,7 @@ def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format)
     the runs whose grid is not yet written, and their rows of args.  t_eval is
     an increasing grid from 0 to t_end.  Returns y, the (m, len(t_eval), N)
     states on the grid, and nfev, the number of fun calls.  name(i) labels row
-    i of y0 in error messages.
+    i of y0 in error messages.  A row of y0 holds members states of equal size.
     """
     y = np.array(y0, dtype=float)
     m, size = y.shape
@@ -60,9 +65,9 @@ def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format)
     with np.errstate(all="ignore"):
         f = fun(y, *args)
         scale = atol + np.abs(y) * rtol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
+        d0, d1 = _rms(y / scale, members), _rms(f / scale, members)
         h0 = np.fmin(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_end)
-        d2 = _rms((fun(y + h0 * f, *args) - f) / scale) / h0
+        d2 = _rms((fun(y + h0 * f, *args) - f) / scale, members) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.fmax(d1, d2)) ** (1 / 5))
         nfev = 2
@@ -89,10 +94,11 @@ def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format)
             h = t_new - t
             K[:, 0] = f
             for s in range(1, 6):
-                K[:, s] = fun(y + (A[s, :s] @ K[:, :s]) * h, *args)
-            y_new = y + h * (B @ K[:, :6])
+                K[:, s] = fun(y + np.einsum("j,rjx->rx", A[s, :s], K[:, :s]) * h, *args)
+            y_new = y + h * np.einsum("j,rjx->rx", B, K[:, :6])
             K[:, 6] = f_new = fun(y_new, *args)
-            err = _rms((E @ K) * h / (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol))
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.einsum("j,rjx->rx", E, K) * h / scale, members)
             nfev += 6
             # A zero error norm gives an infinite factor, capped by minimum; a NaN
             # one (non-finite error norm) falls to MIN_FACTOR in fmax.
@@ -108,8 +114,9 @@ def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format)
             rows, cols = np.nonzero((t_eval <= t_new) & ~written)
             if len(rows):
                 x = (t_eval[cols] - t[rows, 0]) / h[rows, 0]
-                powers = np.cumprod(np.repeat(x[:, None, None], 4, axis=2), axis=2)
-                out[live[rows], cols] = y[rows] + h[rows] * (powers @ (P.T @ K[rows]))[:, 0]
+                powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
+                Q = np.einsum("ji,qjx->qix", P, K[rows])
+                out[live[rows], cols] = y[rows] + h[rows] * np.einsum("qi,qix->qx", powers, Q)
                 written[rows, cols] = True
             t, y, f = t_new, y_new, f_new
     return SimpleNamespace(y=out, nfev=nfev)

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from selfpredict import (
@@ -134,6 +135,36 @@ def test_single_run_is_bitwise_the_same_alone_and_in_a_stack(monkeypatch):
             alone = nfevs[1:]
             assert len(alone) == m and len(set(alone)) >= 3  # runs finish before and after others
             assert nfevs[0] == max(alone)  # the stack steps until its slowest run finishes
+
+
+def member_rhs(y, a):
+    """Each member's flow against the other member of its row, a row's w members in the
+    stacked (m, w*n*k) layout on their (m, w, n, n) chains (dynamics._integrate's rhs)."""
+    v = y.reshape(*a.shape[:3], -1)
+    return _flow(a, v, v[:, ::-1]).reshape(len(y), -1)
+
+
+@given(k=st.sampled_from([1, 2, 3]), n=st.sampled_from([3, 6]), data=st.data())
+@settings(max_examples=12, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_a_twin_row_integrates_each_member_as_that_member_alone(k, n, data):
+    # A twin (two identical members on one chain) among pair rows of scaled states, which
+    # step at their own speeds, so rows leave the stack and write grid points in any mix.
+    rows = data.draw(st.integers(1, 30), label="rows")
+    twin = data.draw(st.integers(0, rows - 1), label="twin")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    tms = [gen_doubly_stochastic(n, seed + i) for i in range(rows)]
+    a = np.stack([(t.entries, t.entries.T) for t in tms])
+    scale = np.random.default_rng(seed).uniform(0.7, 1.6, (rows, 2, 1, 1))
+    v0 = scale * np.stack([[orthonormal_init(n, k, 2 * (seed + i) + j) for j in (0, 1)]
+                           for i in range(rows)])
+    a[twin, 1], v0[twin, 1] = a[twin, 0], v0[twin, 0]
+    t_eval = np.linspace(0.0, 20.0, 21)
+    stack = rk45.solve_ivp(member_rhs, 20.0, v0.reshape(rows, -1), t_eval, 1e-9, 1e-9, (a,),
+                           members=2)
+    alone = rk45.solve_ivp(member_rhs, 20.0, v0[twin, :1].reshape(1, -1), t_eval, 1e-9, 1e-9,
+                           (a[twin, None, :1],))
+    for member in stack.y[twin].reshape(len(t_eval), 2, -1).swapaxes(0, 1):
+        assert np.array_equal(member, alone.y[0])
 
 
 def test_rhs_calls_equal_nfev(monkeypatch):
