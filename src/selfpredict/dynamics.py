@@ -178,19 +178,14 @@ def orthonormal_init(n: int, k: int, seed: int) -> np.ndarray:
     return q * signs
 
 
-def _who(row, run_offset: int, r: int) -> str:
-    """The name of a stack row's run, or, in a stack of r = 2 runs per pair, its pair."""
-    return f"{('run', 'pair')[r - 1]} {run_offset + int(row) // r}"
-
-
-def covariance_solve_batch(cov, rhs, run_offset: int = 0, step=None, r: int = 1) -> np.ndarray:
+def covariance_solve_batch(cov, rhs, name="run {}".format) -> np.ndarray:
     """Solve cov @ x = rhs for an (m, k, k) stack of symmetric PSD covariances.
 
     The answer is the eigh pseudoinverse's, which zeroes eigenvalues at or below
     1e-12 of the largest.  Runs whose inverse puts every eigenvalue CERTIFY_MARGIN
     above that (lambda_min >= 1/||cov^-1||_F, lambda_max <= trace) are solved
     through it, the rest through eigh, which raises NonFiniteStateError or
-    DegenerateCovarianceError naming the row's run (or pair, _who) and step.
+    DegenerateCovarianceError naming the failing row i as name(i).
     """
     with np.errstate(all="ignore"):
         try:
@@ -207,16 +202,15 @@ def covariance_solve_batch(cov, rhs, run_offset: int = 0, step=None, r: int = 1)
         return x
     bad = np.flatnonzero(~ok)
     cov, rhs = cov[bad], rhs[bad]
-    at = "" if step is None else f" at step {step}"
     finite = np.isfinite(cov).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=(-2, -1))
     if not finite.all():
         raise NonFiniteStateError(
-            f"non-finite predictor solve in {_who(bad[~finite][0], run_offset, r)}{at}")
+            f"non-finite predictor solve in {name(bad[~finite][0])}")
     w, v = np.linalg.eigh(cov)
     top = np.abs(w).max(axis=1)
     if np.any(top == 0.0):
         raise DegenerateCovarianceError(
-            f"covariance is identically zero in {_who(bad[top == 0.0][0], run_offset, r)}{at}")
+            f"covariance is identically zero in {name(bad[top == 0.0][0])}")
     keep = np.abs(w) > COV_CUTOFF * top[:, None]
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
@@ -478,8 +472,8 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
         raise InvalidInputError("flows step on their chains, not on their Spectra")
     flows = [_rep_stack(*flow) for flow in flows]
     flows = [(phi, tms, np.stack([t.entries for t in tms]), r) for phi, tms, r in flows]
-    if len({phi.shape[1:] for phi, *_ in flows}) > 1:
-        raise ShapeMismatchError("every flow must share the representation shape")
+    if len({phi.shape[1:] for phi, *_ in flows}) != 1:
+        raise ShapeMismatchError("flows must be one or more and share the representation shape")
     w = max(r for *_, r in flows)  # members per row
     phi, p = (np.concatenate([np.repeat(f[i], w // f[-1], axis=0) for f in flows]) for i in (0, 2))
     rows, n, k = len(phi) // w, *phi.shape[1:]
@@ -706,12 +700,16 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     target = _partner(phi if tgt is None else tgt, r)
     slog = np.zeros(m)
     records: list = []
+
+    def name(row):  # a row's run, or in a stack of r = 2 runs per pair its pair, at this step
+        return f"{('run', 'pair')[r - 1]} {run_offset + int(row) // r} at step {step}"
+
     # A hostile initial state overflows in c0 and its first solve raises.
     with np.errstate(over="ignore", invalid="ignore"):
         c0 = phi.transpose(0, 2, 1) @ phi
         _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
         for step in range(1, config.iters + 1):
-            pred = covariance_solve_batch(*normal(target), run_offset, step, r)
+            pred = covariance_solve_batch(*normal(target), name)
             if noisy:  # a generator's stream is the same however many steps a call draws
                 if (step - 1) % NOISE_BLOCK == 0:
                     b = min(NOISE_BLOCK, config.iters - step + 1)
@@ -729,9 +727,8 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
                 top = np.max([np.abs(x).max(axis=(1, 2)) for x in guarded], axis=0)
                 over = np.flatnonzero(~(top <= RESCALE_LIMIT * 2.0 ** RESCALE_EXP))
                 if len(over):
-                    raise NonFiniteStateError(f"{_who(over[0], run_offset, r)} at step {step} "
-                                              + ("turned non-finite" if np.isnan(top[over[0]])
-                                                 else "outgrew the blow-up guard"))
+                    what = "turned non-finite" if np.isnan(top[over[0]]) else "outgrew the blow-up guard"
+                    raise NonFiniteStateError(f"{name(over[0])} {what}")
                 big = np.repeat((top > RESCALE_LIMIT).reshape(-1, r).any(axis=1), r)  # a group as one
                 for x in guarded:
                     x[big] *= 2.0 ** -RESCALE_EXP

@@ -269,7 +269,10 @@ def n_step_matrix(tm: TransitionMatrix, n_steps: int) -> TransitionMatrix:
     averaged with its transpose, as in gen_symmetric, so it is symmetric bitwise."""
     require_number(n_steps, "n_steps", 1, integer=True)
     a = np.linalg.matrix_power(_chain(tm).entries, n_steps)
-    return TransitionMatrix.from_entries(0.5 * (a + a.T) if tm.is_symmetric else a)
+    try:  # the power of a chain is one, but rounding drifts its row sums as n_steps grows
+        return TransitionMatrix.from_entries(0.5 * (a + a.T) if tm.is_symmetric else a)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"n_steps={n_steps} drifts the power's row sums: {e}") from None
 
 
 def uniform_distribution(n: int) -> np.ndarray:

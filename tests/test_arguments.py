@@ -194,6 +194,8 @@ TYPED = {  # site: (call, error type, message fragment)
     "_integrate: flows of different shapes": (
         lambda tmp: integrate_flows_batch([(PHI[None], TM), (PHI[None, :, :1], TM)]),
         ShapeMismatchError, "share the representation shape"),
+    "_integrate: no flows": (
+        lambda tmp: integrate_flows_batch([]), ShapeMismatchError, "share the representation shape"),
     "_rep_stack: left and right stacks differ": (
         lambda tmp: run_discrete_batch(BidirState(PHI[None], PHI[None, :, :1]), TM, D,
                                        DynamicsConfig()),

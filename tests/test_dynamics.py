@@ -3,7 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from helpers import central_fd, rel_err
 from selfpredict import dynamics
@@ -265,7 +265,7 @@ class TestCovarianceSolveBatch:
         cov = np.stack([np.eye(2)] * 4)
         cov[2, 1, 0] = np.nan  # eigh and Cholesky read the lower triangle
         with pytest.raises(NonFiniteStateError, match="run 7 at step 3"):
-            dynamics.covariance_solve_batch(cov, np.ones((4, 2, 2)), run_offset=5, step=3)
+            dynamics.covariance_solve_batch(cov, np.ones((4, 2, 2)), lambda i: f"run {5 + i} at step 3")
         rhs = np.ones((4, 2, 2))
         rhs[1] = np.inf
         with pytest.raises(NonFiniteStateError, match="run 1"):
@@ -289,17 +289,18 @@ class TestCovarianceSolveBatch:
     def test_zero_covariance_names_run(self):
         cov = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
         with pytest.raises(DegenerateCovarianceError, match="run 11"):
-            dynamics.covariance_solve_batch(cov, np.ones((3, 2, 1)), run_offset=10)
+            dynamics.covariance_solve_batch(cov, np.ones((3, 2, 1)), lambda i: f"run {10 + i}")
 
     def test_a_pair_stack_names_the_pair(self):
         # rows 2i and 2i + 1 are pair i's members
         cov = np.stack([np.eye(2)] * 4)
         cov[3, 1, 0] = np.nan
         with pytest.raises(NonFiniteStateError, match="in pair 6 at step 3$"):
-            dynamics.covariance_solve_batch(cov, np.ones((4, 2, 2)), run_offset=5, step=3, r=2)
+            dynamics.covariance_solve_batch(cov, np.ones((4, 2, 2)),
+                                             lambda i: f"pair {5 + i // 2} at step 3")
         cov = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2)])
         with pytest.raises(DegenerateCovarianceError, match="in pair 10$"):
-            dynamics.covariance_solve_batch(cov, np.ones((4, 2, 1)), run_offset=10, r=2)
+            dynamics.covariance_solve_batch(cov, np.ones((4, 2, 1)), lambda i: f"pair {10 + i // 2}")
 
 
 class TestKernelStepOracle:
@@ -716,6 +717,74 @@ class TestTargetNetwork:
         _, fin_frozen = run_discrete(phi, tm, d, frozen)
         _, fin_live = run_discrete(phi, tm, d, live)
         assert not np.allclose(fin_frozen, fin_live)
+
+
+def non_collapse_residuals(case, seed, n=12, k=3, m=6, eta=0.3, iters=300):
+    """(orthogonality, identity, smallest eigenvalue) of a run_discrete_batch stack read at
+    every step through a _record_batch spy, over every run and step t >= 1, with g the
+    increment phi_t - phi_{t-1} and C_t = phi_t^T phi_t:
+    max |phi_{t-1}^T g| / (u |phi_{t-1}| (|phi_t| + |g|)), Frobenius norms and u = 2**-53, the
+    denominator bounding what reading g as a difference of rounded states adds to it;
+    max |C_t - C_0 - sum g^T g| / max |C_t|; and
+    min lambda(C_t - C_0) / max |C_t|.  On the eigen path the states are psi = U^T phi,
+    whose Gram is phi's."""
+    rng = np.random.default_rng(seed)
+    gen = gen_symmetric if case in ("eigen", "slow_target") else gen_doubly_stochastic
+    tms = [gen(n, seed + i) for i in range(m)]
+    d = rng.dirichlet(np.ones(n)) if case == "dense" else uniform_distribution(n)
+    phi0 = np.stack([orthonormal_init(n, k, seed + m + i) for i in range(2 * m)])
+    phi0 = BidirState(phi0[:m], phi0[m:]) if case == "pair" else phi0[:m]
+    cfg = DynamicsConfig(eta=eta, iters=iters, record_every=1,
+                         target_beta=0.5 if case == "slow_target" else None)
+    states, record_batch = [], dynamics._record_batch
+
+    def spy(records, step, phi, slog, *rest):
+        assert not slog.any()  # the guard never fires, so the states are the runs' own
+        states.append(phi.copy())
+        record_batch(records, step, phi, slog, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:  # a fixture would span every hypothesis example
+        mp.setattr(dynamics, "_record_batch", spy)
+        run_discrete_batch(phi0, tms, d, cfg)
+    phi = np.stack(states)  # (iters + 1, stack rows, n, k); a pair's members are rows of it
+    prev, g = phi[:-1], np.diff(phi, axis=0)
+    size, step = (np.linalg.norm(x, axis=(-2, -1)) for x in (phi, g))
+    read = 2.0 ** -53 * size[:-1] * (size[1:] + step)  # |phi_{t-1}^T (g as read - g)| at most
+    orth = np.abs(prev.swapaxes(-1, -2) @ g).max(axis=(-2, -1)) / read
+    c = phi.swapaxes(-1, -2) @ phi
+    grown = c[1:] - c[0]
+    top = np.abs(c[1:]).max(axis=(-2, -1))
+    gram_sum = np.cumsum(g.swapaxes(-1, -2) @ g, axis=0)
+    return (orth.max(), (np.abs(grown - gram_sum).max(axis=(-2, -1)) / top).max(),
+            (np.linalg.eigvalsh(grown).min(axis=-1) / top).min())
+
+
+class TestNonCollapseIdentity:
+    """The non-collapse mechanism as an exact identity of every step.  With the semi gradient
+    at the optimal predictor, the normal equations phi^T D phi pred = phi^T D P target give
+    phi^T g = 0 for the increment g = 2 eta (D P target - D phi pred) pred^T, whatever d and
+    the target (a slow one, or a pair's other member).  So C_t = C_0 + sum g^T g, and
+    C_t - C_0 stays positive semidefinite.  The full gradient and predictor noise break it.
+
+    Tolerances: over 300 seeds per case at n = 12, k = 3, m = 6, eta 0.3 and 300 steps, the
+    orthogonality read at most 0.40 of its read rounding, the identity at most 4.9e-15 and
+    the smallest eigenvalue at least 8.2e-15 (relative to max |C_t|, as returned).  ORTH is
+    5 times the first: phi^T g is zero to the rounding of reading it.  At this shape no run
+    nears convergence, where g's own rounding adds to that (up to 2.1 times the read bound
+    on converging runs at n = 6, eta 1).  IDENTITY is 20 times the second, and the
+    eigenvalue may fall that far below 0, as C_t - C_0 is sum g^T g plus the identity's
+    error."""
+
+    ORTH, IDENTITY = 2.0, 1e-13
+
+    @pytest.mark.parametrize("case", ["eigen", "dense", "slow_target", "pair"])
+    @given(seed=st.integers(0, 2**31))
+    @settings(max_examples=4, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_the_covariance_grows_by_the_increments_grams(self, case, seed):
+        orth, identity, smallest = non_collapse_residuals(case, seed)
+        assert orth <= self.ORTH
+        assert identity <= self.IDENTITY
+        assert smallest >= -self.IDENTITY
 
 
 class TestBlowUpGuard:

@@ -297,6 +297,12 @@ class TestNStep:
         with pytest.raises(InvalidInputError):
             n_step_matrix(fixed_example_2x2(), 0)
 
+    @pytest.mark.parametrize("gen", [gen_symmetric, gen_doubly_stochastic])
+    def test_a_power_past_the_rounding_names_n_steps(self, gen):
+        # at n = 3 the power's row sums drift past 1e-12 by 10**5 steps (5.5e-12 for gen_symmetric)
+        with pytest.raises(InvalidInputError, match=r"n_steps=100000 drifts the power's row sums: .* worst error"):
+            n_step_matrix(gen(3, 0), 10**5)
+
     def test_powers_preserve_double_stochasticity(self):
         tm = gen_doubly_stochastic(8, 3)
         assert n_step_matrix(tm, 3).is_doubly_stochastic
