@@ -19,9 +19,11 @@ Each tree runs the same 38-file set through `python -m selfpredict`:
 * appendix_target_beta at --runs 30 --n-states 160 --k 8 --iters 100
   --workers 2.
 
-Every file is compared byte for byte.  For a CSV that differs, the largest
-absolute difference of each numeric column is printed.  The exit status is 0
-when both trees wrote the same files with the same bytes, and 1 otherwise.
+Every file is compared byte for byte, and every directory by its presence, so
+a staging directory a failed run left behind shows.  For a CSV that differs,
+the largest absolute difference of each numeric column is printed.  The exit
+status is 0 when both trees wrote the same entries with the same bytes, and 1
+otherwise.
 
 First, the line count of each module of both packages is printed (as wc -l
 counts them), with the totals and the difference between the trees, and then
@@ -99,8 +101,10 @@ def report_names(old: Path, new: Path) -> bool:
     return sorted(a) == sorted(b)
 
 
-def files(root: Path) -> set:
-    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+def entries(root: Path) -> dict:
+    """Every entry under root, directories included (a failed run's leftover stage is one),
+    mapped to whether it is a file."""
+    return {p.relative_to(root): p.is_file() for p in root.rglob("*")}
 
 
 def column_gaps(old: Path, new: Path) -> str:
@@ -121,17 +125,17 @@ def column_gaps(old: Path, new: Path) -> str:
 
 
 def compare(old: Path, new: Path) -> int:
-    """Print every difference between two artifact roots; returns how many files differ."""
-    a, b = files(old), files(new)
+    """Print every difference between two artifact roots; returns how many entries differ."""
+    a, b = entries(old), entries(new)
     bad = 0
-    for rel in sorted(a ^ b):
+    for rel in sorted(a.keys() ^ b.keys()):
         print(f"only in {'old' if rel in a else 'new'}: {rel}")
         bad += 1
-    for rel in sorted(a & b):
-        if (old / rel).read_bytes() != (new / rel).read_bytes():
+    for rel in sorted(a.keys() & b.keys()):
+        if a[rel] != b[rel] or a[rel] and (old / rel).read_bytes() != (new / rel).read_bytes():
             bad += 1
             print(f"differs: {rel}")
-            if rel.suffix == ".csv":
+            if rel.suffix == ".csv" and a[rel] == b[rel]:
                 print(column_gaps(old / rel, new / rel))
     return bad
 
@@ -151,10 +155,10 @@ def main(argv=None) -> int:
         for label, src in (("old", args.old), ("new", args.new)):
             start = time.perf_counter()
             write_artifacts(src, root / label)
-            print(f"{label}: {len(files(root / label))} files from {src} "
+            print(f"{label}: {sum(entries(root / label).values())} files from {src} "
                   f"in {time.perf_counter() - start:.1f} s")
         bad = compare(root / "old", root / "new")
-        count = len(files(root / "new"))
+        count = sum(entries(root / "new").values())
     if count != EXPECTED_FILES:
         print(f"expected {EXPECTED_FILES} files, got {count}")
         return 1

@@ -24,7 +24,7 @@ back.  The single-run functions are the same code at one run (_one_run, and
 metrics' record code).
 
 Under uniform d (_eigenbasis), run_discrete_batch steps psi = U^T phi against the eigenvalues
-of a chain P = U diag(lam) U^T equal to its transpose bitwise (O(nk), not O(n^2 k)); rounding,
+of a symmetric chain P = U diag(lam) U^T (O(nk), not O(n^2 k)); rounding,
 and the full gradient's P^T d taken as d (within 1e-12), differ from dense P.  eigen_stack
 prepares them chain by chain, so streamed chains cost O(n^2 + m n k), not O(m n^2).
 
@@ -602,7 +602,7 @@ def _pair_chains(tms) -> list:
         raise NotDoublyStochasticError(
             "bidirectional dynamics need unit column sums so the reversed chain is stochastic")
     return [c for t in tms for c in
-            (t, t if t.is_bitwise_symmetric else TransitionMatrix.from_entries(t.entries.T))]
+            (t, t if t.is_symmetric else TransitionMatrix.from_entries(t.entries.T))]
 
 
 def _require_uniform(d, n: int) -> np.ndarray:
@@ -614,21 +614,21 @@ def _require_uniform(d, n: int) -> np.ndarray:
 
 def _eigenbasis(tms, d) -> bool:
     """Whether run_discrete_batch steps in the eigenbasis, not on dense P: d uniform and
-    every chain in tms symmetric bitwise."""
-    return bool(np.all(d == d[0]) and all(t.is_bitwise_symmetric for t in tms))
+    every chain in tms symmetric."""
+    return bool(np.all(d == d[0]) and all(t.is_symmetric for t in tms))
 
 
 def eigen_stack(tms, phi0_stack):
-    """(Spectra, psi0 = U^T phi0) of chains P = U diag(lam) U^T (any iterable, read one
-    chain at a time) and an (m, n, k) stack.  A chain not symmetric bitwise raises
-    NotSymmetricError, as its eigh is not the basis the kernel steps in; chains that do
-    not match the runs one to one, in number or in n, raise ShapeMismatchError."""
+    """(Spectra, psi0 = U^T phi0) of symmetric chains P = U diag(lam) U^T (one for every
+    run, or any iterable, read one chain at a time) and an (m, n, k) stack.  A chain not
+    symmetric raises NotSymmetricError; chains that do not match the runs one to one, in
+    number or in n, raise ShapeMismatchError."""
     phi0_stack = _floats(phi0_stack, "phi0_stack")
     m, n, k = _stack_shape(phi0_stack)
-    chains, runs = iter(tms), []
+    chains, runs = iter(tms if np.iterable(tms) else [tms] * m), []
     for phi, tm in zip(phi0_stack, chains):  # the stack first: no chain is read past the last run
-        if not _chain(tm).is_bitwise_symmetric:
-            raise NotSymmetricError(f"run {len(runs)}: the chain is not symmetric bitwise")
+        if not _chain(tm).is_symmetric:
+            raise NotSymmetricError(f"run {len(runs)}: the chain's entries must equal their transpose")
         if tm.n != n:
             raise ShapeMismatchError(f"run {len(runs)}: a chain of {tm.n} states for {n} rows")
         w, u = tm.eigh

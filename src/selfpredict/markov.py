@@ -1,9 +1,9 @@
 """Tabular Markov chains: construction, generation, and spectral structure.
 
 A chain lives in a TransitionMatrix, which validates row stochasticity on
-construction and measures two structural flags (symmetry, unit column sums)
-at a fixed tolerance of 1e-12.  Downstream dynamics branch on those flags
-rather than re-deriving them.
+construction and measures two structural flags: symmetry, exact (the entries
+equal their transpose bitwise), and unit column sums, within STOCHASTIC_TOL.
+Downstream dynamics branch on those flags rather than re-deriving them.
 
 Spectral conventions used everywhere in the package:
 
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import InvalidInputError, NonConvergenceError, NotSymmetricError, require_number
 
 STOCHASTIC_TOL = 1e-12
-FLAG_TOL = 1e-12
 SIGN_TOL = 1e-12
 
 
@@ -79,17 +78,12 @@ class TransitionMatrix:
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only np.linalg.eigh (values, vectors) of a symmetric chain, once per chain."""
-        if not self.is_symmetric:
-            raise NotSymmetricError("eigen decomposition here is defined for symmetric chains only")
+        if not self.is_symmetric:  # eigh would read one triangle
+            raise NotSymmetricError("eigen decomposition needs entries equal to their transpose")
         wv = np.linalg.eigh(self.entries)
         for a in wv:
             a.setflags(write=False)
         return tuple(wv)
-
-    @cached_property
-    def is_bitwise_symmetric(self) -> bool:
-        """Entries equal to their transpose exactly (is_symmetric allows 1e-12), once per chain."""
-        return bool(np.array_equal(self.entries, self.entries.T))
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -103,18 +97,18 @@ class TransitionMatrix:
     def from_entries(cls, entries) -> "TransitionMatrix":
         """Validate and wrap a raw array.
 
-        Requires a finite square matrix with nonnegative entries whose rows
-        sum to one within 1e-12.  The stored array is a read-only copy.
+        Requires a finite square matrix with nonnegative entries whose rows sum
+        to one within 1e-12, as do the columns of a doubly stochastic one.  It is
+        symmetric only if equal to its transpose bitwise (average a near-symmetric
+        matrix with its transpose, as gen_symmetric does).  Stores a read-only copy.
         """
         a = _nonnegative_square(entries)
         row_err = np.abs(a.sum(axis=1) - 1.0).max()
         if row_err > STOCHASTIC_TOL:
             raise InvalidInputError(f"rows must sum to 1 within {STOCHASTIC_TOL}, worst error {row_err:.3e}")
-        diff = a - a.T
-        sym = bool(np.abs(diff, out=diff).max() <= FLAG_TOL)
-        ds = bool(np.abs(a.sum(axis=0) - 1.0).max() <= FLAG_TOL)
+        ds = bool(np.abs(a.sum(axis=0) - 1.0).max() <= STOCHASTIC_TOL)
         a.setflags(write=False)
-        return cls(a, sym, ds)
+        return cls(a, bool(np.array_equal(a, a.T)), ds)
 
 
 def sinkhorn_normalize(raw, tol: float = 1e-12, max_iters: int = 100_000) -> TransitionMatrix:
@@ -266,7 +260,7 @@ def spectral(tm: TransitionMatrix, kind: str = "eigen") -> SpectralSummary:
 
 def n_step_matrix(tm: TransitionMatrix, n_steps: int) -> TransitionMatrix:
     """The chain composed with itself n_steps times; a symmetric chain's power is
-    averaged with its transpose, as in gen_symmetric, so it is symmetric bitwise."""
+    averaged with its transpose, as in gen_symmetric, so it is symmetric too."""
     require_number(n_steps, "n_steps", 1, integer=True)
     a = np.linalg.matrix_power(_chain(tm).entries, n_steps)
     try:  # the power of a chain is one, but rounding drifts its row sums as n_steps grows

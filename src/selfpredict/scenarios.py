@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -321,7 +323,7 @@ def _summarize(cfg: ScenarioConfig, variants: dict, per_variant: dict, extras=No
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
-    """Execute one scenario end to end and write its artifacts."""
+    """Execute one scenario end to end; its artifacts replace out_dir/<scenario> whole."""
     variants = _resolve(cfg)  # an unknown scenario raises here
     extras = None
     per_variant: dict = {}
@@ -347,14 +349,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
             per_variant[key] = (times[0], *(c[0] if c[0] is None else np.concatenate(c)
                                             for c in cols))
 
+    # Staged whole beside out_root, then swapped in: a failed run leaves the old tree untouched.
     out_root = Path(cfg.out_dir) / cfg.scenario
-    out_root.mkdir(parents=True, exist_ok=True)
-    csv_paths = {}
-    for key in variants:
-        path = out_root / f"{key}.csv"
-        _write_csv(path, *per_variant[key])
-        csv_paths[key] = path
-    summary = _summarize(cfg, variants, per_variant, extras)
-    summary_path = out_root / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return RunArtifact(cfg.scenario, out_root, csv_paths, summary_path)
+    out_root.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{cfg.scenario}.", dir=out_root.parent))
+    new = stage / "new"
+    try:
+        new.mkdir()  # mkdir, not mkdtemp, gives the tree its usual permissions
+        for key in variants:
+            _write_csv(new / f"{key}.csv", *per_variant[key])
+        summary = _summarize(cfg, variants, per_variant, extras)
+        (new / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        if out_root.is_dir():
+            os.replace(out_root, stage / "old")
+        os.replace(new, out_root)
+    finally:  # the staged files of a failed run, or the old tree after the swap
+        shutil.rmtree(stage)
+    return RunArtifact(cfg.scenario, out_root, {key: out_root / f"{key}.csv" for key in variants},
+                       out_root / "summary.json")

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies
 
 from selfpredict import bidirectional, dynamics
 from selfpredict import (
@@ -270,6 +271,33 @@ class TestOneDriver:
                 assert records[i] == alone, (eta, i)
                 assert np.array_equal(final.left[i], final_alone.left)
                 assert np.array_equal(final.right[i], final_alone.right)
+
+    @pytest.mark.parametrize("driver", ["discrete", "flow"])
+    @pytest.mark.parametrize("gen", [gen_symmetric, gen_doubly_stochastic])  # eigen, dense
+    @given(seed=strategies.integers(0, 2**31))
+    @settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_a_mirrored_pair_is_bitwise_the_pair_mirrored(self, gen, driver, seed):
+        # Swapping the members and transposing the chains, BidirState(R, L) on P^T, steps
+        # each member on the same chain beside the same partner.  f_tilde = ||L^T P R||^2 is
+        # summed in the other order: over 200 seeds per case the relative gap read at most
+        # 9.7e-16, and the bound is 4 times that.
+        n, k, m = 8, 3, 4
+        tms = [gen(n, seed + i) for i in range(m)]
+        mirrored = [t if t.is_symmetric else TransitionMatrix.from_entries(t.entries.T)
+                    for t in tms]
+        st0 = stacked_pairs(n, k, m, seed)
+        if driver == "discrete":
+            cfg = DynamicsConfig(eta=0.3, iters=200, record_every=50)
+            (rec, fin), (rec_m, fin_m) = (
+                run_discrete_batch(s, t, uniform_distribution(n), cfg)
+                for s, t in ((st0, tms), (BidirState(st0.right, st0.left), mirrored)))
+        else:
+            (rec, fin), (rec_m, fin_m) = (
+                integrate_ode_batch(s, t, t_end=10.0, n_records=5)
+                for s, t in ((st0, tms), (BidirState(st0.right, st0.left), mirrored)))
+        assert fin_m.left.tobytes() == fin.right.tobytes()
+        assert fin_m.right.tobytes() == fin.left.tobytes()
+        np.testing.assert_allclose(rec_m.columns[2], rec.columns[2], rtol=4 * 9.7e-16, atol=0)
 
     def test_chains_and_flows_may_come_as_iterators(self):
         n, k, m = 4, 2, 3

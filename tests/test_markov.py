@@ -17,6 +17,7 @@ from selfpredict import (
     gen_doubly_stochastic,
     gen_symmetric,
     n_step_matrix,
+    normalizers,
     sinkhorn_normalize,
     spectral,
     uniform_distribution,
@@ -176,6 +177,21 @@ class TestTransitionMatrix:
         assert e2.is_symmetric and e2.is_doubly_stochastic and e2.n == 2
         e3 = fixed_example_3x3()
         assert e3.is_doubly_stochastic and not e3.is_symmetric
+
+    def test_symmetric_means_equal_to_the_transpose_bitwise(self):
+        # one ulp off symmetric is not symmetric: eigh would read one triangle of it
+        k, near = 3, gen_symmetric(6, 1).entries.copy()
+        near[0, 1] = np.nextafter(near[0, 1], 1.0)
+        tm = TransitionMatrix.from_entries(near)
+        assert not tm.is_symmetric and tm.is_doubly_stochastic
+        with pytest.raises(NotSymmetricError, match="equal to their transpose"):
+            spectral(tm, "eigen")
+        norms = normalizers(tm, k)
+        assert norms.eigen_norm is None
+        s = np.linalg.svd(near, compute_uv=False)[:k]
+        assert norms.svd_norm == float(np.sum(s * s))
+        averaged = TransitionMatrix.from_entries(0.5 * (near + near.T))  # the documented remedy
+        assert averaged.is_symmetric and normalizers(averaged, k).eigen_norm is not None
 
     def test_entries_are_read_only(self):
         tm = fixed_example_2x2()

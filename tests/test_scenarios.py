@@ -107,6 +107,73 @@ class TestArtifacts:
         assert set(art.csv_paths) == {"beta_0.5"}
 
 
+def tree_bytes(root):
+    """Every entry under root, directories included: a file's bytes, or None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def load_artifact_diff():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_diff.py"
+    spec = importlib.util.spec_from_file_location("artifact_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWholeArtifacts:
+    """A scenario's directory holds one run's artifacts: a run is staged beside it and
+    swapped in whole, and a failed run leaves the previous one as it was."""
+
+    def test_a_collapsed_grid_leaves_only_its_own_variants(self, tmp_path):
+        run_scenario(tiny("appendix_finite_lr", tmp_path, n_runs=2, n_states=4, iters=20))
+        art = run_scenario(tiny("appendix_finite_lr", tmp_path, n_runs=2, n_states=4,
+                                iters=20, eta=1.0))
+        summary = json.loads(art.summary_path.read_text())
+        want = {f"{key}.csv" for key in summary["variants"]} | {"summary.json"}
+        assert set(tree_bytes(art.out_dir)) == want == {"eta_1.csv", "summary.json"}
+        assert [p.name for p in tmp_path.iterdir()] == ["appendix_finite_lr"]  # no stage left
+        assert art.out_dir == tmp_path / "appendix_finite_lr"
+        assert art.csv_paths == {"eta_1": art.out_dir / "eta_1.csv"}
+
+    def test_a_failed_run_leaves_the_previous_tree_untouched(self, tmp_path, monkeypatch):
+        run_scenario(tiny("fig2_collapse", tmp_path, iters=20, record_every=10))
+        before = tree_bytes(tmp_path)
+        write_csv, written = scenarios._write_csv, []
+
+        def failing(path, *cols):  # the second CSV fails after the first is written
+            if written:
+                raise OSError("disk full")
+            written.append(path)
+            write_csv(path, *cols)
+
+        monkeypatch.setattr(scenarios, "_write_csv", failing)
+        with pytest.raises(OSError, match="disk full"):
+            run_scenario(tiny("fig2_collapse", tmp_path, master_seed=1, iters=20, record_every=10))
+        assert written and tree_bytes(tmp_path) == before  # nor is a stage left beside it
+
+    def test_artifact_diff_sees_a_leftover_directory(self, tmp_path, capsys):
+        for side in ("old", "new"):
+            (tmp_path / side / "run").mkdir(parents=True)
+            (tmp_path / side / "run" / "a.csv").write_text("x\n")
+        (tmp_path / "new" / ".run.stage").mkdir()
+        module = load_artifact_diff()
+        assert module.compare(tmp_path / "old", tmp_path / "new") == 1
+        assert "only in new: .run.stage" in capsys.readouterr().out
+        assert module.compare(tmp_path / "old", tmp_path / "old") == 0
+
+
+class TestCrossScenarioIdentity:
+    def test_fig2_semi_optimal_is_the_noisy_sweeps_sigma_0(self, tmp_path):
+        # The same seeds, chains and predictor: sigma = 0 adds +-0 to it, so the bytes agree.
+        flags = dict(n_runs=30, n_states=6, iters=40, record_every=20, eta=0.01)
+        fig2 = run_scenario(tiny("fig2_collapse", tmp_path, **flags))
+        noisy = run_scenario(tiny("appendix_noisy_predictor", tmp_path, **flags))
+        assert set(noisy.csv_paths) == {"sigma_0", "sigma_0.01", "sigma_0.1", "sigma_1"}
+        assert (fig2.csv_paths["semi_optimal"].read_bytes()
+                == noisy.csv_paths["sigma_0"].read_bytes())
+
+
 def record_rows(per_run):
     """CSV rows of per-run TrajectoryRecord lists, every number "%.17g"."""
     rows = []
@@ -492,11 +559,7 @@ class TestValidation:
 
     def test_artifact_diff_runs_every_scenario(self):
         # a scenario missing there would escape the byte-identity check
-        path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_diff.py"
-        spec = importlib.util.spec_from_file_location("artifact_diff", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert sorted(module.SCENARIOS) == sorted(SCENARIOS)
+        assert sorted(load_artifact_diff().SCENARIOS) == sorted(SCENARIOS)
 
     @pytest.mark.parametrize("scenario", ["fig4_trace_ratio", "fig5_failure_mode"])
     def test_echoed_horizon_is_the_flow_drivers_default(self, tmp_path, scenario):
