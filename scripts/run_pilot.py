@@ -29,6 +29,7 @@ from selfpredict import (
     stream_seed,
     uniform_distribution,
 )
+from selfpredict.dynamics import eigen_stack
 from selfpredict.scenarios import SIGMA_GRID
 from selfpredict.seeding import STREAM_INIT_LEFT, STREAM_MATRIX, STREAM_NOISE
 
@@ -54,7 +55,9 @@ def final_cosines(gradient_mode: str, predictor_mode: str, sigma: float) -> np.n
     rngs = None
     if predictor_mode == "noisy":
         rngs = [stream_rng(MASTER_SEED, i, STREAM_NOISE) for i in range(N_RUNS)]
-    records, _ = run_discrete_batch(phi0, tms, uniform_distribution(N_STATES),
+    # the symmetric chains step in their eigenbasis, as the scenario runner steps them
+    spectra, psi0 = eigen_stack(tms, phi0)
+    records, _ = run_discrete_batch(psi0, spectra, uniform_distribution(N_STATES),
                                     cfg, rngs)
     return np.array([rs[-1].bundle.max_abs_cosine for rs in records])
 

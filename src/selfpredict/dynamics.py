@@ -23,9 +23,8 @@ members adjacent, left on P and right on P^T, and _form splits a final stack
 back.  The single-run functions are the same code at one run (_one_run, and
 metrics' record code).
 
-Under uniform d (_eigenbasis), run_discrete_batch steps psi = U^T phi against the eigenvalues
-of a symmetric chain P = U diag(lam) U^T (O(nk), not O(n^2 k)); rounding,
-and the full gradient's P^T d taken as d (within 1e-12), differ from dense P.  eigen_stack
+run_discrete_batch steps chains on dense P, and Spectra (eigen_stack) in the eigenbasis: psi =
+U^T phi against the eigenvalues of P = U diag(lam) U^T, O(nk), not O(n^2 k).  eigen_stack
 prepares them chain by chain, so streamed chains cost O(n^2 + m n k), not O(m n^2).
 
 Blow-up handling: the squared-loss step at the optimal or noisy predictor is
@@ -150,7 +149,9 @@ class Trajectories(Sequence):
 
 @dataclass(frozen=True)
 class Spectra:
-    """A stack's (m, n) chain eigenvalues and (m,) reference ceilings (see eigen_stack)."""
+    """A stack's (m, n) chain eigenvalues and (m,) reference ceilings (eigen_stack), stepped
+    under uniform d alone.  Rounding, and the full gradient's P^T d taken as d (column sums
+    are one within the Sinkhorn tolerance), differ from dense P."""
 
     values: np.ndarray
     norms: np.ndarray
@@ -612,12 +613,6 @@ def _require_uniform(d, n: int) -> np.ndarray:
     return v
 
 
-def _eigenbasis(tms, d) -> bool:
-    """Whether run_discrete_batch steps in the eigenbasis, not on dense P: d uniform and
-    every chain in tms symmetric."""
-    return bool(np.all(d == d[0]) and all(t.is_symmetric for t in tms))
-
-
 def eigen_stack(tms, phi0_stack):
     """(Spectra, psi0 = U^T phi0) of symmetric chains P = U diag(lam) U^T (one for every
     run, or any iterable, read one chain at a time) and an (m, n, k) stack.  A chain not
@@ -644,12 +639,12 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     """Train a stack of runs, or of pairs, in lockstep: (records, final).
 
     phi0_stack is (m, n, k), or a BidirState of two such stacks for m pairs; tms is one
-    TransitionMatrix for every run, a sequence of m, or, for runs, their Spectra, both
-    stacks then in eigen coordinates (eigen_stack).  noise_rngs holds one generator per
-    run when predictor_mode="noisy"; run_offset labels errors.  records (Trajectories)
-    holds the m record lists, final the last state in phi0_stack's form, any rescale
-    folded back in (divergent runs report inf).  A pair needs doubly stochastic chains,
-    uniform d, the semi gradient, optimal predictor and no target.
+    TransitionMatrix for every run or a sequence of m, stepped on dense P, or, for runs under
+    uniform d, their Spectra, both stacks then in eigen coordinates (eigen_stack).  noise_rngs
+    holds one generator per run when predictor_mode="noisy"; run_offset labels errors.
+    records (Trajectories) holds the m record lists, final the last state in phi0_stack's
+    form, any rescale folded back in (divergent runs report inf).  A pair needs doubly
+    stochastic chains, uniform d, the semi gradient, optimal predictor and no target.
     """
     require_number(run_offset, "run_offset", 0, integer=True)
     phi, tms, r = _rep_stack(phi0_stack, tms)
@@ -662,19 +657,14 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
             isinstance(noise_rngs, Sequence) and len(noise_rngs) == m
             and all(isinstance(g, np.random.Generator) for g in noise_rngs)):
         raise InvalidInputError(f"predictor_mode='noisy' needs a sequence of {m} numpy Generators")
-    prepared = isinstance(tms, Spectra)
-    eigen = _eigenbasis(() if prepared else tms, d)
-    if prepared and not eigen:
-        raise InvalidInputError("Spectra need uniform d")
-    if eigen:
-        spectra, phi = (tms, phi) if prepared else eigen_stack(tms, phi)
-        op, norms = spectra.values, spectra.norms[::r]
+    if isinstance(tms, Spectra):
+        if not np.all(d == d[0]):
+            raise InvalidInputError("Spectra need uniform d")
+        op, norms = tms.values, tms.norms
     else:
         op = np.stack([t.entries.T for t in tms])
         norms = np.array([reference_normalizer(t, phi.shape[2]) for t in tms[::r]])
     records, phi, slog = _lockstep(phi, op, norms, d, config, noise_rngs, run_offset, r)
-    if eigen and not prepared:
-        phi = np.stack([t.eigh[1] @ v for t, v in zip(tms, phi)])
     return records, _form(_scaled(phi, slog[:, None, None]), r)
 
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 
 
@@ -37,3 +41,27 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
     ACCEPTANCE_LINES.append(line)
     print(line)
     return ok
+
+
+# The seven scenarios at the reduced sizes criterion 12 runs them at.
+REDUCED_SCENARIOS = {
+    "fig2_collapse": dict(n_states=6, iters=40, record_every=20, eta=0.01),
+    "fig4_trace_ratio": dict(n_states=6, t_end=5.0, n_records=5),
+    "fig5_failure_mode": dict(t_end=5.0, n_records=5),
+    "example1_critical_points": dict(n_states=2),
+    "appendix_target_beta": dict(n_states=6, iters=40, record_every=20),
+    "appendix_finite_lr": dict(n_states=6, iters=40),
+    "appendix_noisy_predictor": dict(n_states=6, iters=40, record_every=20),
+}
+
+
+def blas_corename() -> str | None:
+    """The kernel type numpy's scipy-openblas runs on, as its scipy_openblas_get_corename64_
+    names it, or None where numpy's BLAS has no such symbol."""
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            return fn().decode()
+    return None

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import central_fd, rel_err, report
+from helpers import REDUCED_SCENARIOS, central_fd, rel_err, report
 from selfpredict import (
     BidirState,
     DynamicsConfig,
@@ -47,6 +47,7 @@ from selfpredict import (
     trace_objective,
     uniform_distribution,
 )
+from selfpredict.dynamics import eigen_stack
 from selfpredict.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 from selfpredict.seeding import (
     STREAM_INIT_LEFT,
@@ -90,7 +91,9 @@ def run_arm(gradient_mode="semi", predictor_mode="optimal", sigma=0.0,
     rngs = None
     if predictor_mode == "noisy":
         rngs = [stream_rng(0, i, STREAM_NOISE) for i in range(N_RUNS)]
-    records, _ = run_discrete_batch(phi0, tms, uniform_distribution(N_STATES),
+    # the symmetric chains step in their eigenbasis, as the scenario runner steps them
+    spectra, psi0 = eigen_stack(tms, phi0)
+    records, _ = run_discrete_batch(psi0, spectra, uniform_distribution(N_STATES),
                                     cfg, rngs)
     finals = [rs[-1].bundle for rs in records]
     return (np.array([b.max_abs_cosine for b in finals]),
@@ -352,17 +355,6 @@ def test_criterion_11_nonsymmetric_dip_exists():
     assert report(11, ok,
                   f"doubly stochastic single-representation runs: largest "
                   f"recorded dip {biggest_dip:.2e} < -1e-10")
-
-
-REDUCED_SCENARIOS = {
-    "fig2_collapse": dict(n_states=6, iters=40, record_every=20, eta=0.01),
-    "fig4_trace_ratio": dict(n_states=6, t_end=5.0, n_records=5),
-    "fig5_failure_mode": dict(t_end=5.0, n_records=5),
-    "example1_critical_points": dict(n_states=2),
-    "appendix_target_beta": dict(n_states=6, iters=40, record_every=20),
-    "appendix_finite_lr": dict(n_states=6, iters=40),
-    "appendix_noisy_predictor": dict(n_states=6, iters=40, record_every=20),
-}
 
 
 def test_criterion_12_determinism(tmp_path):

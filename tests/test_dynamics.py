@@ -56,6 +56,15 @@ def random_instance(seed, n=5, k=2):
     return tm, phi, pred, uniform_distribution(n)
 
 
+def run_eigen(phi0, tms, d, cfg, noise_rngs=None):
+    """run_discrete_batch in the eigenbasis of the symmetric chains tms, on eigen_stack's
+    Spectra and psi0: (records, final), the final stack mapped back to phi = U psi."""
+    spectra, psi0 = dynamics.eigen_stack(tms, phi0)
+    records, psi = run_discrete_batch(psi0, spectra, d, cfg, noise_rngs)
+    chains = tms if np.iterable(tms) else [tms] * len(psi)
+    return records, np.stack([t.eigh[1] @ v for t, v in zip(chains, psi)])
+
+
 class TestOrthonormalInit:
     def test_orthonormal_within_tolerance(self):
         phi = orthonormal_init(20, 5, 0)
@@ -321,13 +330,13 @@ class TestKernelStepOracle:
         cases = [
             # non-symmetric chains and a non-uniform d exercise P^T and the column weights
             ([gen_doubly_stochastic(n, seed + i) for i in range(m)], rng.dirichlet(np.ones(n))),
-            # symmetric chains under uniform d take the eigenbasis, the weight folded into lambda
+            # symmetric chains' Spectra under uniform d step in the eigenbasis, the weight
+            # folded into lambda
             ([gen_symmetric(n, seed + i) for i in range(m)], uniform_distribution(n)),
         ]
         for (tms, d), eigen in zip(cases, (False, True)):
-            assert dynamics._eigenbasis(tms, d) == eigen
             rngs = [np.random.default_rng(i) for i in range(m)] if mode == "noisy_sigma0" else None
-            _, final = run_discrete_batch(phi0, tms, d, cfg, rngs)
+            _, final = (run_eigen if eigen else run_discrete_batch)(phi0, tms, d, cfg, rngs)
             for i in range(m):
                 pred = optimal_predictor(phi0[i], tms[i], d)
                 if mode == "full":
@@ -393,7 +402,7 @@ class TestNonFiniteState:
                                DynamicsConfig(iters=3), run_offset=run_offset)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("case", ["eigen", "dense", "eigen_pair", "dense_pair"])
+    @pytest.mark.parametrize("case", ["eigen", "dense", "symmetric_pair", "dense_pair"])
     def test_a_hostile_initial_state_ends_in_the_typed_error_alone(self, case):
         # the initial covariance overflowed outside the kernel's errstate, so a
         # RuntimeWarning came first and, under -W error, escaped in place of the error
@@ -402,9 +411,11 @@ class TestNonFiniteState:
         tm = gen_doubly_stochastic(n, 0) if case == "dense_pair" else gen_symmetric(n, 0)
         phi = orthonormal_init(n, 2, 0) * 1e200
         state = BidirState(phi, orthonormal_init(n, 2, 1) * 1e200) if "pair" in case else phi
-        assert dynamics._eigenbasis([tm], d) == case.startswith("eigen")
         with pytest.raises(NonFiniteStateError, match="at step 1$"):
-            run_discrete(state, tm, d, DynamicsConfig(iters=3))
+            if case == "eigen":
+                run_eigen(phi[None], tm, d, DynamicsConfig(iters=3))
+            else:
+                run_discrete(state, tm, d, DynamicsConfig(iters=3))
 
     def test_a_hostile_noisy_run_is_rescaled(self, monkeypatch):
         # eta=50, sigma=1 overflows a noisy run by step 100: the guard rescales it, so each
@@ -420,7 +431,9 @@ class TestNonFiniteState:
             record_batch(records, step, psi, slog, c0, lam, *rest)
 
         monkeypatch.setattr(dynamics, "_record_batch", spy)
-        records, _ = run_discrete(phi, tm, d, cfg, noise_rng=np.random.default_rng(0))
+        spectra, psi0 = dynamics.eigen_stack(tm, phi[None])  # psi's records, no map back
+        records, _ = run_discrete_batch(psi0, spectra, d, cfg, [np.random.default_rng(0)])
+        records = records[0]
         assert [slog > 0 for _, slog, *_ in calls] == [False] + [True] * 30
         assert all(record_matches_mpmath(rec.bundle, *call)  # f overflowed
                    for rec, call in zip(records[1:], calls[1:]))
@@ -451,8 +464,7 @@ class TestNonFiniteState:
         mode = dict(predictor_mode="noisy", sigma=0.1) if noisy else {}
         rngs = [np.random.default_rng(s) for s in range(3)] if noisy else None
         with pytest.raises(NonFiniteStateError, match="^run 1 at step 3 turned non-finite$"):
-            run_discrete_batch(phi0, tms, uniform_distribution(n),
-                               DynamicsConfig(iters=iters, **mode), rngs)
+            run_eigen(phi0, tms, uniform_distribution(n), DynamicsConfig(iters=iters, **mode), rngs)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     # the state overflows at step 9 (eta=1e100) or 2 (1e308) of 50, or at the last step
@@ -462,16 +474,20 @@ class TestNonFiniteState:
         # one step outgrows the guard's 2**-256 rescale
         n = 20
         d = uniform_distribution(n) if uniform else np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+        phi0, tm = orthonormal_init(n, 2, 1), gen_symmetric(n, 0)
+        cfg = DynamicsConfig(eta=eta, iters=iters)
         with pytest.raises(NonFiniteStateError, match="run 0 at step"):
-            run_discrete(orthonormal_init(n, 2, 1), gen_symmetric(n, 0), d,
-                         DynamicsConfig(eta=eta, iters=iters))
+            if uniform:  # the chain's Spectra, in the eigenbasis
+                run_eigen(phi0[None], tm, d, cfg)
+            else:
+                run_discrete(phi0, tm, d, cfg)
 
 
     def test_a_step_that_outgrows_the_guard_raises_at_that_step(self):
         # it used to run on, its step-8 max_abs_cosine NaN
         with pytest.raises(NonFiniteStateError, match="run 0 at step 4 outgrew the blow-up guard"):
-            run_discrete(orthonormal_init(20, 2, 1), gen_symmetric(20, 0), uniform_distribution(20),
-                         DynamicsConfig(eta=1e100, iters=8, record_every=1))
+            run_eigen(orthonormal_init(20, 2, 1)[None], gen_symmetric(20, 0),
+                      uniform_distribution(20), DynamicsConfig(eta=1e100, iters=8, record_every=1))
 
     @settings(max_examples=60, deadline=None)
     @given(log_eta=st.floats(0.0, 300.0), iters=st.integers(1, 30), n=st.integers(3, 11),
@@ -488,7 +504,13 @@ class TestNonFiniteState:
         cfg = DynamicsConfig(eta=10.0 ** log_eta, iters=iters, record_every=1, **noisy)
         rng = None if sigma is None else np.random.default_rng(seed)
         try:
-            records, _ = run_discrete(state, tm, d, cfg, rng)
+            if eigen and not pair:  # the chain's Spectra, in the eigenbasis
+                spectra, psi0 = dynamics.eigen_stack(tm, phi0[None])
+                records, _ = run_discrete_batch(psi0, spectra, d, cfg,
+                                                None if rng is None else [rng])
+                records = records[0]
+            else:
+                records, _ = run_discrete(state, tm, d, cfg, rng)
         except NonFiniteStateError:
             return
         for rec in records:
@@ -726,10 +748,10 @@ def non_collapse_residuals(case, seed, n=12, k=3, m=6, eta=0.3, iters=300):
     max |phi_{t-1}^T g| / (u |phi_{t-1}| (|phi_t| + |g|)), Frobenius norms and u = 2**-53, the
     denominator bounding what reading g as a difference of rounded states adds to it;
     max |C_t - C_0 - sum g^T g| / max |C_t|; and
-    min lambda(C_t - C_0) / max |C_t|.  On the eigen path the states are psi = U^T phi,
-    whose Gram is phi's."""
+    min lambda(C_t - C_0) / max |C_t|.  Symmetric chains step in the eigenbasis, where the
+    states are psi = U^T phi, whose Gram is phi's."""
     rng = np.random.default_rng(seed)
-    symmetric = case in ("eigen", "slow_target", "rank_deficient")  # the last on the eigen path
+    symmetric = case in ("eigen", "slow_target", "rank_deficient")  # their Spectra step
     gen = gen_symmetric if symmetric else gen_doubly_stochastic
     tms = [gen(n, seed + i) for i in range(m)]
     d = rng.dirichlet(np.ones(n)) if case == "dense" else uniform_distribution(n)
@@ -748,7 +770,7 @@ def non_collapse_residuals(case, seed, n=12, k=3, m=6, eta=0.3, iters=300):
 
     with pytest.MonkeyPatch.context() as mp:  # a fixture would span every hypothesis example
         mp.setattr(dynamics, "_record_batch", spy)
-        run_discrete_batch(phi0, tms, d, cfg)
+        (run_eigen if symmetric else run_discrete_batch)(phi0, tms, d, cfg)
     phi = np.stack(states)  # (iters + 1, stack rows, n, k); a pair's members are rows of it
     prev, g = phi[:-1], np.diff(phi, axis=0)
     size, step = (np.linalg.norm(x, axis=(-2, -1)) for x in (phi, g))
@@ -895,7 +917,7 @@ class TestRecordResidual:
         tms = [gen_symmetric(n, s) for s in range(m)]
         phi0 = np.stack([orthonormal_init(n, 3, s + 10) for s in range(m)])
         cfg = DynamicsConfig(eta=1e-2, iters=1)
-        records, _ = run_discrete_batch(phi0, tms, uniform_distribution(n), cfg)
+        records, _ = run_eigen(phi0, tms, uniform_distribution(n), cfg)
         for i in range(m):
             expected = flow_residual(phi0[i], tms[i])
             assert records[i][0].bundle.residual == pytest.approx(expected, rel=1e-12)
@@ -916,7 +938,7 @@ class TestRecordResidual:
 
         monkeypatch.setattr(dynamics, "_record_batch", spy)
         cfg = DynamicsConfig(eta=10.0, iters=600, record_every=50)
-        records, _ = run_discrete_batch(phi0, tms, uniform_distribution(n), cfg)
+        records, _ = run_eigen(phi0, tms, uniform_distribution(n), cfg)
         assert any(np.any(slog > 0) for _, _, slog, _ in calls)
         for j, (phi, psi, slog, rest) in enumerate(calls):
             got = np.array([records[i][j].bundle.residual for i in range(m)])
@@ -943,7 +965,7 @@ class TestRecordResidual:
         monkeypatch.setattr(dynamics, "_record_batch", spy)
         # a slow target overshooting at eta * beta = 5 diverges within about 140 steps
         cfg = DynamicsConfig(eta=0.05, iters=150, record_every=1, target_beta=100.0)
-        records, _ = run_discrete_batch(phi0, tms, uniform_distribution(n), cfg)
+        records, _ = run_eigen(phi0, tms, uniform_distribution(n), cfg)
         finite_after_rescale = 0
         for j, (psi, slog, c0, lam) in enumerate(calls):
             for i in np.flatnonzero(slog > 0):
@@ -966,17 +988,12 @@ EIGEN_MODES = {
 
 
 def eigen_and_dense(phi0, tms, d, cfg):
-    """run_discrete_batch in the chains' eigenbasis and again on the dense P products."""
-    assert dynamics._eigenbasis(tms, d)
-    out = []
-    for dense in (False, True):
-        rngs = ([np.random.default_rng(i) for i in range(len(phi0))]
+    """run_discrete_batch in the chains' eigenbasis (run_eigen) and again on the dense P
+    products, the chains themselves."""
+    def rngs():
+        return ([np.random.default_rng(i) for i in range(len(phi0))]
                 if cfg.predictor_mode == "noisy" else None)
-        with pytest.MonkeyPatch.context() as mp:
-            if dense:
-                mp.setattr(dynamics, "_eigenbasis", lambda *args: None)
-            out.append(run_discrete_batch(phi0, tms, d, cfg, rngs))
-    return out
+    return [run(phi0, tms, d, cfg, rngs()) for run in (run_eigen, run_discrete_batch)]
 
 
 def record_columns(records):
@@ -1050,33 +1067,31 @@ class TestEigenbasisKernel:
             np.testing.assert_allclose(got[name][:, 0], want[name][:, 0], rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(np.isinf(fin_e), np.isinf(fin_d))
 
-    def test_other_inputs_keep_the_dense_path(self, monkeypatch):
+    def test_the_input_type_is_the_one_switch(self, monkeypatch):
+        # chains step on dense P, symmetric or not, under any d; only Spectra step on
+        # (m, n) eigenvalues
         n = 5
         chains = [gen_symmetric(n, s) for s in range(2)]
         nudged = chains[0].entries.copy()
         nudged[0, 1] = np.nextafter(nudged[0, 1], 1.0)  # one ulp off its transpose
         nudged = TransitionMatrix.from_entries(nudged)
         assert not nudged.is_symmetric
-        for tm in chains + [nudged]:
-            tm.singular_values  # the ceilings read the cached eigh before the count starts
-        counted = []
-        cached = TransitionMatrix.eigh
+        shapes, lockstep = [], dynamics._lockstep
 
-        def counting(tm):
-            counted.append(tm)
-            return cached.__get__(tm, TransitionMatrix)
+        def spy(phi, op, *args):
+            shapes.append(op.shape)
+            return lockstep(phi, op, *args)
 
-        monkeypatch.setattr(TransitionMatrix, "eigh", property(counting))
+        monkeypatch.setattr(dynamics, "_lockstep", spy)
         phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(2)])
         uniform = uniform_distribution(n)
         skewed = np.arange(1.0, n + 1) / np.arange(1.0, n + 1).sum()
-        # eigen_stack reads each chain's eigh once, and the map back to phi once more
-        for case, (tms, d, expected) in enumerate([(chains, uniform, 4), (chains, skewed, 0),
-                                                   ([nudged, chains[1]], uniform, 0)]):
-            counted.clear()
-            run_discrete_batch(phi0, tms, d, DynamicsConfig(eta=0.1, iters=2))
-            assert len(counted) == expected, case
-
+        cfg = DynamicsConfig(eta=0.1, iters=2)
+        for tms, d in [(chains, uniform), (chains, skewed), ([nudged, chains[1]], uniform)]:
+            run_discrete_batch(phi0, tms, d, cfg)
+        run_discrete_batch(BidirState(phi0, phi0[::-1]), chains, uniform, cfg)
+        run_eigen(phi0, chains, uniform, cfg)
+        assert shapes == [(2, n, n)] * 3 + [(4, n, n), (2, n)]
 
     def test_n_step_powers_keep_the_eigenbasis(self, monkeypatch):
         n, m = 20, 4
@@ -1093,10 +1108,10 @@ class TestEigenbasisKernel:
 
         monkeypatch.setattr(TransitionMatrix, "eigh", property(counting))
         phi0 = np.stack([orthonormal_init(n, 2, s) for s in range(m)])
-        run_discrete_batch(phi0, [n_step_matrix(t, 2) for t in chains], uniform_distribution(n),
-                           DynamicsConfig(eta=0.1, iters=2))
+        run_eigen(phi0, [n_step_matrix(t, 2) for t in chains], uniform_distribution(n),
+                  DynamicsConfig(eta=0.1, iters=2))
         # each squared chain's eigh is read by its normalizer, by eigen_stack and by
-        # the map back to phi; the dense step reads it only for the normalizer
+        # run_eigen's map back to phi
         assert len(counted) == 3 * m and len({id(t) for t in counted}) == m
 
 
@@ -1105,24 +1120,27 @@ class TestPreparedStack:
 
     @pytest.mark.parametrize("mode", sorted(EIGEN_MODES))
     def test_spectra_step_as_the_chains(self, mode):
+        # a stream of chains, prepared one at a time, steps as their eigenpairs read whole
         n, m, k = 9, 3, 3
         tms = [gen_symmetric(n, s) for s in range(m)]
         phi0 = np.stack([orthonormal_init(n, k, s + 5) for s in range(m)])
         d = uniform_distribution(n)
         cfg = DynamicsConfig(iters=60, record_every=20, **EIGEN_MODES[mode])
         spectra, psi0 = dynamics.eigen_stack(iter(tms), phi0)
+        whole = dynamics.Spectra(np.stack([t.eigh[0] for t in tms]),
+                                 np.array([reference_normalizer(t, k) for t in tms]))
+        psi_whole = np.stack([t.eigh[1].T @ v for t, v in zip(tms, phi0)])
 
-        def run(phi, chains):
+        def run(psi, chains):
             rngs = [np.random.default_rng(i) for i in range(m)] if mode == "noisy" else None
-            return run_discrete_batch(phi, chains, d, cfg, rngs)
+            return run_discrete_batch(psi, chains, d, cfg, rngs)
 
-        (rec_c, fin_c), (rec_s, fin_s) = run(phi0, tms), run(psi0, spectra)
+        (rec_c, fin_c), (rec_s, fin_s) = run(psi_whole, whole), run(psi0, spectra)
         assert rec_s.times.tobytes() == rec_c.times.tobytes()
         for got, want in zip(rec_s.columns, rec_c.columns):
             assert (got is None and want is None) or got.tobytes() == want.tobytes()
         # the prepared run's final state stays in the eigen coordinates
-        back = np.stack([t.eigh[1] @ v for t, v in zip(tms, fin_s)])
-        assert back.tobytes() == fin_c.tobytes()
+        assert fin_s.tobytes() == fin_c.tobytes()
 
     def test_chain_not_symmetric_bitwise_raises(self):
         n = 5
@@ -1197,18 +1215,21 @@ class TestStackIndependence:
            symmetric=st.booleans(), seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
     def test_a_runs_records_do_not_depend_on_its_stack(self, data, m, mode, symmetric, seed):
-        # symmetric chains step in the eigenbasis, doubly stochastic ones on dense P
+        # symmetric chains step their Spectra in the eigenbasis, doubly stochastic ones P
         n, k = 6, 2
         gen = gen_symmetric if symmetric else gen_doubly_stochastic
         tms = [gen(n, seed + i) for i in range(m)]
         phi0 = np.stack([orthonormal_init(n, k, seed + 10 + i) for i in range(m)])
         d, cfg = uniform_distribution(n), DynamicsConfig(iters=200, record_every=25,
                                                          **STACK_MODES[mode])
+        spectra, psi0 = dynamics.eigen_stack(tms, phi0) if symmetric else (None, phi0)
 
         def run(lo, hi):
             rngs = ([np.random.default_rng(seed + i) for i in range(lo, hi)]
                     if cfg.predictor_mode == "noisy" else None)
-            return run_discrete_batch(phi0[lo:hi], tms[lo:hi], d, cfg, rngs)
+            ops = (dynamics.Spectra(spectra.values[lo:hi], spectra.norms[lo:hi]) if symmetric
+                   else tms[lo:hi])
+            return run_discrete_batch(psi0[lo:hi], ops, d, cfg, rngs)
 
         records, final = run(0, m)
         cuts = sorted(data.draw(st.sets(st.integers(1, m - 1), min_size=1), label="cuts"))
@@ -1218,6 +1239,85 @@ class TestStackIndependence:
             for got, want in zip(part.columns, records.columns):
                 assert (got is None and want is None) or got.tobytes() == want[lo:hi].tobytes()
             assert part_final.tobytes() == final[lo:hi].tobytes()
+
+
+# Step sizes for the symmetry oracles.  At n = 8, k = 3 and 200 steps no run nears blow-up,
+# collapse or a saddle, where rounding grows past a fixed bound: at eta 0.3 and 300 steps,
+# 1 semi-gradient draw in 100 moved 20 to 100 times the median.
+SYMMETRY_MODES = {
+    "semi": dict(eta=0.05),
+    "full": dict(eta=0.02, gradient_mode="full"),
+    "slow_target": dict(eta=0.05, target_beta=1.0),
+    "pair": dict(eta=0.05),
+}
+
+
+def symmetry_case(mode, seed, eigen=False):
+    """(rng, chains, d, state, config) of m = 3 runs, or pairs, at n = 8, k = 3: symmetric
+    chains under uniform d, or doubly stochastic ones under a Dirichlet d (uniform for pairs)."""
+    n, k, m = 8, 3, 3
+    rng = np.random.default_rng(seed)
+    tms = [(gen_symmetric if eigen else gen_doubly_stochastic)(n, seed + i) for i in range(m)]
+    d = uniform_distribution(n) if eigen or mode == "pair" else rng.dirichlet(np.ones(n))
+    phi0 = np.stack([orthonormal_init(n, k, seed + 10 + i) for i in range(2 * m)])
+    state = BidirState(phi0[:m], phi0[m:]) if mode == "pair" else phi0[:m]
+    return rng, tms, d, state, DynamicsConfig(iters=200, record_every=50, **SYMMETRY_MODES[mode])
+
+
+def members(state):
+    """A stack of runs, or a stack of pairs' members, left then right."""
+    return np.concatenate([state.left, state.right]) if isinstance(state, BidirState) else state
+
+
+class TestSymmetries:
+    """The dynamics' symmetries as oracles (SYMMETRY_MODES, symmetry_case).
+
+    - Column mixing: phi0 -> phi0 Q, with Q an orthogonal (k, k), gives phi_t Q.  f, f_ratio,
+      f_tilde and the residual are invariant; drift and cosine read single entries of the
+      covariance, which Q mixes, so they are left out.
+    - State relabeling: P -> Pi P Pi^T, d -> Pi d and phi0 -> Pi phi0 give Pi phi_t and the
+      same records, on dense P and through eigen_stack (Pi P Pi^T has eigenvectors Pi U up
+      to sign, and psi_t moves by those signs only).
+
+    Tolerances, max |a - b| of states and of record columns (all O(1) here): over 1000 seeds
+    per mode, mixing moved states by at most 6.5e-15 and records by 2.4e-14; relabeling
+    moved states by 2.3e-15 and records by 3.6e-15 on dense P, and 3.1e-15 and 1.1e-14 in
+    the eigenbasis.  Each bound is 4 times its measurement, rounded up.
+    """
+
+    MIX_STATE, MIX_RECORDS = 2.6e-14, 1e-13
+    RELABEL = {False: (1e-14, 1.5e-14), True: (1.3e-14, 5e-14)}  # eigen: (state, records)
+
+    @staticmethod
+    def gaps(got, want, cols):
+        """Each record column's largest |got - want| of two Trajectories."""
+        return [np.abs(got.columns[i] - want.columns[i]).max() for i in cols
+                if want.columns[i] is not None]
+
+    @given(mode=st.sampled_from(sorted(SYMMETRY_MODES)), seed=st.integers(0, 2**31))
+    @settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_column_mixing_rotates_the_runs(self, mode, seed):
+        _, tms, d, state, cfg = symmetry_case(mode, seed)
+        q = orthonormal_init(3, 3, seed + 99)
+        rec, final = run_discrete_batch(state, tms, d, cfg)
+        rec_q, final_q = run_discrete_batch(dynamics._each(state, lambda v: v @ q), tms, d, cfg)
+        assert np.abs(members(final_q) - members(final) @ q).max() <= self.MIX_STATE
+        assert max(self.gaps(rec_q, rec, (0, 1, 2, 5))) <= self.MIX_RECORDS
+
+    @given(mode=st.sampled_from(sorted(SYMMETRY_MODES)), eigen=st.booleans(),
+           seed=st.integers(0, 2**31))
+    @settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_state_relabeling_permutes_the_runs(self, mode, eigen, seed):
+        eigen = eigen and mode != "pair"  # a pair steps on its chains
+        rng, tms, d, state, cfg = symmetry_case(mode, seed, eigen)
+        perm = rng.permutation(len(d))
+        relabeled = [TransitionMatrix.from_entries(t.entries[perm][:, perm]) for t in tms]
+        run = run_eigen if eigen else run_discrete_batch
+        rec, final = run(state, tms, d, cfg)
+        rec_p, final_p = run(dynamics._each(state, lambda v: v[:, perm]), relabeled, d[perm], cfg)
+        state_tol, records_tol = self.RELABEL[eigen]
+        assert np.abs(members(final_p) - members(final)[:, perm]).max() <= state_tol
+        assert max(self.gaps(rec_p, rec, range(6))) <= records_tol
 
 
 def exact_inside(x):

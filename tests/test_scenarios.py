@@ -274,11 +274,12 @@ class TestPreparedChunks:
         tms = [n_step_matrix(t, n_step) for t in tms] if n_step > 1 else tms
         left = np.stack([orthonormal_init(n, 2, stream_seed(seed, i, STREAM_INIT_LEFT))
                          for i in idxs])
+        spectra, psi0 = dynamics.eigen_stack(tms, left)  # the full chains, prepared at once
         for (times, *cols), params in zip(merged, scenarios._resolve(cfg).values()):
             dcfg = DynamicsConfig(**{f: v for f, v in params.items() if f not in ("mode", "chain")})
             rngs = ([stream_rng(seed, i, STREAM_NOISE) for i in idxs]
                     if dcfg.predictor_mode == "noisy" else None)
-            want, _ = run_discrete_batch(left, tms, d, dcfg, rngs, run_offset=lo)
+            want, _ = run_discrete_batch(psi0, spectra, d, dcfg, rngs, run_offset=lo)
             assert times.tobytes() == want.times.tobytes()
             for got, exp in zip(cols, want.columns):
                 assert (got is None and exp is None) or got.tobytes() == exp.tobytes()
@@ -337,27 +338,33 @@ class TestDeterminism:
             assert filecmp.cmp(pa, pb, shallow=False), (pa, pb)
 
     @pytest.mark.parametrize("dense", [False, True])
-    @pytest.mark.parametrize("scenario", ["fig2_collapse", "appendix_noisy_predictor"])
+    @pytest.mark.parametrize("scenario", ["fig2_collapse", "appendix_noisy_predictor",
+                                          "appendix_target_beta", "appendix_finite_lr"])
     def test_noise_blocks_leave_noisy_artifacts_unchanged(self, tmp_path, monkeypatch,
                                                           scenario, dense):
-        # A block of one step is the per-step draw; 150 steps cross a block boundary.
-        if dense:  # the runner hands the chains on unprepared, and the driver keeps them dense
+        # A block of one step is the per-step draw; 150 steps cross a block boundary.  The
+        # spy is also the runner's guard: every discrete scenario, --n-step 2 included, steps
+        # its chains' (m, n) eigenvalues, unless the chains reach the driver unprepared.
+        if dense:  # the runner hands the chains on unprepared, and the driver steps them on P
             monkeypatch.setattr(scenarios, "eigen_stack", lambda tms, phi0: (list(tms), phi0))
-            monkeypatch.setattr(dynamics, "_eigenbasis", lambda *args: None)
-        stepped = []  # the chain operand's rank: (m, n) eigenvalues or the (m, n, n) P^T stack
+        stepped = []  # the chain operand's shape: (m, n) eigenvalues or the (m, n, n) P^T stack
         lockstep = dynamics._lockstep
 
         def spy(phi, op, *args, **kwargs):
-            stepped.append(op.ndim)
+            stepped.append(op.shape[1:])
             return lockstep(phi, op, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_lockstep", spy)
+        # appendix_finite_lr trains eta_0.01 for iters / 0.01 steps
+        size = dict(iters=2) if scenario == "appendix_finite_lr" else dict(
+            eta=0.01, iters=150, record_every=50)
         arts = []
-        for block in (dynamics.NOISE_BLOCK, 1):
+        for block, n_step in ((dynamics.NOISE_BLOCK, 1), (1, 1), (dynamics.NOISE_BLOCK, 2)):
             monkeypatch.setattr(dynamics, "NOISE_BLOCK", block)
-            cfg = tiny(scenario, tmp_path / str(block), eta=0.01, iters=150, record_every=50)
+            cfg = tiny(scenario, tmp_path / f"{block}_{n_step}", n_step=n_step, **size)
             arts.append(run_scenario(cfg))
-        assert stepped and set(stepped) == {3 if dense else 2}
+        n = cfg.n_states
+        assert stepped and set(stepped) == {(n, n) if dense else (n,)}
         for pa, pb in zip(artifact_files(arts[0]), artifact_files(arts[1])):
             assert filecmp.cmp(pa, pb, shallow=False), (pa, pb)
 
