@@ -27,13 +27,15 @@ otherwise.
 
 First, the line count of each module of both packages is printed (as wc -l
 counts them), with the totals and the difference between the trees, and then
-each tree's public names (selfpredict.__all__).  Public names that differ
-between the trees also make the exit status 1.
+each tree's public names (selfpredict.__all__), and each public callable whose
+signature (a class's constructor's) differs, old and new.  Public names or
+signatures that differ between the trees also make the exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -81,24 +83,39 @@ def report_lines(old: Path, new: Path) -> None:
         print(f"{name or 'total':<20} {x:>6} {y:>6} {y - x:>+6}")
 
 
-def public_names(src: Path) -> list:
-    """selfpredict.__all__ of src's package, read in a fresh interpreter."""
+SIGNATURES = """\
+import inspect, json, selfpredict
+def signature(x):
+    try:
+        return str(inspect.signature(x)) if callable(x) else None
+    except (TypeError, ValueError):  # a callable without one
+        return None
+print(json.dumps({name: signature(getattr(selfpredict, name)) for name in selfpredict.__all__}))
+"""
+
+
+def public_names(src: Path) -> dict:
+    """Each name of selfpredict.__all__ of src's package mapped to its signature (None for
+    a name that is not a callable with one), read in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONDONTWRITEBYTECODE="1")
-    code = "import selfpredict; print(*selfpredict.__all__)"
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout.split()
+    return json.loads(subprocess.run([sys.executable, "-c", SIGNATURES], env=env,
+                                     capture_output=True, text=True, check=True).stdout)
 
 
 def report_names(old: Path, new: Path) -> bool:
-    """Print both trees' public names, shared first; returns whether they are the same."""
+    """Print both trees' public names, shared first, then every shared name whose signature
+    differs; returns whether the names and their signatures are the same."""
     a, b = public_names(old), public_names(new)
     print(f"public names (selfpredict.__all__): old {len(a)}, new {len(b)}")
-    for label, names in (("both", [x for x in a if x in b]), ("only in old", set(a) - set(b)),
-                         ("only in new", set(b) - set(a))):
+    for label, names in (("both", [x for x in a if x in b]), ("only in old", a.keys() - b),
+                         ("only in new", b.keys() - a)):
         if names:
             print(textwrap.fill(", ".join(sorted(names)), 88, initial_indent=f"  {label}: ",
                                 subsequent_indent="    "))
-    return sorted(a) == sorted(b)
+    moved = sorted(x for x in a.keys() & b if a[x] != b[x])
+    for name in moved:
+        print(f"  signature of {name}:\n    old {a[name]}\n    new {b[name]}")
+    return a.keys() == b.keys() and not moved
 
 
 def entries(root: Path) -> dict:

@@ -71,7 +71,7 @@ def bidir_ode_rhs(state: BidirState, tm: TransitionMatrix) -> BidirState:
 
 
 def integrate_flows_batch(flows, t_end: float = FLOW_T_END, n_records: int = FLOW_N_RECORDS,
-                          rel_tol: float = FLOW_TOL, abs_tol: float = FLOW_TOL, run_offset: int = 0):
+                          tol: float = FLOW_TOL, run_offset: int = 0):
     """integrate_ode_batch of several (state0, tms) entries, an (m, n, k) stack or a
     BidirState of them, in one loop: each entry's (records, final state), errors naming
     an entry's run from run_offset and its flow.  Beside a pair a single run rides as a
@@ -80,4 +80,4 @@ def integrate_flows_batch(flows, t_end: float = FLOW_T_END, n_records: int = FLO
     """
     flows = list(flows)
     solve = solve_ivp if any(isinstance(s, BidirState) for s, _ in flows) else dynamics.solve_ivp
-    return _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve)
+    return _integrate(flows, t_end, n_records, tol, run_offset, solve)

@@ -64,9 +64,9 @@ NOISE_BLOCK = 64  # steps of predictor noise drawn per generator call
 UNIFORM_TOL = 1e-12  # a pair's d may differ from uniform by this much
 FLOW_T_END, FLOW_N_RECORDS, FLOW_TOL = 100.0, 100, 1e-9  # the flow drivers' defaults
 MAX_ITERS = 10 ** 8  # steps per run; 100x the largest cell a scenario default runs
-# A flow's work grows with t_end (explicit RK45 keeps its step O(1)); rel_tol >= RK45's floor,
+# A flow's work grows with t_end (explicit RK45 keeps its step O(1)); tol >= RK45's floor,
 # 100 machine epsilons (a literal: np.finfo at import adds about 0.13 MB of peak RSS).
-MAX_T_END, MIN_REL_TOL = 100 * FLOW_T_END, 100 * 2.0 ** -52
+MAX_T_END, MIN_TOL = 100 * FLOW_T_END, 100 * 2.0 ** -52
 
 GRADIENT_MODES = ("semi", "full")
 PREDICTOR_MODES = ("optimal", "noisy")
@@ -92,7 +92,7 @@ class DynamicsConfig:
     sigma: float = 0.0
     target_beta: float | None = None
     # Not a field: every run trains on the squared loss.  bench/tracing.py reads it
-    # (ROADMAP item 1, bench-only names).
+    # (ROADMAP item 19, bench-only names).
     loss_kind = "squared"
 
     def __post_init__(self):
@@ -448,16 +448,16 @@ def flow_residual(phi, p) -> float:
 
 
 def integrate_ode_batch(phi0_stack, tms, t_end: float = FLOW_T_END, n_records: int = FLOW_N_RECORDS,
-                        rel_tol: float = FLOW_TOL, abs_tol: float = FLOW_TOL, run_offset: int = 0):
+                        tol: float = FLOW_TOL, run_offset: int = 0):
     """Integrate the flow for a stack of runs or pairs (phi0_stack, tms as in
-    run_discrete_batch): the m records (Trajectories) on a uniform grid of n_records + 1
-    points over [0, t_end] and the final state in phi0_stack's form; run_offset labels
-    errors.  A pair's f_ratio, f_tilde over the singular value ceiling, goes to one."""
-    return _integrate([(phi0_stack, tms)], t_end, n_records, rel_tol, abs_tol, run_offset,
-                      solve_ivp)[0]
+    run_discrete_batch) at tolerance tol, RK45's rtol and atol alike: the m records
+    (Trajectories) on a uniform grid of n_records + 1 points over [0, t_end] and the final
+    state in phi0_stack's form; run_offset labels errors.  A pair's f_ratio, f_tilde over
+    the singular value ceiling, goes to one."""
+    return _integrate([(phi0_stack, tms)], t_end, n_records, tol, run_offset, solve_ivp)[0]
 
 
-def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
+def _integrate(flows, t_end, n_records, tol, run_offset, solve):
     """integrate_ode_batch for flows, a list of (state0, tms) entries, in one loop of solve
     (the caller's solve_ivp): each entry's (records, final state).  A run or a pair is one
     row of solve, so a pair shares one step control.  Beside pairs, a single run rides as a
@@ -465,8 +465,7 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
     arithmetic gives each member the lone run's bits.  A row's chains are a per-run operand
     of solve, so they leave the loop with the row."""
     require_number(t_end, "t_end", 0, above=True, high=MAX_T_END)
-    require_number(rel_tol, "rel_tol", MIN_REL_TOL)
-    require_number(abs_tol, "abs_tol", 0, above=True)
+    require_number(tol, "tol", MIN_TOL)
     require_number(n_records, "n_records", 1, integer=True)
     require_number(run_offset, "run_offset", 0, integer=True)
     if any(isinstance(tms, Spectra) for _, tms in flows):
@@ -489,8 +488,7 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
         return f"run {run_offset + i - starts[j]} of the {('single', 'pair')[flows[j][-1] - 1]} flow"
 
     t_eval = np.linspace(0.0, t_end, n_records + 1)
-    sol = solve(rhs, t_end, phi.reshape(rows, -1), t_eval, rel_tol, abs_tol,
-                (p.reshape(rows, w, n, n),), name, w)
+    sol = solve(rhs, phi.reshape(rows, -1), t_eval, tol, (p.reshape(rows, w, n, n),), name, w)
     y = sol.y.reshape(rows, len(t_eval), w, n, k)
     out = []
     for (phi0, tms, a, r), lo, hi in zip(flows, starts, starts[1:]):
@@ -504,11 +502,10 @@ def _integrate(flows, t_end, n_records, rel_tol, abs_tol, run_offset, solve):
 
 
 def integrate_ode(phi0, tm: TransitionMatrix, t_end: float = FLOW_T_END,
-                  n_records: int = FLOW_N_RECORDS, rel_tol: float = FLOW_TOL,
-                  abs_tol: float = FLOW_TOL):
+                  n_records: int = FLOW_N_RECORDS, tol: float = FLOW_TOL):
     """Single-run wrapper around integrate_ode_batch for one (n, k) run or one pair
     (a BidirState); returns (records, final state in phi0's form)."""
-    return _single(integrate_ode_batch, phi0, tm, t_end, n_records, rel_tol, abs_tol)
+    return _single(integrate_ode_batch, phi0, tm, t_end, n_records, tol)
 
 
 def _partner(x, r):

@@ -111,22 +111,21 @@ class TransitionMatrix:
         return cls(a, bool(np.array_equal(a, a.T)), ds)
 
 
-def sinkhorn_normalize(raw, tol: float = 1e-12, max_iters: int = 100_000) -> TransitionMatrix:
+def sinkhorn_normalize(raw, max_iters: int = 100_000) -> TransitionMatrix:
     """Project a nonnegative matrix onto the doubly stochastic set.
 
     Alternates row normalization with column normalization until every row
-    and column sum is within tol of one, then applies one last row
-    normalization so the result is row-stochastic to machine precision.
-    Zero entries are fine (a permutation matrix passes through untouched);
-    negative entries and all-zero rows or columns are rejected, and hitting
-    max_iters raises NonConvergenceError.
+    and column sum is within STOCHASTIC_TOL of one, then applies one last row
+    normalization so the result is row-stochastic to machine precision and
+    flagged doubly stochastic.  Zero entries are fine (a permutation matrix
+    passes through untouched); negative entries and all-zero rows or columns
+    are rejected, and hitting max_iters raises NonConvergenceError.
     """
-    return TransitionMatrix.from_entries(_sinkhorn(raw, tol, max_iters))
+    return TransitionMatrix.from_entries(_sinkhorn(raw, max_iters))
 
 
-def _sinkhorn(raw, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:
+def _sinkhorn(raw, max_iters: int = 100_000) -> np.ndarray:
     """sinkhorn_normalize's projected array, not yet wrapped and validated."""
-    require_number(tol, "tol", 0, above=True)
     require_number(max_iters, "max_iters", 1, integer=True)
     a = _nonnegative_square(raw)
     rows = a.sum(axis=1, keepdims=True)
@@ -137,12 +136,12 @@ def _sinkhorn(raw, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:
         a /= rows
         a /= a.sum(axis=0, keepdims=True)
         rows = a.sum(axis=1, keepdims=True)  # the residual's row sums divide the next pass
-        if np.abs(rows - 1.0).max() <= tol and np.abs(a.sum(axis=0) - 1.0).max() <= tol:
+        if (np.abs(rows - 1.0).max() <= STOCHASTIC_TOL
+                and np.abs(a.sum(axis=0) - 1.0).max() <= STOCHASTIC_TOL):
             a /= rows
             return a
     raise NonConvergenceError(
-        f"alternating normalization still above tol={tol} after {max_iters} iterations"
-    )
+        f"alternating normalization still above {STOCHASTIC_TOL} after {max_iters} iterations")
 
 
 def gen_doubly_stochastic(n: int, seed: int, alpha="random") -> TransitionMatrix:

@@ -1,11 +1,12 @@
 """Dormand-Prince 5(4) for a stack of independent runs of an autonomous ODE.
 
 Each run is stepped as scipy.integrate's RK45 steps it (Dormand and Prince,
-J. Comput. Appl. Math. 6, 1980): same tableau, initial step, safety 0.9,
-factors in [0.2, 10], RMS error norm and quartic dense output.  Every
-operation acts on a run's row alone, and on each of a row's members as on that
-member alone: the tableau sums contract the stage axis element by element, and
-a row's error norm is the mean of its members' sums of squares.  So a run's
+J. Comput. Appl. Math. 6, 1980) from 0 to the last point of its output grid,
+one tolerance serving as its rtol and atol alike: same tableau, initial step,
+safety 0.9, factors in [0.2, 10], RMS error norm and quartic dense output.
+Every operation acts on a run's row alone, and on each of a row's members as on
+that member alone: the tableau sums contract the stage axis element by element,
+and a row's error norm is the mean of its members' sums of squares.  So a run's
 trajectory does not depend on the runs beside it, and a row of equal members
 steps each of them bitwise as it steps alone.  A non-finite error norm rejects
 at factor 0.2, so an overflowing run ends in StepSizeUnderflowError below 10
@@ -46,17 +47,18 @@ def _rms(x, members):
     return np.sqrt(s) / (x.shape[1] // members) ** 0.5
 
 
-def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format, members=1):
-    """Integrate y' = fun(y, *args) from 0 to t_end for every row of y0.
+def solve_ivp(fun, y0, t_eval, tol, args=(), name="run {}".format, members=1):
+    """Integrate y' = fun(y, *args) from 0 to t_eval[-1] for every row of y0.
 
     fun maps a stack of states to their derivatives, row by row; args are
     per-run operands, each with one leading row per run.  fun gets the rows of
     the runs whose grid is not yet written, and their rows of args.  t_eval is
-    an increasing grid from 0 to t_end.  Returns y, the (m, len(t_eval), N)
-    states on the grid, and nfev, the number of fun calls.  name(i) labels row
-    i of y0 in error messages.  A row of y0 holds members states of equal size.
+    an increasing grid from 0, and tol is scipy's rtol and atol alike.  Returns
+    y, the (m, len(t_eval), N) states on the grid, and nfev, the number of fun
+    calls.  name(i) labels row i of y0 in error messages.  A row of y0 holds
+    members states of equal size.
     """
-    y = np.array(y0, dtype=float)
+    y, t_end = np.array(y0, dtype=float), t_eval[-1]
     m, size = y.shape
     out = np.empty((m, len(t_eval), size))
     out[:, 0] = y
@@ -64,7 +66,7 @@ def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format,
     written[:, 0] = True
     with np.errstate(all="ignore"):
         f = fun(y, *args)
-        scale = atol + np.abs(y) * rtol
+        scale = tol + np.abs(y) * tol
         d0, d1 = _rms(y / scale, members), _rms(f / scale, members)
         h0 = np.fmin(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_end)
         d2 = _rms((fun(y + h0 * f, *args) - f) / scale, members) / h0
@@ -97,7 +99,7 @@ def solve_ivp(fun, t_end, y0, t_eval, rtol, atol, args=(), name="run {}".format,
                 K[:, s] = fun(y + np.einsum("j,rjx->rx", A[s, :s], K[:, :s]) * h, *args)
             y_new = y + h * np.einsum("j,rjx->rx", B, K[:, :6])
             K[:, 6] = f_new = fun(y_new, *args)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
             err = _rms(np.einsum("j,rjx->rx", E, K) * h / scale, members)
             nfev += 6
             # A zero error norm gives an infinite factor, capped by minimum; a NaN

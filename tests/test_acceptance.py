@@ -139,7 +139,7 @@ def test_criterion_03_symmetric_trace_monotonicity():
     strict_violations = 0
     for i in range(N_RUNS):
         rec, _ = integrate_ode(left_init(i), sym_chain(i), t_end=100.0,
-                               n_records=100, rel_tol=ODE_TOL, abs_tol=ODE_TOL)
+                               n_records=100, tol=ODE_TOL)
         f = np.array([r.bundle.f for r in rec])
         resid = np.array([r.bundle.residual for r in rec])
         diffs = np.diff(f)
@@ -239,9 +239,9 @@ def test_criterion_06_bidirectional_beats_single():
         left = orthonormal_init(3, 2, stream_seed(0, i, STREAM_INIT_LEFT))
         right = orthonormal_init(3, 2, stream_seed(0, i, STREAM_INIT_RIGHT))
         rec_s, _ = integrate_ode(left, tm, t_end=100.0, n_records=100,
-                                 rel_tol=ODE_TOL, abs_tol=ODE_TOL)
+                                 tol=ODE_TOL)
         rec_b, _ = integrate_bidir(BidirState(left, right), tm, t_end=100.0,
-                                   n_records=100, rel_tol=ODE_TOL, abs_tol=ODE_TOL)
+                                   n_records=100, tol=ODE_TOL)
         single_final.append(rec_s[-1].bundle.f_ratio)
         bidir_final.append(rec_b[-1].bundle.f_ratio)
         bidir_curves.append([r.bundle.f_ratio for r in rec_b])
@@ -348,7 +348,7 @@ def test_criterion_11_nonsymmetric_dip_exists():
     biggest_dip = np.inf
     for i in range(N_RUNS):
         rec, _ = integrate_ode(left_init(i), ds_chain(i), t_end=100.0,
-                               n_records=100, rel_tol=ODE_TOL, abs_tol=ODE_TOL)
+                               n_records=100, tol=ODE_TOL)
         f = np.array([r.bundle.f for r in rec])
         biggest_dip = min(biggest_dip, float(np.diff(f).min()))
     ok = biggest_dip < -1e-10

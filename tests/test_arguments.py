@@ -7,7 +7,7 @@ converting with markov._floats, which refuses complex, object, string, ragged an
 non-finite input.  A property (HOSTILE) calls every public callable that takes an array
 or a chain with hostile values and asserts a SelfPredictError or an all-finite result.
 The typed raises that no other test reaches have one case each (TYPED).  A flow past its
-work bounds (t_end, rel_tol), noise that is not one Generator per run, and a run_offset
+work bounds (t_end, tol), noise that is not one Generator per run, and a run_offset
 that is not a count are refused before any step or integration."""
 
 import dataclasses
@@ -33,7 +33,7 @@ from selfpredict import (BidirState, DegenerateCovarianceError, DynamicsConfig,
                          validate_distribution)
 from selfpredict import dynamics
 from selfpredict.bidirectional import integrate_flows_batch
-from selfpredict.dynamics import MAX_T_END, MIN_REL_TOL, Trajectories
+from selfpredict.dynamics import MAX_T_END, MIN_TOL, Trajectories
 from selfpredict.scenarios import ScenarioConfig, _resolve
 
 N = 3  # also the fixed chain's size, so k = N + 1 is past fig5's width as well
@@ -64,12 +64,12 @@ EPSILON = {
     "solve_predictor": lambda e: solve_predictor(PHI, TM, D, "cosine_eps", epsilon=e),
 }
 TOLERANCE = {
-    "sinkhorn_normalize tol": lambda t: sinkhorn_normalize(RAW, tol=t),
     "sinkhorn_normalize max_iters": lambda t: sinkhorn_normalize(RAW, max_iters=t),
     "solve_predictor tol": lambda t: solve_predictor(PHI, TM, D, tol=t),
-    "integrate_ode_batch rel_tol": lambda t: integrate_ode_batch(PHI[None], TM, rel_tol=t),
-    "integrate_ode_batch abs_tol": lambda t: integrate_ode_batch(PHI[None], TM, abs_tol=t),
+    "integrate_ode_batch tol": lambda t: integrate_ode_batch(PHI[None], TM, tol=t),
     "integrate_ode_batch t_end": lambda t: integrate_ode_batch(PHI[None], TM, t_end=t),
+    "integrate_flows_batch tol": lambda t: integrate_flows_batch(
+        [(BidirState(PHI[None], PHI[None]), TM)], tol=t),
 }
 CASES = [
     *((site, call, k) for site, call in WIDTH.items() for k in (0, N + 1)),
@@ -104,9 +104,8 @@ FLOW_BOUNDS = [  # (site, call, value): the flows' work bounds, past which a flo
     *((site, call, t) for t in (2 * MAX_T_END, 1e308) for site, call in (
         ("integrate_ode_batch t_end", TOLERANCE["integrate_ode_batch t_end"]),
         ("ScenarioConfig t_end", lambda t: ScenarioConfig("fig4_trace_ratio", t_end=t)))),
-    *(("integrate_ode_batch rel_tol", lambda t: integrate_ode_batch(PHI[None], TM, rel_tol=t,
-                                                                    abs_tol=t), t)
-      for t in (MIN_REL_TOL / 2, 1e-300)),
+    *(("integrate_ode_batch tol", TOLERANCE["integrate_ode_batch tol"], t)
+      for t in (MIN_TOL / 2, 1e-300)),
 ]
 
 
@@ -114,9 +113,9 @@ FLOW_BOUNDS = [  # (site, call, value): the flows' work bounds, past which a flo
                                          for site, call, value in FLOW_BOUNDS])
 def test_a_flow_past_its_work_bound_is_refused_before_integrating(monkeypatch, call, value):
     # t_end=1e308 integrated until killed (the work grows with t_end), and so did
-    # rel_tol=1e-300 at t_end=10
+    # a tolerance of 1e-300 at t_end=10
     monkeypatch.setattr(dynamics, "solve_ivp", lambda *a: pytest.fail("a flow was integrated"))
-    with pytest.raises(InvalidInputError, match="t_end|rel_tol"):
+    with pytest.raises(InvalidInputError, match="t_end|tol"):
         call(value)
 
 
@@ -126,7 +125,7 @@ def test_the_flow_bounds_edges_pass(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_ivp", stand_in)
     with pytest.raises(Integrated):
-        integrate_ode_batch(PHI[None], TM, t_end=MAX_T_END, rel_tol=MIN_REL_TOL)
+        integrate_ode_batch(PHI[None], TM, t_end=MAX_T_END, tol=MIN_TOL)
     assert ScenarioConfig("fig4_trace_ratio", t_end=MAX_T_END).t_end == MAX_T_END
 
 

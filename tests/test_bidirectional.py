@@ -128,8 +128,7 @@ class TestFlow:
         # to keep solver wobble below the 1e-8 allowance.
         tm = fixed_example_3x3()
         records, final = integrate_bidir(paired_state(3, 2, 5), tm,
-                                         t_end=100.0, n_records=50,
-                                         rel_tol=1e-11, abs_tol=1e-11)
+                                         t_end=100.0, n_records=50, tol=1e-11)
         assert records[-1].bundle.f_ratio >= 1.0 - 1e-6
         ft = np.array([r.bundle.f_tilde for r in records])
         assert np.all(np.diff(ft) >= -1e-8)

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.linalg import expm
 
 from helpers import central_fd, rel_err
 from selfpredict import dynamics
@@ -20,6 +22,7 @@ from selfpredict import (
     collapse_metrics,
     covariance_solve,
     fixed_example_2x2,
+    fixed_example_3x3,
     flow_residual,
     full_gradient_step,
     gen_doubly_stochastic,
@@ -1283,10 +1286,19 @@ class TestSymmetries:
     per mode, mixing moved states by at most 6.5e-15 and records by 2.4e-14; relabeling
     moved states by 2.3e-15 and records by 3.6e-15 on dense P, and 3.1e-15 and 1.1e-14 in
     the eigenbasis.  Each bound is 4 times its measurement, rounded up.
+
+    The flows (integrate_ode_batch over FLOW, runs and pairs on symmetric and doubly
+    stochastic chains) take the same two properties.  Relabeling only reorders the sums of
+    RK45's error norm: over 500 seeds per mode, states and records moved by at most 3.3e-14.
+    Mixing changes the norm itself, whose per-entry scale tol (1 + |y|) is not rotation
+    invariant, so the rotated run takes other steps and the two differ by the integration
+    error: states moved by at most 5.5e-9 and records by 3.4e-8.  Bounds as above.
     """
 
     MIX_STATE, MIX_RECORDS = 2.6e-14, 1e-13
     RELABEL = {False: (1e-14, 1.5e-14), True: (1.3e-14, 5e-14)}  # eigen: (state, records)
+    FLOW = dict(t_end=10.0, n_records=5)  # at tol FLOW_TOL = 1e-9
+    FLOW_MIX_STATE, FLOW_MIX_RECORDS, FLOW_RELABEL = 2.3e-8, 1.4e-7, 1.4e-13
 
     @staticmethod
     def gaps(got, want, cols):
@@ -1318,6 +1330,29 @@ class TestSymmetries:
         state_tol, records_tol = self.RELABEL[eigen]
         assert np.abs(members(final_p) - members(final)[:, perm]).max() <= state_tol
         assert max(self.gaps(rec_p, rec, range(6))) <= records_tol
+
+    @given(pair=st.booleans(), symmetric=st.booleans(), seed=st.integers(0, 2**31))
+    @settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_column_mixing_rotates_the_flows(self, pair, symmetric, seed):
+        _, tms, _, state, _ = symmetry_case("pair" if pair else "semi", seed, symmetric)
+        q = orthonormal_init(3, 3, seed + 99)
+        rec, final = integrate_ode_batch(state, tms, **self.FLOW)
+        rec_q, final_q = integrate_ode_batch(dynamics._each(state, lambda v: v @ q), tms,
+                                             **self.FLOW)
+        assert np.abs(members(final_q) - members(final) @ q).max() <= self.FLOW_MIX_STATE
+        assert max(self.gaps(rec_q, rec, (0, 1, 2, 5))) <= self.FLOW_MIX_RECORDS
+
+    @given(pair=st.booleans(), symmetric=st.booleans(), seed=st.integers(0, 2**31))
+    @settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_state_relabeling_permutes_the_flows(self, pair, symmetric, seed):
+        rng, tms, d, state, _ = symmetry_case("pair" if pair else "semi", seed, symmetric)
+        perm = rng.permutation(len(d))
+        relabeled = [TransitionMatrix.from_entries(t.entries[perm][:, perm]) for t in tms]
+        rec, final = integrate_ode_batch(state, tms, **self.FLOW)
+        rec_p, final_p = integrate_ode_batch(dynamics._each(state, lambda v: v[:, perm]),
+                                             relabeled, **self.FLOW)
+        assert np.abs(members(final_p) - members(final)[:, perm]).max() <= self.FLOW_RELABEL
+        assert max(self.gaps(rec_p, rec, range(6))) <= self.FLOW_RELABEL
 
 
 def exact_inside(x):
@@ -1464,10 +1499,12 @@ class TestFlow:
         with pytest.raises(InvalidInputError):
             integrate_ode(np.ones((2, 1)), np.eye(2))
 
-    @pytest.mark.parametrize("kw", [dict(rel_tol=-1), dict(rel_tol=0), dict(rel_tol=np.nan),
-                                    dict(rel_tol=np.inf), dict(abs_tol=0), dict(n_records=2.5)])
+    @pytest.mark.parametrize("kw", [dict(tol=-1), dict(tol=0), dict(tol=np.nan),
+                                    dict(tol=np.inf), dict(tol=dynamics.MIN_TOL / 2),
+                                    dict(n_records=2.5)])
     def test_tolerances_and_record_count_are_checked(self, kw):
-        # rel_tol=-1 used to integrate, nan and both tolerances at 0 to underflow at t=0
+        # a tolerance of -1 used to integrate, nan and 0 to underflow at t=0, and one under
+        # MIN_TOL is below RK45's floor of 100 machine epsilons
         tm, phi, _, _ = random_instance(0)
         with pytest.raises(InvalidInputError, match=next(iter(kw))):
             integrate_ode(phi, tm, t_end=1.0, **kw)
@@ -1495,7 +1532,7 @@ def asymptotic_horizon(tm, v0, n):
     a = np.stack([tm.entries, tm.entries.T])[:len(v0)]  # a pair's right member runs on P^T
     for t_end in HORIZONS:
         flow = as_members(integrate_ode(as_state(v0), tm, t_end=t_end, n_records=1,
-                                        rel_tol=1e-12, abs_tol=1e-12)[1])
+                                        tol=1e-12)[1])
         errors = []
         for eta in (0.1, 0.01):
             steps = round(t_end * n / (2.0 * eta))
@@ -1547,6 +1584,71 @@ class TestFlowLimit:
         richardson = np.abs((10.0 * runs[1] - runs[0]) / 9.0 - flow).max()
         assert 8.5 <= coarse / fine <= 11.5
         assert richardson <= 0.05 * coarse
+
+
+def k1_reference(b, z0, t_eval):
+    """The k = 1 flow z' = c (B z - c z), c = z^T B z / |z|^2, on t_eval: the normalized
+    linear flow |z0| e^{Bs} z0 / |e^{Bs} z0| on the clock ds/dt = c, by scipy's expm and
+    DOP853 (rtol 1e-13) on the scalar clock alone."""
+    def psi(s):
+        x = expm(b * s) @ z0
+        return x * (np.linalg.norm(z0) / np.linalg.norm(x))
+
+    def clock(_t, s):
+        z = psi(s[0])
+        return [z @ b @ z / (z0 @ z0)]
+
+    sol = scipy_solve_ivp(clock, (0.0, t_eval[-1]), [0.0], method="DOP853", t_eval=t_eval,
+                          rtol=1e-13, atol=1e-15)
+    assert sol.success
+    return np.array([psi(s) for s in sol.y[0]])
+
+
+class TestFlowOracle:
+    """Both flows at k = 1 against their closed form (k1_reference).
+
+    At k = 1 the single flow is phi' = c (P phi - c phi) with c = phi^T P phi, which is the
+    normalized linear flow e^{Ps} phi0 / |e^{Ps} phi0| on the clock ds/dt = c, for any
+    chain; a pair is the same flow on z = (L, R) with B = [[0, P], [P^T, 0]], |z| = sqrt 2
+    and c = L^T P R.  The reference shares neither the tableau nor the step rule of rk45,
+    nor dynamics._flow.  Records: f = (phi^T P phi)^2 (a pair's left member's), f_tilde =
+    c^2, f_ratio = c^2 (a run's f) over the top squared singular value, and the residual
+    |c| |B z - c z|, the hypot of a pair's members' residuals.
+
+    Tolerances, as multiples of the drivers' tol = 1e-12: over 1,300 draws of this
+    property's strategy, the final states moved from the reference by at most 65 tol and the
+    records by at most 1040 tol (median 3.2 tol).  The largest moves are draws that start
+    near c = 0 and leave it within the horizon: the flow's time there is sensitive to its
+    start, and RK45's error in it shows in the records through the steep rise of f.  Each
+    bound is 4 times its measurement, rounded up.
+    """
+
+    TOL = 1e-12
+    STATE, RECORDS = 300 * TOL, 4200 * TOL
+    CHAINS = {"symmetric": gen_symmetric, "doubly_stochastic": gen_doubly_stochastic,
+              "fixed_3x3": lambda n, seed: fixed_example_3x3()}
+
+    @given(kind=st.sampled_from(sorted(CHAINS)), n=st.integers(3, 20), pair=st.booleans(),
+           t_end=st.sampled_from([1.0, 10.0, 100.0]), seed=st.integers(0, 2**31))
+    @settings(max_examples=6, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_flows_follow_the_closed_form(self, kind, n, pair, t_end, seed):
+        tm = self.CHAINS[kind](n, seed)
+        a, n = tm.entries, tm.n
+        v0 = [orthonormal_init(n, 1, seed + 1 + i)[:, 0] for i in range(1 + pair)]
+        b = a if not pair else np.block([[np.zeros((n, n)), a], [a.T, np.zeros((n, n))]])
+        z = k1_reference(b, np.concatenate(v0), np.linspace(0.0, t_end, 11))
+        c = np.einsum("ti,ij,tj->t", z, b, z) / len(v0)
+        left = z[:, :n]
+        residual = np.abs(c) * np.linalg.norm(z @ b.T - c[:, None] * z, axis=1)
+        want = ((left @ a * left).sum(axis=1) ** 2, c * c / np.linalg.norm(a, 2) ** 2,
+                c * c if pair else None, residual)
+        state = as_state(np.stack(v0)[:, None, :, None])
+        records, final = integrate_ode_batch(state, [tm], t_end=t_end, n_records=10, tol=self.TOL)
+        assert np.abs(as_members(final).reshape(-1) - z[-1]).max() <= self.STATE
+        for i, column in zip((0, 1, 2, 5), want):
+            assert (column is None) == (records.columns[i] is None)
+            if column is not None:
+                assert np.abs(records.columns[i][0] - column).max() <= self.RECORDS
 
 
 class TestSolvePredictor:

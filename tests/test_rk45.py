@@ -60,15 +60,14 @@ def test_matches_scipy_rk45(kind, n, k, tol):
     v0 = orthonormal_init(n, k, n + k)
     t_eval = np.linspace(0.0, 20.0, 11)
     ref = scipy_states(tm.entries, v0, t_eval, tol)
-    sol = rk45.solve_ivp(single_rhs(tm.entries[None]), 20.0, v0.reshape(1, -1),
-                         t_eval, tol, tol)
+    sol = rk45.solve_ivp(single_rhs(tm.entries[None]), v0.reshape(1, -1), t_eval, tol)
     assert ref.success
     assert np.abs(sol.y[0] - ref.y.T).max() <= 100 * tol
     # Same step control: the two integrators evaluate the flow as often,
     # give or take one rejected step.
     assert abs(sol.nfev - ref.nfev) <= 6
     # The public driver lands on the same final state.
-    _, final = integrate_ode(v0, tm, t_end=20.0, n_records=10, rel_tol=tol, abs_tol=tol)
+    _, final = integrate_ode(v0, tm, t_end=20.0, n_records=10, tol=tol)
     assert np.abs(final.ravel() - ref.y[:, -1]).max() <= 100 * tol
 
 
@@ -85,8 +84,7 @@ def test_paired_flow_matches_scipy_rk45(n, tol):
 
     ref = scipy_solve_ivp(rhs, (0.0, 20.0), np.concatenate([left.ravel(), right.ravel()]),
                           method="RK45", rtol=tol, atol=tol)
-    _, final = integrate_bidir(BidirState(left, right), tm, t_end=20.0, n_records=4,
-                               rel_tol=tol, abs_tol=tol)
+    _, final = integrate_bidir(BidirState(left, right), tm, t_end=20.0, n_records=4, tol=tol)
     got = np.concatenate([final.left.ravel(), final.right.ravel()])
     assert np.abs(got - ref.y[:, -1]).max() <= 100 * tol
 
@@ -159,9 +157,8 @@ def test_a_twin_row_integrates_each_member_as_that_member_alone(k, n, data):
                            for i in range(rows)])
     a[twin, 1], v0[twin, 1] = a[twin, 0], v0[twin, 0]
     t_eval = np.linspace(0.0, 20.0, 21)
-    stack = rk45.solve_ivp(member_rhs, 20.0, v0.reshape(rows, -1), t_eval, 1e-9, 1e-9, (a,),
-                           members=2)
-    alone = rk45.solve_ivp(member_rhs, 20.0, v0[twin, :1].reshape(1, -1), t_eval, 1e-9, 1e-9,
+    stack = rk45.solve_ivp(member_rhs, v0.reshape(rows, -1), t_eval, 1e-9, (a,), members=2)
+    alone = rk45.solve_ivp(member_rhs, v0[twin, :1].reshape(1, -1), t_eval, 1e-9,
                            (a[twin, None, :1],))
     for member in stack.y[twin].reshape(len(t_eval), 2, -1).swapaxes(0, 1):
         assert np.array_equal(member, alone.y[0])
@@ -276,7 +273,7 @@ def test_repeated_grid_points_are_each_written():
     grid = np.array([0.0, 0.0, 0.0, 0.25, 0.25, 0.6, 1.0, 1.0])
     distinct, where = np.unique(grid, return_inverse=True)
     with time_limit(30):
-        rep, dis = (rk45.solve_ivp(lambda y: -y * (1.0 + y * y), 1.0, y0, g, 1e-9, 1e-9)
+        rep, dis = (rk45.solve_ivp(lambda y: -y * (1.0 + y * y), y0, g, 1e-9)
                     for g in (grid, distinct))
     assert rep.nfev == dis.nfev
     assert np.array_equal(rep.y, dis.y[:, where])

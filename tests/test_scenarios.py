@@ -162,6 +162,19 @@ class TestWholeArtifacts:
         assert "only in new: .run.stage" in capsys.readouterr().out
         assert module.compare(tmp_path / "old", tmp_path / "old") == 0
 
+    def test_artifact_diff_sees_a_changed_signature(self, tmp_path, capsys):
+        for side, params in (("old", "raw, tol=1e-12"), ("new", "raw"), ("same", "raw")):
+            (tmp_path / side / "selfpredict").mkdir(parents=True)
+            (tmp_path / side / "selfpredict" / "__init__.py").write_text(
+                f"__all__ = ['project']\ndef project({params}):\n    pass\n")
+        module = load_artifact_diff()
+        assert module.public_names(tmp_path / "old") == {"project": "(raw, tol=1e-12)"}
+        assert not module.report_names(tmp_path / "old", tmp_path / "new")
+        assert "signature of project:\n    old (raw, tol=1e-12)\n    new (raw)\n" in (
+            capsys.readouterr().out)
+        assert module.report_names(tmp_path / "new", tmp_path / "same")
+        assert "signature of" not in capsys.readouterr().out
+
 
 class TestCrossScenarioIdentity:
     def test_fig2_semi_optimal_is_the_noisy_sweeps_sigma_0(self, tmp_path):
