@@ -26,9 +26,13 @@ status is 0 when both trees wrote the same entries with the same bytes, and 1
 otherwise.
 
 First, the line count of each module of both packages is printed (as wc -l
-counts them), with the totals and the difference between the trees, and then
-each tree's public names (selfpredict.__all__), and each public callable whose
-signature (a class's constructor's) differs, old and new.  Public names or
+counts them), with the totals and the difference between the trees, then each
+tree's cold import cost: the median wall time of `import selfpredict.scenarios`
+after numpy and the process's peak RSS after it (VmHWM, so Linux only), over 7
+fresh interpreters per tree run alternately without a bytecode cache, as a
+benchmark process imports it, and then each tree's public names
+(selfpredict.__all__), and each public callable whose signature (a class's
+constructor's) differs, old and new.  Public names or
 signatures that differ between the trees also make the exit status 1.
 """
 
@@ -81,6 +85,38 @@ def report_lines(old: Path, new: Path) -> None:
     for name in sorted(a.keys() | b.keys()) + [None]:
         x, y = (sum(c.values()) if name is None else c.get(name, 0) for c in (a, b))
         print(f"{name or 'total':<20} {x:>6} {y:>6} {y - x:>+6}")
+
+
+# The peak is VmHWM (Linux): ru_maxrss would start at the forking process's RSS.
+IMPORT_COST = """\
+import time, numpy
+start = time.perf_counter()
+import selfpredict.scenarios
+elapsed = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    print(elapsed, next(int(x.split()[1]) for x in status if x.startswith("VmHWM:")))
+"""
+IMPORT_REPEATS = 7
+
+
+def import_costs(*srcs: Path) -> list:
+    """(median seconds, median peak RSS in KiB) of a cold `import selfpredict.scenarios` after
+    numpy for each tree, over IMPORT_REPEATS fresh interpreters per tree, alternating."""
+    runs = [[] for _ in srcs]
+    for _ in range(IMPORT_REPEATS):
+        for src, out in zip(srcs, runs):
+            env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONDONTWRITEBYTECODE="1")
+            out.append([float(v) for v in subprocess.run(
+                [sys.executable, "-c", IMPORT_COST], env=env, capture_output=True, text=True,
+                check=True).stdout.split()])
+    return [tuple(np.median(r, axis=0)) for r in runs]
+
+
+def report_import_cost(old: Path, new: Path) -> None:
+    """Print each tree's cold import cost (import_costs)."""
+    for label, (sec, kib) in zip(("old", "new"), import_costs(old, new)):
+        print(f"cold import of selfpredict.scenarios, {label}: {sec * 1e3:.1f} ms, "
+              f"peak RSS {kib / 1024:.2f} MB")
 
 
 SIGNATURES = """\
@@ -166,6 +202,7 @@ def main(argv=None) -> int:
         if not (src / "selfpredict" / "__init__.py").is_file():
             p.error(f"{src} holds no selfpredict package")
     report_lines(args.old, args.new)
+    report_import_cost(args.old, args.new)
     same_names = report_names(args.old, args.new)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

@@ -61,7 +61,6 @@ RESCALE_LIMIT = 2.0 ** 256
 RESCALE_EXP = 256.0
 GUARD_SUMSQ = 2.0 ** 510  # a sum of squares up to this, rounding included, keeps |x| < 2**256
 NOISE_BLOCK = 64  # steps of predictor noise drawn per generator call
-UNIFORM_TOL = 1e-12  # a pair's d may differ from uniform by this much
 FLOW_T_END, FLOW_N_RECORDS, FLOW_TOL = 100.0, 100, 1e-9  # the flow drivers' defaults
 MAX_ITERS = 10 ** 8  # steps per run; 100x the largest cell a scenario default runs
 # A flow's work grows with t_end (explicit RK45 keeps its step O(1)); tol >= RK45's floor,
@@ -529,18 +528,6 @@ def _columns(phi, slog, c0, op, norms, apply, r=1):
             np.hypot(resid[:, 0], resid[:, 1]))
 
 
-def _record_batch(records, step, phi, slog, c0, op, norms, apply, r=1):
-    """Append (step, *_columns(...)) of one record to records."""
-    records.append((step, *_columns(phi, slog, c0, op, norms, apply, r)))
-
-
-def _stacked(records) -> Trajectories:
-    """The Trajectories of _record_batch's list: its (runs,) columns side by side."""
-    times, *cols = zip(*records)
-    return Trajectories(np.array(times), tuple(None if c[0] is None else np.stack(c, axis=1)
-                                               for c in cols))
-
-
 def _rep_stack(state0, tms):
     """Checked (m r, n, k) float copy of state0, its m r chains (or, for runs, their Spectra)
     and r: 1 for an (m, n, k) stack, 2 for a BidirState of two, whose m pairs are laid out
@@ -604,9 +591,10 @@ def _pair_chains(tms) -> list:
 
 
 def _require_uniform(d, n: int) -> np.ndarray:
+    """d, checked: a distribution on n states whose entries are all equal (uniform_distribution)."""
     v = validate_distribution(d, n)
-    if np.abs(v - 1.0 / n).max() > UNIFORM_TOL:
-        raise InvalidInputError("bidirectional dynamics are defined for the uniform distribution")
+    if not np.all(v == v[0]):
+        raise InvalidInputError("pairs and Spectra are defined for uniform d, entries all equal")
     return v
 
 
@@ -645,7 +633,8 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
     """
     require_number(run_offset, "run_offset", 0, integer=True)
     phi, tms, r = _rep_stack(phi0_stack, tms)
-    d = (validate_distribution if r == 1 else _require_uniform)(d, phi.shape[1])
+    d = (_require_uniform if r == 2 or isinstance(tms, Spectra) else validate_distribution)(
+        d, phi.shape[1])
     if r == 2 and (config.gradient_mode, config.predictor_mode,
                    config.target_beta) != ("semi", "optimal", None):
         raise InvalidInputError("pairs train on the semi gradient, optimal predictor, no target")
@@ -655,8 +644,6 @@ def run_discrete_batch(phi0_stack, tms, d, config: DynamicsConfig,
             and all(isinstance(g, np.random.Generator) for g in noise_rngs)):
         raise InvalidInputError(f"predictor_mode='noisy' needs a sequence of {m} numpy Generators")
     if isinstance(tms, Spectra):
-        if not np.all(d == d[0]):
-            raise InvalidInputError("Spectra need uniform d")
         op, norms = tms.values, tms.norms
     else:
         op = np.stack([t.entries.T for t in tms])
@@ -694,7 +681,7 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
     # A hostile initial state overflows in c0 and its first solve raises.
     with np.errstate(over="ignore", invalid="ignore"):
         c0 = phi.transpose(0, 2, 1) @ phi
-        _record_batch(records, 0.0, phi, slog, c0, op, norms, apply, r)
+        records.append((0.0, *_columns(phi, slog, c0, op, norms, apply, r)))
         for step in range(1, config.iters + 1):
             pred = covariance_solve_batch(*normal(target), name)
             if noisy:  # a generator's stream is the same however many steps a call draws
@@ -721,8 +708,10 @@ def _lockstep(phi, op, norms, d, config, noise_rngs=None, run_offset=0, r=1):
                     x[big] *= 2.0 ** -RESCALE_EXP
                 slog[big] += RESCALE_EXP
             if step % config.record_every == 0 or step == config.iters:
-                _record_batch(records, float(step), phi, slog, c0, op, norms, apply, r)
-    return _stacked(records), phi, slog
+                records.append((float(step), *_columns(phi, slog, c0, op, norms, apply, r)))
+    times, *cols = zip(*records)  # each record's (runs,) columns side by side
+    return Trajectories(np.array(times), tuple(None if c[0] is None else np.stack(c, axis=1)
+                                               for c in cols)), phi, slog
 
 
 def run_discrete(phi0, tm: TransitionMatrix, d, config: DynamicsConfig, noise_rng=None):

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import InvalidInputError, NonConvergenceError, NotSymmetricError, require_number
 
 STOCHASTIC_TOL = 1e-12
+SINKHORN_MAX_ITERS = 100_000
 SIGN_TOL = 1e-12
 
 
@@ -106,42 +107,44 @@ class TransitionMatrix:
         row_err = np.abs(a.sum(axis=1) - 1.0).max()
         if row_err > STOCHASTIC_TOL:
             raise InvalidInputError(f"rows must sum to 1 within {STOCHASTIC_TOL}, worst error {row_err:.3e}")
-        ds = bool(np.abs(a.sum(axis=0) - 1.0).max() <= STOCHASTIC_TOL)
         a.setflags(write=False)
-        return cls(a, bool(np.array_equal(a, a.T)), ds)
+        return cls(a, bool(np.array_equal(a, a.T)), _unit_columns(a))
 
 
-def sinkhorn_normalize(raw, max_iters: int = 100_000) -> TransitionMatrix:
+def _unit_columns(a) -> bool:
+    """Whether a's column sums are within STOCHASTIC_TOL of one: the doubly stochastic flag."""
+    return bool(np.abs(a.sum(axis=0) - 1.0).max() <= STOCHASTIC_TOL)
+
+
+def sinkhorn_normalize(raw) -> TransitionMatrix:
     """Project a nonnegative matrix onto the doubly stochastic set.
 
-    Alternates row normalization with column normalization until every row
-    and column sum is within STOCHASTIC_TOL of one, then applies one last row
-    normalization so the result is row-stochastic to machine precision and
-    flagged doubly stochastic.  Zero entries are fine (a permutation matrix
-    passes through untouched); negative entries and all-zero rows or columns
-    are rejected, and hitting max_iters raises NonConvergenceError.
+    Alternates row with column normalization until the row sums are within
+    STOCHASTIC_TOL of one and the rows divided by them pass the doubly
+    stochastic flag's own test (_unit_columns); that chain is returned, so it
+    is flagged doubly stochastic by construction.  Zero entries are fine (a
+    permutation matrix passes through untouched); negative entries and
+    all-zero rows or columns are rejected, and SINKHORN_MAX_ITERS iterations
+    without a stop raise NonConvergenceError.
     """
-    return TransitionMatrix.from_entries(_sinkhorn(raw, max_iters))
+    return TransitionMatrix.from_entries(_sinkhorn(raw))
 
 
-def _sinkhorn(raw, max_iters: int = 100_000) -> np.ndarray:
+def _sinkhorn(raw) -> np.ndarray:
     """sinkhorn_normalize's projected array, not yet wrapped and validated."""
-    require_number(max_iters, "max_iters", 1, integer=True)
     a = _nonnegative_square(raw)
     rows = a.sum(axis=1, keepdims=True)
     if np.any(rows == 0.0) or np.any(a.sum(axis=0) == 0.0):
         raise InvalidInputError("matrix must have no all-zero row or column")
 
-    for _ in range(max_iters):
+    for _ in range(SINKHORN_MAX_ITERS):
         a /= rows
         a /= a.sum(axis=0, keepdims=True)
         rows = a.sum(axis=1, keepdims=True)  # the residual's row sums divide the next pass
-        if (np.abs(rows - 1.0).max() <= STOCHASTIC_TOL
-                and np.abs(a.sum(axis=0) - 1.0).max() <= STOCHASTIC_TOL):
-            a /= rows
-            return a
+        if np.abs(rows - 1.0).max() <= STOCHASTIC_TOL and _unit_columns(out := a / rows):
+            return out
     raise NonConvergenceError(
-        f"alternating normalization still above {STOCHASTIC_TOL} after {max_iters} iterations")
+        f"alternating normalization still above {STOCHASTIC_TOL} after {SINKHORN_MAX_ITERS} iterations")
 
 
 def gen_doubly_stochastic(n: int, seed: int, alpha="random") -> TransitionMatrix:

@@ -64,7 +64,6 @@ EPSILON = {
     "solve_predictor": lambda e: solve_predictor(PHI, TM, D, "cosine_eps", epsilon=e),
 }
 TOLERANCE = {
-    "sinkhorn_normalize max_iters": lambda t: sinkhorn_normalize(RAW, max_iters=t),
     "solve_predictor tol": lambda t: solve_predictor(PHI, TM, D, tol=t),
     "integrate_ode_batch tol": lambda t: integrate_ode_batch(PHI[None], TM, tol=t),
     "integrate_ode_batch t_end": lambda t: integrate_ode_batch(PHI[None], TM, t_end=t),

@@ -183,13 +183,13 @@ class TestDiscrete:
         tm = gen_doubly_stochastic(n, 2)
         st = paired_state(n, 2, 2)
         calls = []
-        record_batch = dynamics._record_batch
+        columns = dynamics._columns
 
-        def spy(records, step, pair, slog, *rest):
+        def spy(pair, slog, *rest):
             calls.append((pair.copy(), slog.copy()))
-            record_batch(records, step, pair, slog, *rest)
+            return columns(pair, slog, *rest)
 
-        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        monkeypatch.setattr(dynamics, "_columns", spy)
         cfg = DynamicsConfig(eta=10.0, iters=600, record_every=5)
         records, final = run_discrete_bidir(st, tm, uniform_distribution(n), cfg)
         assert calls[-1][1][0] > 0  # the guard fired
@@ -314,18 +314,42 @@ class TestOneDriver:
         out_it = bidirectional.integrate_flows_batch(iter(flows), t_end=2.0, n_records=4)
         assert len(out_it) == 2 and all(a[0] == b[0] for a, b in zip(out_it, out))
 
-    def test_a_pair_takes_d_within_1e_12_of_uniform(self):
+    def test_uniform_d_is_equal_entries_for_pairs_and_spectra(self):
+        # one check, one message: a d one ulp off uniform (still a distribution) is refused
+        # by a pair, by Spectra and by the pair's predictors, and uniform_distribution passes
         n = 6
-        tms = [gen_doubly_stochastic(n, 1)]
+        tms = [gen_symmetric(n, 1)]  # doubly stochastic, so a pair's chain, and symmetric
         st0 = stacked_pairs(n, 2, 1, 1)
+        spectra, psi0 = dynamics.eigen_stack(tms, st0.left)
+        pair = BidirState(st0.left[0], st0.right[0])
         cfg = DynamicsConfig(eta=0.1, iters=5)
-        for off, ok in ((1e-13, True), (1e-11, False)):
-            d = uniform_distribution(n) + off * np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
-            if ok:
-                run_discrete_batch(st0, tms, d, cfg)
-            else:
-                with pytest.raises(InvalidInputError, match="uniform"):
-                    run_discrete_batch(st0, tms, d, cfg)
+        calls = (lambda d: run_discrete_batch(st0, tms, d, cfg),
+                 lambda d: run_discrete_batch(psi0, spectra, d, cfg),
+                 lambda d: bidir_optimal_predictors(pair, tms[0], d))
+        off = uniform_distribution(n)
+        off[0] = np.nextafter(off[0], 1.0)
+        messages = set()
+        for call in calls:
+            call(uniform_distribution(n))
+            with pytest.raises(InvalidInputError, match="uniform") as e:
+                call(off)
+            messages.add(str(e.value))
+        assert len(messages) == 1
+
+    def test_equal_entries_that_are_no_distribution_fail_the_distribution_check(self):
+        # the uniform check runs validate_distribution first: entries all 0.5 are equal,
+        # but the pair, Spectra and the pair's predictors refuse them for their sum
+        n = 6
+        tms = [gen_symmetric(n, 1)]
+        st0 = stacked_pairs(n, 2, 1, 1)
+        spectra, psi0 = dynamics.eigen_stack(tms, st0.left)
+        cfg = DynamicsConfig(eta=0.1, iters=5)
+        for call in (lambda d: run_discrete_batch(st0, tms, d, cfg),
+                     lambda d: run_discrete_batch(psi0, spectra, d, cfg),
+                     lambda d: bidir_optimal_predictors(
+                         BidirState(st0.left[0], st0.right[0]), tms[0], d)):
+            with pytest.raises(InvalidInputError, match="sum to 1"):
+                call(np.full(n, 0.5))
 
     @pytest.mark.parametrize("case", ["spectra", "nonuniform", "full", "noisy", "target"])
     def test_the_discrete_driver_rejects_what_a_pair_cannot_train(self, case):

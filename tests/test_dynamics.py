@@ -427,13 +427,13 @@ class TestNonFiniteState:
         cfg = DynamicsConfig(eta=50.0, iters=3000, record_every=100,
                              predictor_mode="noisy", sigma=1.0)
         calls = []
-        record_batch = dynamics._record_batch
+        columns = dynamics._columns
 
-        def spy(records, step, psi, slog, c0, lam, *rest):
+        def spy(psi, slog, c0, lam, *rest):
             calls.append((psi[0].copy(), slog[0], c0[0], lam[0, :, 0]))
-            record_batch(records, step, psi, slog, c0, lam, *rest)
+            return columns(psi, slog, c0, lam, *rest)
 
-        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        monkeypatch.setattr(dynamics, "_columns", spy)
         spectra, psi0 = dynamics.eigen_stack(tm, phi[None])  # psi's records, no map back
         records, _ = run_discrete_batch(psi0, spectra, d, cfg, [np.random.default_rng(0)])
         records = records[0]
@@ -746,7 +746,7 @@ class TestTargetNetwork:
 
 def non_collapse_residuals(case, seed, n=12, k=3, m=6, eta=0.3, iters=300):
     """(orthogonality, identity, smallest eigenvalue) of a run_discrete_batch stack read at
-    every step through a _record_batch spy, over every run and step t >= 1, with g the
+    every step through a _columns spy, over every run and step t >= 1, with g the
     increment phi_t - phi_{t-1} and C_t = phi_t^T phi_t:
     max |phi_{t-1}^T g| / (u |phi_{t-1}| (|phi_t| + |g|)), Frobenius norms and u = 2**-53, the
     denominator bounding what reading g as a difference of rounded states adds to it;
@@ -764,15 +764,15 @@ def non_collapse_residuals(case, seed, n=12, k=3, m=6, eta=0.3, iters=300):
     phi0 = BidirState(phi0[:m], phi0[m:]) if case == "pair" else phi0[:m]
     cfg = DynamicsConfig(eta=eta, iters=iters, record_every=1,
                          target_beta=0.5 if case == "slow_target" else None)
-    states, record_batch = [], dynamics._record_batch
+    states, columns = [], dynamics._columns
 
-    def spy(records, step, phi, slog, *rest):
+    def spy(phi, slog, *rest):
         assert not slog.any()  # the guard never fires, so the states are the runs' own
         states.append(phi.copy())
-        record_batch(records, step, phi, slog, *rest)
+        return columns(phi, slog, *rest)
 
     with pytest.MonkeyPatch.context() as mp:  # a fixture would span every hypothesis example
-        mp.setattr(dynamics, "_record_batch", spy)
+        mp.setattr(dynamics, "_columns", spy)
         (run_eigen if symmetric else run_discrete_batch)(phi0, tms, d, cfg)
     phi = np.stack(states)  # (iters + 1, stack rows, n, k); a pair's members are rows of it
     prev, g = phi[:-1], np.diff(phi, axis=0)
@@ -931,15 +931,15 @@ class TestRecordResidual:
         p_stack = np.stack([t.entries for t in tms])
         phi0 = np.stack([orthonormal_init(n, 2, s + 1) for s in range(m)])
         calls = []
-        record_batch = dynamics._record_batch
+        columns = dynamics._columns
 
-        def spy(records, step, psi, slog, *rest):
+        def spy(psi, slog, *rest):
             # These chains train in their eigenbasis, psi = U^T phi; map back to phi.
             phi = np.stack([t.eigh[1] @ v for t, v in zip(tms, psi)])
             calls.append((phi, psi.copy(), slog.copy(), rest))
-            record_batch(records, step, psi, slog, *rest)
+            return columns(psi, slog, *rest)
 
-        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        monkeypatch.setattr(dynamics, "_columns", spy)
         cfg = DynamicsConfig(eta=10.0, iters=600, record_every=50)
         records, _ = run_eigen(phi0, tms, uniform_distribution(n), cfg)
         assert any(np.any(slog > 0) for _, _, slog, _ in calls)
@@ -948,9 +948,7 @@ class TestRecordResidual:
             np.testing.assert_allclose(got, projector_residual(phi, slog, p_stack), rtol=1e-10)
             # The same representations carried at a 2**64 smaller scale, which
             # reaches the 2**(-2 slog) term with finite values.
-            shifted = []
-            record_batch(shifted, 0.0, psi * 2.0 ** -64, slog + 64.0, *rest)
-            again = shifted[0][-1]  # the (step, *columns) record's residual column
+            again = columns(psi * 2.0 ** -64, slog + 64.0, *rest)[-1]  # the residual column
             np.testing.assert_allclose(again, got, rtol=1e-10)
 
 
@@ -959,13 +957,13 @@ class TestRecordResidual:
         tms = [gen_symmetric(n, s) for s in range(m)]
         phi0 = np.stack([orthonormal_init(n, k, s + 1) for s in range(m)])
         calls = []
-        record_batch = dynamics._record_batch
+        columns = dynamics._columns
 
-        def spy(records, step, psi, slog, c0, lam, *rest):
+        def spy(psi, slog, c0, lam, *rest):
             calls.append((psi.copy(), slog.copy(), c0, lam))
-            record_batch(records, step, psi, slog, c0, lam, *rest)
+            return columns(psi, slog, c0, lam, *rest)
 
-        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        monkeypatch.setattr(dynamics, "_columns", spy)
         # a slow target overshooting at eta * beta = 5 diverges within about 140 steps
         cfg = DynamicsConfig(eta=0.05, iters=150, record_every=1, target_beta=100.0)
         records, _ = run_eigen(phi0, tms, uniform_distribution(n), cfg)
@@ -1050,13 +1048,13 @@ class TestEigenbasisKernel:
         tms = [gen_symmetric(n, s) for s in range(m)]
         phi0 = np.stack([orthonormal_init(n, 2, s + 1) for s in range(m)])
         slogs = []
-        record_batch = dynamics._record_batch
+        columns = dynamics._columns
 
-        def spy(records, step, phi, slog, *rest):
+        def spy(phi, slog, *rest):
             slogs.append(slog.copy())
-            record_batch(records, step, phi, slog, *rest)
+            return columns(phi, slog, *rest)
 
-        monkeypatch.setattr(dynamics, "_record_batch", spy)
+        monkeypatch.setattr(dynamics, "_columns", spy)
         cfg = DynamicsConfig(eta=10.0, iters=600, record_every=50)
         (rec_e, fin_e), (rec_d, fin_d) = eigen_and_dense(phi0, tms, uniform_distribution(n), cfg)
         half = len(slogs) // 2
@@ -1397,15 +1395,15 @@ class TestGuardPredicate:
         runs = []
         for inside in (dynamics._inside, exact_inside):
             slogs = []
-            record_batch = dynamics._record_batch
+            columns = dynamics._columns
 
-            def spy(records, step, phi, slog, *rest):
+            def spy(phi, slog, *rest):
                 slogs.append(slog.copy())
-                record_batch(records, step, phi, slog, *rest)
+                return columns(phi, slog, *rest)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dynamics, "_inside", inside)
-                mp.setattr(dynamics, "_record_batch", spy)
+                mp.setattr(dynamics, "_columns", spy)
                 records, final = run_discrete_batch(GUARD_CASES[case], spectra,
                                                     uniform_distribution(n), cfg)
             runs.append((np.array(slogs), [c for c in records.columns if c is not None], final))

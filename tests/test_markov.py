@@ -112,10 +112,24 @@ class TestSinkhorn:
         with pytest.raises(InvalidInputError, match="at least one state"):
             sinkhorn_normalize(np.zeros((0, 0)))
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         raw = np.random.default_rng(0).random((6, 6))
+        monkeypatch.setattr(markov, "SINKHORN_MAX_ITERS", 1)
         with pytest.raises(NonConvergenceError):
-            sinkhorn_normalize(raw, max_iters=1)
+            sinkhorn_normalize(raw)
+
+    def test_the_stop_tests_the_chain_it_returns(self, monkeypatch):
+        # the column test of the doubly stochastic flag sees the returned entries, bit for bit
+        seen, unit_columns = [], markov._unit_columns
+
+        def spy(a):
+            seen.append(a.copy())
+            return unit_columns(a)
+
+        monkeypatch.setattr(markov, "_unit_columns", spy)
+        out = markov._sinkhorn(np.random.default_rng(0).random((6, 6)))
+        assert seen and np.array_equal(seen[-1], out) and unit_columns(out)
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= markov.STOCHASTIC_TOL
 
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(sorted(RAW_DRAWS)), n=st.integers(1, 39),

@@ -176,6 +176,33 @@ class TestWholeArtifacts:
         assert "signature of" not in capsys.readouterr().out
 
 
+    def test_artifact_diff_measures_each_trees_import(self, tmp_path, monkeypatch):
+        # a tree whose scenarios module sleeps 0.3 s and writes 64 MiB costs that much more: at
+        # least 0.3 s, and 64 MiB of peak RSS to within 1 MiB, as the empty tree's peak is numpy's
+        # import high-water, some tens of KiB above the RSS the blob is written on
+        body = "import time\ntime.sleep(0.3)\nBLOB = b'x' * (64 << 20)\n"
+        for side, body in (("old", ""), ("new", body)):
+            (tmp_path / side / "selfpredict").mkdir(parents=True)
+            (tmp_path / side / "selfpredict" / "__init__.py").write_text("")
+            (tmp_path / side / "selfpredict" / "scenarios.py").write_text(body)
+        module = load_artifact_diff()
+        monkeypatch.setattr(module, "IMPORT_REPEATS", 1)
+        (old_s, old_kib), (new_s, new_kib) = module.import_costs(tmp_path / "old", tmp_path / "new")
+        assert new_s - old_s >= 0.3 and abs(new_kib - old_kib - (64 << 10)) < 1 << 10
+
+    def test_artifact_diff_prints_each_trees_import_cost(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "selfpredict").mkdir()
+        for name in ("__init__.py", "scenarios.py"):
+            (tmp_path / "selfpredict" / name).write_text("")
+        module = load_artifact_diff()
+        monkeypatch.setattr(module, "IMPORT_REPEATS", 1)
+        module.report_import_cost(tmp_path, tmp_path)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"cold import of selfpredict.scenarios, {side}" for side in ("old", "new")]
+        assert all(line.endswith(" MB") and " ms, peak RSS " in line for line in lines)
+
+
 class TestCrossScenarioIdentity:
     def test_fig2_semi_optimal_is_the_noisy_sweeps_sigma_0(self, tmp_path):
         # The same seeds, chains and predictor: sigma = 0 adds +-0 to it, so the bytes agree.
@@ -322,8 +349,8 @@ class TestMedian:
         values = data.draw(st.lists(st.one_of(st.floats(), EDGE_VALUES),
                                     min_size=runs * steps, max_size=runs * steps))
         x = np.array(values).reshape(runs, steps)
-        with np.errstate(all="ignore"):
-            for a in (x, x[:, -1], x[:, 0].copy()):
+        with np.errstate(all="ignore"):  # x[1:] has the other parity: both kth lists each time
+            for a in (x, x[:, -1], x[:, 0].copy(), *((x[1:],) if runs > 1 else ())):
                 got, want = scenarios._median(a), np.median(a, axis=0)
                 assert np.shape(got) == np.shape(want)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, got, want)
