@@ -1,9 +1,9 @@
 """Command line front end for running scenarios.
 
 Exit codes: 0 on success, 2 for invalid usage or inputs (unknown scenario,
-bad flag values, malformed config file), 1 for runtime failures such as IO
-errors.  Failures print a one-object JSON diagnostic to stderr with the
-error class name and message.
+bad flag values, a missing, unreadable or malformed config file), 1 for
+runtime failures such as an IO error while writing.  Failures print a
+one-object JSON diagnostic to stderr with the error class name and message.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ def main(argv=None) -> int:
         if args.config is not None:
             try:
                 raw = json.loads(args.config.read_text())
+            except OSError as exc:  # missing, a directory, or not readable
+                raise InvalidInputError(
+                    f"config file {args.config} cannot be read: {exc.strerror or exc}") from None
             except ValueError as exc:  # malformed, not UTF-8, or an int past Python's digit limit
                 raise InvalidInputError(f"config file is not readable JSON: {exc}") from None
             if not isinstance(raw, dict):

@@ -262,13 +262,12 @@ def _critical_points(cfg: ScenarioConfig):
 
 def _write_csv(path: Path, times, *cols) -> None:
     """One row per run and time from _run_chunk's columns; f_tilde None leaves its field empty."""
-    row = "%d,%.17g,%.17g,%.17g," + ("" if cols[2] is None else "%.17g") + ",%.17g,%.17g,%.17g"
-    runs, steps = cols[0].shape
-    ids = np.repeat(np.arange(runs), steps).tolist()
-    flat = [np.tile(times, runs).tolist()] + [c.ravel().tolist() for c in cols if c is not None]
-    lines = ["run_id,step_or_time,f,f_ratio,f_tilde,covariance_drift,max_abs_cosine,residual"]
-    lines += [row % values for values in zip(ids, *flat)]
-    path.write_text("\n".join(lines) + "\n")
+    row = "%d,%.17g,%.17g,%.17g," + ("" if cols[2] is None else "%.17g") + ",%.17g,%.17g,%.17g\n"
+    times, cols = times.tolist(), [c for c in cols if c is not None]
+    with open(path, "w") as f:
+        f.write("run_id,step_or_time,f,f_ratio,f_tilde,covariance_drift,max_abs_cosine,residual\n")
+        for i in range(len(cols[0])):  # a run at a time: one run's floats and text held at once
+            f.write("".join(row % (i, *v) for v in zip(times, *(c[i].tolist() for c in cols))))
 
 
 def _median(x):

@@ -147,7 +147,8 @@ def test_noise_generators_are_checked_before_the_first_step(monkeypatch, name):
         run_discrete_batch(np.stack([PHI, PHI]), TM, D, NOISY, NOISE[name]())
 
 
-@pytest.mark.parametrize("rng", [5, None, np.random.RandomState(0)], ids=repr)
+@pytest.mark.parametrize("rng", [5, None, np.random.RandomState(0)],
+                         ids=["5", "None", "RandomState"])  # repr holds a memory address
 def test_noisy_predictor_takes_a_generator_only(rng):
     # rng=5 raised AttributeError
     with pytest.raises(InvalidInputError, match="rng must be a numpy Generator"):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import tracemalloc
 from pathlib import Path
@@ -51,6 +52,19 @@ class TestGoldens:
         expected, meta = load_golden("symmetric_n20_seed3")
         got = gen_symmetric(meta["n"], meta["seed"])
         assert np.abs(got.entries - expected).max() <= 1e-12
+
+    def test_the_oracle_regenerates_the_goldens_byte_for_byte(self, tmp_path, capsys):
+        # the goldens stay what their independent oracle, as checked in, writes
+        path = GOLDEN.parents[1] / "scripts" / "make_goldens.py"
+        spec = importlib.util.spec_from_file_location("make_goldens", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main([str(tmp_path)])
+        assert capsys.readouterr().out == f"wrote goldens to {tmp_path}\n"
+        names = sorted(p.name for p in GOLDEN.iterdir())
+        assert len(names) == 6 and sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def sparse_pattern(rng, n):

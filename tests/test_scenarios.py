@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
@@ -265,6 +266,57 @@ class TestColumnarArtifacts:
             lines = path.read_text().splitlines()
             assert lines[0] == CSV_HEADER
             assert lines[1:] == record_rows(expected[key])
+
+
+def one_shot_csv(path, times, *cols):
+    """The CSV writer before it wrote a run at a time: every row formatted, joined, then written."""
+    row = "%d,%.17g,%.17g,%.17g," + ("" if cols[2] is None else "%.17g") + ",%.17g,%.17g,%.17g"
+    runs, steps = cols[0].shape
+    ids = np.repeat(np.arange(runs), steps).tolist()
+    flat = [np.tile(times, runs).tolist()] + [c.ravel().tolist() for c in cols if c is not None]
+    path.write_text("\n".join([CSV_HEADER] + [row % values for values in zip(ids, *flat)]) + "\n")
+
+
+FLOAT_MAX = np.finfo(float).max
+CSV_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, FLOAT_MAX,
+                      -FLOAT_MAX, np.nextafter(FLOAT_MAX, 0.0), 1.0])
+
+
+def csv_columns(rng, runs, steps, ftilde):
+    """One variant's (times, *cols) as _run_chunk gives them: random float64 bit patterns,
+    about a quarter of them replaced by edge values."""
+    def draw(*shape):
+        bits = np.frombuffer(rng.bytes(8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+        return np.where(rng.random(shape) < 0.25, rng.choice(CSV_EDGES, shape), bits)
+    return (draw(steps), *(draw(runs, steps) if j != 2 or ftilde else None for j in range(6)))
+
+
+class TestStreamedCsv:
+    @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 30), steps=st.integers(1, 50),
+           ftilde=st.booleans())
+    def test_writes_the_one_shot_writers_bytes(self, seed, runs, steps, ftilde):
+        cols = csv_columns(np.random.default_rng(seed), runs, steps, ftilde)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "streamed.csv", Path(tmp) / "one_shot.csv"
+            scenarios._write_csv(got, *cols)
+            one_shot_csv(want, *cols)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_writing_holds_one_run_at_a_time(self, tmp_path):
+        # the one-shot writer peaked at 6.7 MB for 200 runs of 51 records, 64 KiB for 2
+        def peak(runs):
+            cols = csv_columns(np.random.default_rng(runs), runs, 51, True)
+            scenarios._write_csv(tmp_path / "warm.csv", *cols)
+            tracemalloc.start()
+            try:
+                scenarios._write_csv(tmp_path / f"{runs}.csv", *cols)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2), peak(200)
+        assert large < 4 * small, (large, small)
 
 
 class TestMergedFlows:
@@ -698,6 +750,19 @@ class TestCli:
         payload = json.loads(err)
         assert payload["error"] == "InvalidInputError"
         assert "config file" in payload["message"]
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_a_config_that_cannot_be_read_exits_2_before_any_work(self, tmp_path, capsys, where):
+        # a missing file exited 1 with FileNotFoundError, a directory with IsADirectoryError
+        cfg_path, out = tmp_path / "cfg", tmp_path / "out"
+        if where == "directory":
+            cfg_path.mkdir()
+        code, stdout, err = self.run_cli(
+            ["--scenario", "fig2_collapse", "--config", str(cfg_path), "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert f"config file {cfg_path} cannot be read" in payload["message"]
 
     def test_width_past_the_state_count_exits_2_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "out"
